@@ -9,16 +9,17 @@ circulant (or, over F3, double negacirculant) code are labelled as
 such; the rest are proper Toeplitz discoveries.
 """
 
-from dtcodes import GF, classify, find_dt_optimal
+from dtcodes import GF, classify, search_dt
 
 gf = GF(2)
 n = 12
 
-# phase 1 finds the optimum, phase 2 collects every attainer; the C2
-# filter halves the space by keeping one triple per (a, b) swap
-d_opt, triples = find_dt_optimal(gf, n)
+# one pass keeps the attainers of the best weight seen so far and
+# drops them when it rises; the C2 filter halves the space by keeping
+# one triple per (a, b) swap
+d_opt, records = search_dt(gf, n)
 print(f"best [12,6] minimum weight over F2: {d_opt}")
-print(f"filtered optimal triples: {len(triples)}")
+print(f"filtered optimal triples: {len(records)}")
 
 # group the attainers into equivalence classes and label the families
 report = classify(gf, n)

@@ -42,8 +42,6 @@ from .search import (
     ClassRecord,
     SearchConfig,
     classify,
-    find_dt_optimal,
-    find_family_optimal,
     passes_reduction,
     search_dt,
     search_family,
@@ -124,8 +122,6 @@ __all__ = [
     "passes_reduction",
     "search_dt",
     "search_family",
-    "find_dt_optimal",
-    "find_family_optimal",
     "classify",
     "verify_reduction_soundness",
 ]

@@ -26,7 +26,7 @@ import math
 
 from .gf import GF
 from .linear import BudgetExceededError, WeightEnumerator, weight_enumerator
-from .structured import double_toeplitz_code, enumerate_triples
+from .structured import BRUTE_FORCE_N, double_toeplitz_code, enumerate_triples
 
 __all__ = [
     "average_weight_enumerator",
@@ -34,9 +34,6 @@ __all__ = [
     "existence_bound_holds",
     "minimal_guaranteed_length",
 ]
-
-# Largest n whose q^(n-1) * q^(n/2) codeword sweep stays enumerable.
-BRUTE_FORCE_N = {2: 12, 3: 8, 4: 6}
 
 # Verification horizon: a length n counts as a threshold only if the
 # existence bound also holds at every even length in (n, n + HORIZON].

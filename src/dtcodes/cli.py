@@ -36,6 +36,7 @@ from .linear import (
     weight_enumerator,
 )
 from .search import (
+    DEFAULT_TRIPLE_BUDGET,
     CheckpointError,
     classify,
     search_dt,
@@ -353,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help=f"worker processes (default ${WORKERS_ENV} or 1)")
     p_search.add_argument("--partitions", type=int, default=1)
     p_search.add_argument("--checkpoint", help="JSON checkpoint path for resume")
-    p_search.add_argument("--budget", type=int, default=1 << 26,
+    p_search.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET,
                           help="largest candidate space the search will accept")
     p_search.set_defaults(func=cmd_search)
 
@@ -364,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--workers", type=int, default=0)
     p_cls.add_argument("--partitions", type=int, default=1)
     p_cls.add_argument("--checkpoint")
-    p_cls.add_argument("--budget", type=int, default=1 << 26)
+    p_cls.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET)
     p_cls.add_argument("--semimonomial", action="store_true",
                        help="F4 diagnostic: also merge Frobenius-conjugate classes")
     p_cls.set_defaults(func=cmd_classify)

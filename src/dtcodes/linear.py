@@ -114,7 +114,8 @@ class LinearCode:
     """An [n, k] code over ``gf`` spanned by the rows of ``G``.
 
     The generator matrix must have full row rank; rank is checked at
-    construction by elimination.  Instances are immutable.
+    construction by elimination, which also gives the systematic form,
+    unless G = (I_k | A) already.  Instances are immutable.
     """
 
     __slots__ = ("gf", "n", "k", "G", "_sys")
@@ -128,15 +129,29 @@ class LinearCode:
         k, n = G.shape
         if k > n:
             raise ValueError(f"dimension {k} exceeds length {n}")
-        _, pivots = _rref(gf, G)
-        if len(pivots) != k:
-            raise ValueError(f"generator rows are dependent: rank {len(pivots)} < k = {k}")
         G.flags.writeable = False
         self.gf = gf
         self.n = n
         self.k = k
         self.G = G
-        self._sys = None
+        if self.is_systematic():
+            # (I_k | B) has rank k by construction: no elimination needed
+            B, perm = G[:, k:], np.arange(n)
+        else:
+            R, pivots = _rref(gf, G)
+            if len(pivots) != k:
+                raise ValueError(f"generator rows are dependent: rank {len(pivots)} < k = {k}")
+            nonpivots = [j for j in range(n) if j not in set(pivots)]
+            B, perm = R[:, nonpivots], np.array(list(pivots) + nonpivots)
+        B = np.ascontiguousarray(B)
+        B.flags.writeable = False
+        self._sys = (B, perm)
+
+    @classmethod
+    def systematic(cls, gf: GF, A) -> "LinearCode":
+        """The code generated by ``(I_k | A)`` for a k-row block ``A``."""
+        A = np.asarray(A, dtype=np.int8)
+        return cls(gf, np.hstack([np.eye(len(A), dtype=np.int8), A]))
 
     def encode(self, message) -> np.ndarray:
         """Codeword m G for a length-k message vector."""
@@ -157,18 +172,6 @@ class LinearCode:
         Column permutations preserve all weight data, so the weight
         routines below always work on ``(I_k | B)``.
         """
-        if self._sys is None:
-            if self.is_systematic():
-                B = self.G[:, self.k :]
-                perm = np.arange(self.n)
-            else:
-                R, pivots = _rref(self.gf, self.G)
-                nonpivots = [j for j in range(self.n) if j not in set(pivots)]
-                B = R[:, nonpivots]
-                perm = np.array(list(pivots) + nonpivots)
-            B = np.ascontiguousarray(B)
-            B.flags.writeable = False
-            self._sys = (B, perm)
         return self._sys
 
     def to_text(self) -> str:

@@ -13,16 +13,21 @@ equivalence classes:
                    by a nonzero constant gives an equivalent code, so
                    one representative per scalar orbit suffices.
 
-Searches are two phase: phase 1 sweeps every filtered triple and
-maintains the best minimum weight found; phase 2 rescans and collects
-every filtered triple attaining it.  The prefix space (t, a) is split
-into contiguous chunks which can run on worker processes; results are
-assembled in chunk order, so output is identical for any worker or
-partition count.  Each completed chunk can be checkpointed to JSON.
+Every search is one pass over blocks of filtered candidates.  A
+"find-optimal" pass keeps the attainers of its running best minimum
+weight and drops them when the best rises; "collect-at" and "at-least"
+passes keep the candidates at or above a fixed target.  The prefix
+space (t, a), or the first rows of a circulant family, is split into
+contiguous chunks which can run on worker processes.  Each chunk
+returns its best and its attainers; the search keeps the attainers of
+the chunks whose best is the maximum, in chunk order, so output is
+identical for any worker or partition count.  Each completed chunk can
+be checkpointed to JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -46,6 +51,7 @@ from .structured import (
     double_circulant_code,
     double_negacirculant_code,
     double_toeplitz_code,
+    index_of_digits,
 )
 
 __all__ = [
@@ -57,13 +63,11 @@ __all__ = [
     "passes_reduction",
     "search_dt",
     "search_family",
-    "find_dt_optimal",
-    "find_family_optimal",
     "classify",
     "verify_reduction_soundness",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Cap on the raw candidate-space size of one search call.
 DEFAULT_TRIPLE_BUDGET = 1 << 26
@@ -108,11 +112,27 @@ def vector_rank(a) -> int:
     return int(sum(int(x) << i for i, x in enumerate(a)))
 
 
-def _c3_prefix_ok(t: int, a) -> bool:
-    for x in (t, *a):
-        if x:
-            return x == 1
-    return True
+def _check_reduction(q: int, reduction: str) -> None:
+    if reduction not in ("none", "C2", "C3"):
+        raise ValueError(f"unknown reduction {reduction!r}")
+    if reduction == "C2" and q != 2:
+        raise ValueError("the C2 filter applies to binary searches only")
+    if reduction == "C3" and q not in (3, 4):
+        raise ValueError("the C3 filter applies to F3 and F4 searches only")
+
+
+def _kept_b_count(q: int, reduction: str, t: int, a) -> int:
+    """How many b survive the filter after the prefix (t, a).
+
+    The survivors are always the b indices 0 .. count-1: C2 keeps
+    f(b) <= f(a), and the index of a binary b is f(b); C3 keeps all b
+    or none, depending on the first nonzero entry of (t, a).
+    """
+    if reduction == "C2":
+        return vector_rank(a) + 1
+    if reduction == "C3" and next((x for x in (t, *a) if x), 1) != 1:
+        return 0
+    return q ** len(a)
 
 
 def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
@@ -122,98 +142,76 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
     "C3" (F3/F4 only) keeps triples whose (t, a) part starts with 1,
     all-zero parts included.
     """
-    if reduction == "none":
-        return True
-    if reduction == "C2":
-        if T.gf.q != 2:
-            raise ValueError("the C2 filter applies to binary searches only")
-        return vector_rank(T.a) >= vector_rank(T.b)
-    if reduction == "C3":
-        if T.gf.q not in (3, 4):
-            raise ValueError("the C3 filter applies to F3 and F4 searches only")
-        return _c3_prefix_ok(T.t, T.a)
-    raise ValueError(f"unknown reduction {reduction!r}")
+    q = T.gf.q
+    _check_reduction(q, reduction)
+    return index_of_digits(T.b, q) < _kept_b_count(q, reduction, T.t, T.a)
 
 
 def _resolve_reduction(q: int, reduction: str) -> str:
     if reduction == "auto":
         return "C2" if q == 2 else "C3"
-    if reduction in ("none", "C2", "C3"):
-        return reduction
-    raise ValueError(f"unknown reduction {reduction!r}")
+    _check_reduction(q, reduction)
+    return reduction
 
 
 # ---------------------------------------------------------------------------
-# batched minimum-weight threshold testing
+# batched minimum-weight evaluation
 
 
 class _MessageCache:
-    """Messages of weight 1..T-1 over F_q^m, ascending weight."""
+    """The messages of each weight over F_q^m, built once per weight."""
 
     def __init__(self, q: int, m: int):
         self.q = q
         self.m = m
-        self._store: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._layers: dict[int, np.ndarray] = {}
 
-    def upto(self, T: int) -> tuple[np.ndarray, np.ndarray]:
-        if T not in self._store:
-            blocks, wts = [], []
-            for w in range(1, T):
-                for msgs in _weight_layer_blocks(self.q, self.m, w):
-                    blocks.append(msgs)
-                    wts.append(np.full(len(msgs), w, dtype=np.int64))
-            if blocks:
-                U = np.vstack(blocks)
-                uw = np.concatenate(wts)
-            else:
-                U = np.zeros((0, self.m), dtype=np.int8)
-                uw = np.zeros(0, dtype=np.int64)
-            self._store[T] = (U, uw)
-        return self._store[T]
+    def layer(self, w: int) -> np.ndarray:
+        if w not in self._layers:
+            self._layers[w] = np.vstack(list(_weight_layer_blocks(self.q, self.m, w)))
+        return self._layers[w]
 
 
-def _batch_min_at_least(gf: GF, A: np.ndarray, T: int, cache: _MessageCache) -> np.ndarray:
-    """Mask of batch entries whose code (I | A_i) has minimum weight >= T.
+def _batch_min_weight_capped(gf: GF, A: np.ndarray, T: int, cache: _MessageCache) -> np.ndarray:
+    """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i).
 
-    Messages of weight >= T already give codewords of weight >= T, so
-    only the cached low-weight messages need checking.
+    A codeword of weight below T comes from a message of weight below
+    T, so the messages of weight 1..T-1 give d_i exactly when d_i < T,
+    and a value of T proves d_i >= T.  They are scanned by ascending
+    weight w; messages of weight above w give codewords of weight
+    above w, so a code whose lowest weight so far is at most w + 1 is
+    settled and leaves the scan.
     """
-    B = A.shape[0]
-    if T <= 1:
-        return np.ones(B, dtype=bool)
-    U, uw = cache.upto(T)
-    if not len(U):
-        return np.ones(B, dtype=bool)
+    out = np.full(len(A), T, dtype=np.int64)
+    alive = np.arange(len(A))
     m = A.shape[1]
-    step = max(1, _MATMUL_ELEM_BUDGET // (len(U) * m))
-    ok = np.empty(B, dtype=bool)
-    for lo in range(0, B, step):
-        hi = min(lo + step, B)
-        right = gf_matmul(gf, U, A[lo:hi])  # (hi-lo, NU, m)
-        wts = uw[None, :] + np.count_nonzero(right, axis=2)
-        ok[lo:hi] = ~np.any(wts < T, axis=1)
-    return ok
-
-
-def _dt_code(gf: GF, A: np.ndarray) -> LinearCode:
-    m = A.shape[0]
-    return LinearCode(gf, np.hstack([np.eye(m, dtype=np.int8), A]))
+    for w in range(1, min(T, m + 1)):
+        U = cache.layer(w)
+        step = max(1, _MATMUL_ELEM_BUDGET // (len(U) * m))
+        for lo in range(0, len(alive), step):
+            idx = alive[lo : lo + step]
+            right = gf_matmul(gf, U, A[idx])  # (len(idx), len(U), m)
+            low = w + np.count_nonzero(right, axis=2).min(axis=1)
+            out[idx] = np.minimum(out[idx], low)
+        alive = alive[out[alive] > w + 1]
+        if not len(alive):
+            break
+    return out
 
 
 # ---------------------------------------------------------------------------
 # candidate-space iteration
 
 
-def _toeplitz_block(gf: GF, t: int, a, ib_lo: int, ib_hi: int) -> np.ndarray:
-    """Toeplitz matrices of prefix (t, a) for b indices [lo, hi)."""
+def _toeplitz_block(gf: GF, t: int, a, ib: np.ndarray) -> np.ndarray:
+    """Toeplitz matrices of prefix (t, a) for the b indices ``ib``."""
     q = gf.q
     L = len(a)
     m = L + 1
-    idx = np.arange(ib_lo, ib_hi, dtype=np.int64)
-    S = np.empty((len(idx), 2 * m - 1), dtype=np.int8)
+    S = np.empty((len(ib), 2 * m - 1), dtype=np.int8)
     if L:
         powers = q ** np.arange(L, dtype=np.int64)
-        bdig = ((idx[:, None] // powers[None, :]) % q).astype(np.int8)
+        bdig = ((ib[:, None] // powers[None, :]) % q).astype(np.int8)
         S[:, :L] = bdig[:, ::-1]
         S[:, L + 1 :] = np.array(a, dtype=np.int8)
     S[:, L] = t
@@ -221,31 +219,60 @@ def _toeplitz_block(gf: GF, t: int, a, ib_lo: int, ib_hi: int) -> np.ndarray:
     return win[:, ::-1, :]
 
 
-def _circulant_block(gf: GF, m: int, idx_lo: int, idx_hi: int, mu_code: int) -> np.ndarray:
-    """(Nega)circulant matrices for first-row indices [lo, hi)."""
+def _circulant_block(gf: GF, m: int, rows: np.ndarray, mu_code: int) -> np.ndarray:
+    """(Nega)circulant matrices for the first-row indices ``rows``."""
     q = gf.q
-    idx = np.arange(idx_lo, idx_hi, dtype=np.int64)
     powers = q ** np.arange(m, dtype=np.int64)
-    R = ((idx[:, None] // powers[None, :]) % q).astype(np.int8)
-    S = np.empty((len(idx), 2 * m - 1), dtype=np.int8)
+    R = ((rows[:, None] // powers[None, :]) % q).astype(np.int8)
+    S = np.empty((len(rows), 2 * m - 1), dtype=np.int8)
     S[:, : m - 1] = gf.mul_table[mu_code, R[:, 1:]]
     S[:, m - 1 :] = R
     win = np.lib.stride_tricks.sliding_window_view(S, m, axis=1)
     return win[:, ::-1, :]
 
 
-def _dt_prefixes(q: int, n: int, reduction: str, lo: int, hi: int):
-    """Yield (prefix_index, t, a, b_count) for surviving prefixes in [lo, hi)."""
+def _index_blocks(indices):
+    """The indices as consecutive int64 arrays of at most _B_BLOCK."""
+    it = iter(indices)
+    while block := list(itertools.islice(it, _B_BLOCK)):
+        yield np.array(block, dtype=np.int64)
+
+
+def _spread(total: int, count: int) -> np.ndarray:
+    if total <= count:
+        return np.arange(total)
+    return np.unique(np.linspace(0, total - 1, count).astype(np.int64))
+
+
+def _candidate_blocks(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
+    """Yield ``(A, record)`` per block of filtered candidates, in enumeration order.
+
+    ``prefixes`` are indices of (t, a) prefixes for DT and of first
+    rows for DC/NC.  For DT, ``kept_b(count)`` gives the b indices to
+    visit among the ``count`` that survive the filter after a prefix.
+    ``record(off, mw)`` is the checkpoint payload of the block's
+    candidate ``off`` with minimum weight ``mw``.
+    """
+    q = gf.q
     m = n // 2
+    if family != "DT":
+        mu = _family_mu_code(gf, family)
+        sign = 1 if family == "DC" else -1
+        for rows in _index_blocks(prefixes):
+            yield _circulant_block(gf, m, rows, mu), (
+                lambda off, mw, rows=rows: [list(digits_of_index(int(rows[off]), q, m)), sign, mw]
+            )
+        return
     L = m - 1
-    qL = q**L
-    for pidx in range(lo, hi):
-        t, ia = divmod(pidx, qL)
+    for pidx in prefixes:
+        t, ia = divmod(int(pidx), q**L)
         a = digits_of_index(ia, q, L)
-        if reduction == "C3" and not _c3_prefix_ok(t, a):
-            continue
-        nb = ia + 1 if reduction == "C2" else qL
-        yield pidx, t, a, nb
+        for ib in _index_blocks(kept_b(_kept_b_count(q, reduction, t, a))):
+            yield _toeplitz_block(gf, t, a, ib), (
+                lambda off, mw, t=t, a=a, ib=ib: [
+                    t, list(a), list(digits_of_index(int(ib[off]), q, L)), mw
+                ]
+            )
 
 
 def _space_layout(q: int, n: int, family: str) -> tuple[int, int]:
@@ -264,112 +291,57 @@ def _family_mu_code(gf: GF, family: str) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _spread(total: int, count: int) -> np.ndarray:
-    if total <= count:
-        return np.arange(total)
-    return np.unique(np.linspace(0, total - 1, count).astype(np.int64))
-
-
 def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
-    """Exact minimum weight of a deterministic sample of candidates.
+    """Best exact minimum weight over a deterministic sample of candidates.
 
-    Raises the initial phase-1 threshold so that early blocks do not
-    drown in exact evaluations; any sampled candidate is a genuine
-    member of the filtered space, so the floor is always attained.
+    Raises the starting best of a find-optimal pass, so that early
+    blocks need fewer raises and rescans at low thresholds; any
+    sampled candidate is a genuine member of the filtered space, so
+    the floor is always attained.  A sample is evaluated exactly only
+    when it beats the running floor, which ``min_weight_at_least``
+    rules out at the first message block with a low-weight codeword.
     """
-    q = gf.q
-    m = n // 2
+    prefixes = _spread(gf.q ** (n // 2), 16 if family == "DT" else 64)
     floor = 1
-    if family == "DT":
-        L = m - 1
-        qL = q**L
-        for pidx in _spread(q**m, 16):
-            t, ia = divmod(int(pidx), qL)
-            a = digits_of_index(ia, q, L)
-            if reduction == "C3" and not _c3_prefix_ok(t, a):
-                continue
-            nb = ia + 1 if reduction == "C2" else qL
-            for ib in _spread(nb, 8):
-                A = _toeplitz_block(gf, t, a, int(ib), int(ib) + 1)[0]
-                floor = max(floor, minimum_weight(_dt_code(gf, A)))
-    else:
-        mu = _family_mu_code(gf, family)
-        for ridx in _spread(q**m, 64):
-            A = _circulant_block(gf, m, int(ridx), int(ridx) + 1, mu)[0]
-            floor = max(floor, minimum_weight(_dt_code(gf, A)))
+    for A, _ in _candidate_blocks(gf, n, family, reduction, prefixes, lambda c: _spread(c, 8)):
+        for Ai in A:
+            code = LinearCode.systematic(gf, Ai)
+            if min_weight_at_least(code, floor + 1):
+                floor = minimum_weight(code)
     return floor
 
 
 # ---------------------------------------------------------------------------
-# chunk scans (top level so worker processes can import them)
+# chunk scan (top level so worker processes can import it)
 
 
-def _chunk_phase1(args) -> int:
-    q, n, family, reduction, lo, hi, floor = args
+def _scan_chunk(args) -> tuple[int, list]:
+    """(best, attainer payloads) of the prefixes [lo, hi).
+
+    In find-optimal mode ``d`` is the starting best, which the chunk
+    may raise; otherwise it is the fixed target.
+    """
+    q, n, family, reduction, mode, d, lo, hi = args
     gf = GF(q)
-    m = n // 2
-    cache = _MessageCache(q, m)
-    best = floor
-
-    def absorb(A_block: np.ndarray) -> None:
-        nonlocal best
-        ok = _batch_min_at_least(gf, A_block, best + 1, cache)
-        if not ok.any():
-            return
-        for off in np.nonzero(ok)[0]:
-            code = _dt_code(gf, np.ascontiguousarray(A_block[off]))
-            if min_weight_at_least(code, best + 1):
-                best = minimum_weight(code)
-
-    if family == "DT":
-        for _, t, a, nb in _dt_prefixes(q, n, reduction, lo, hi):
-            for blo in range(0, nb, _B_BLOCK):
-                absorb(_toeplitz_block(gf, t, a, blo, min(blo + _B_BLOCK, nb)))
-    else:
-        mu = _family_mu_code(gf, family)
-        for blo in range(lo, hi, _B_BLOCK):
-            absorb(_circulant_block(gf, m, blo, min(blo + _B_BLOCK, hi), mu))
-    return best
-
-
-def _chunk_collect(args) -> list:
-    q, n, family, reduction, lo, hi, d, mode = args
-    gf = GF(q)
-    m = n // 2
-    cache = _MessageCache(q, m)
-    out: list = []
-
-    def sift(A_block: np.ndarray, emit) -> None:
-        ok = _batch_min_at_least(gf, A_block, d, cache)
-        for off in np.nonzero(ok)[0]:
-            code = _dt_code(gf, np.ascontiguousarray(A_block[off]))
-            if mode == "at-least":
-                emit(int(off), minimum_weight(code))
-            elif not min_weight_at_least(code, d + 1):
-                emit(int(off), d)
-
-    if family == "DT":
-        for _, t, a, nb in _dt_prefixes(q, n, reduction, lo, hi):
-            for blo in range(0, nb, _B_BLOCK):
-                block = _toeplitz_block(gf, t, a, blo, min(blo + _B_BLOCK, nb))
-                sift(
-                    block,
-                    lambda off, mw, t=t, a=a, blo=blo: out.append(
-                        [t, list(a), list(digits_of_index(blo + off, q, m - 1)), mw]
-                    ),
-                )
-    else:
-        mu = _family_mu_code(gf, family)
-        mu_sign = 1 if family == "DC" else -1
-        for blo in range(lo, hi, _B_BLOCK):
-            block = _circulant_block(gf, m, blo, min(blo + _B_BLOCK, hi), mu)
-            sift(
-                block,
-                lambda off, mw, blo=blo: out.append(
-                    [list(digits_of_index(blo + off, q, m)), mu_sign, mw]
-                ),
-            )
-    return out
+    cache = _MessageCache(q, n // 2)
+    best, found = d, []
+    for A, record in _candidate_blocks(gf, n, family, reduction, range(lo, hi), range):
+        if mode == "at-least":
+            for off in np.flatnonzero(_batch_min_weight_capped(gf, A, d, cache) >= d):
+                found.append(record(off, minimum_weight(LinearCode.systematic(gf, A[off]))))
+            continue
+        # candidates of the block that may still attain or raise the best
+        pending = np.arange(len(A))
+        while len(pending):
+            capped = _batch_min_weight_capped(gf, A[pending], best + 1, cache)
+            above = pending[capped > best] if mode == "find-optimal" else pending[:0]
+            if not len(above):
+                found += [record(i, best) for i in pending[capped == best]]
+                break
+            best = minimum_weight(LinearCode.systematic(gf, A[above[0]]))
+            found = [record(above[0], best)]
+            pending = above[1:]
+    return best, found
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +349,8 @@ def _chunk_collect(args) -> list:
 
 
 def _load_checkpoint(path: str, config: SearchConfig) -> dict:
-    if not path or not os.path.exists(path):
-        return {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "phase1": {}, "phase2": {}}
+    if not os.path.exists(path):
+        return {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "chunks": {}}
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if data.get("version") != CHECKPOINT_VERSION:
@@ -387,14 +359,11 @@ def _load_checkpoint(path: str, config: SearchConfig) -> dict:
         )
     if data.get("config") != config.to_dict():
         raise CheckpointError("checkpoint was written by a different search configuration")
-    data.setdefault("phase1", {})
-    data.setdefault("phase2", {})
+    data.setdefault("chunks", {})
     return data
 
 
 def _save_checkpoint(path: str, data: dict) -> None:
-    if not path:
-        return
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
@@ -452,12 +421,6 @@ def _search(
         raise ValueError(f"mode {mode!r} needs a positive target weight d")
     q = gf.q
     reduction = _resolve_reduction(q, reduction) if family == "DT" else "none"
-    if family == "DT" and reduction != "none":
-        # validate compatibility through the same gate as passes_reduction
-        if reduction == "C2" and q != 2:
-            raise ValueError("the C2 filter applies to binary searches only")
-        if reduction == "C3" and q not in (3, 4):
-            raise ValueError("the C3 filter applies to F3 and F4 searches only")
 
     prefix_total, space = _space_layout(q, n, family)
     if space > triple_budget:
@@ -466,54 +429,29 @@ def _search(
         )
 
     config = SearchConfig(q, n, family, reduction, mode, d, partitions)
-    state = _load_checkpoint(checkpoint_path, config) if checkpoint_path else None
+    state = _load_checkpoint(checkpoint_path, config) if checkpoint_path else {"chunks": {}}
+    done = {int(k): v for k, v in state["chunks"].items()}
     ranges = _chunk_ranges(prefix_total, partitions)
-
-    if mode == "find-optimal":
-        floor = _probe_floor(gf, n, family, reduction)
-        done1 = {int(k): int(v) for k, v in (state or {}).get("phase1", {}).items()}
-        todo = [
-            (cid, (q, n, family, reduction, lo, hi, floor))
-            for cid, (lo, hi) in enumerate(ranges)
-            if cid not in done1
-        ]
-        for cid, best in _run_chunks(_chunk_phase1, [a for _, a in todo], workers):
-            real_cid = todo[cid][0]
-            done1[real_cid] = best
-            if state is not None:
-                state["phase1"] = {str(k): v for k, v in done1.items()}
-                _save_checkpoint(checkpoint_path, state)
-        threshold = max(done1.values())
-    else:
-        threshold = d
-
-    done2 = {}
-    if state is not None:
-        stored = state.get("phase2", {})
-        if stored.get("threshold") not in (None, threshold):
-            raise CheckpointError("checkpoint phase-2 threshold does not match")
-        done2 = {int(k): v for k, v in stored.get("chunks", {}).items()}
-    collect_mode = "at-least" if mode == "at-least" else "collect-at"
+    start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
     todo = [
-        (cid, (q, n, family, reduction, lo, hi, threshold, collect_mode))
+        (cid, (q, n, family, reduction, mode, start, lo, hi))
         for cid, (lo, hi) in enumerate(ranges)
-        if cid not in done2
+        if cid not in done
     ]
-    for cid, payloads in _run_chunks(_chunk_collect, [a for _, a in todo], workers):
-        real_cid = todo[cid][0]
-        done2[real_cid] = payloads
-        if state is not None:
-            state["phase2"] = {
-                "threshold": threshold,
-                "chunks": {str(k): v for k, v in done2.items()},
-            }
+    for i, result in _run_chunks(_scan_chunk, [a for _, a in todo], workers):
+        done[todo[i][0]] = result
+        if checkpoint_path:
+            state["chunks"] = {str(k): v for k, v in done.items()}
             _save_checkpoint(checkpoint_path, state)
 
-    records = []
-    for cid in range(partitions):
-        for payload in done2.get(cid, []):
-            records.append(_payload_to_triple(gf, payload, family))
-    return threshold, records
+    best = max(chunk_best for chunk_best, _ in done.values())
+    records = [
+        _payload_to_triple(gf, payload, family)
+        for cid in range(partitions)
+        if done[cid][0] == best
+        for payload in done[cid][1]
+    ]
+    return best, records
 
 
 def search_dt(
@@ -532,7 +470,9 @@ def search_dt(
 
     Returns ``(d_ref, records)`` where records are ``(triple, min_weight)``
     pairs in enumeration order.  In "find-optimal" mode ``d_ref`` is the
-    family optimum and the records are exactly the optimal triples.
+    family optimum and the records are exactly the optimal triples;
+    "collect-at" keeps the triples of minimum weight exactly ``d`` and
+    "at-least" those of minimum weight ``d`` or more.
     """
     return _search(
         gf, n, "DT", reduction, mode, d, partitions, workers, checkpoint_path, triple_budget
@@ -551,60 +491,16 @@ def search_family(
     checkpoint_path: str | None = None,
     triple_budget: int = DEFAULT_TRIPLE_BUDGET,
 ):
-    """Scan all first rows r of a circulant family ("DC" or "NC")."""
+    """Scan all first rows r of a circulant family ("DC" or "NC").
+
+    Returns ``(d_ref, records)`` of ``(CirculantSpec, min_weight)``
+    pairs, with the same modes as :func:`search_dt`.
+    """
     if family not in ("DC", "NC"):
         raise ValueError(f"unknown family {family!r}")
     return _search(
         gf, n, family, "none", mode, d, partitions, workers, checkpoint_path, triple_budget
     )
-
-
-def find_dt_optimal(
-    gf: GF,
-    n: int,
-    reduction: str = "auto",
-    *,
-    partitions: int = 1,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET,
-) -> tuple[int, list[ToeplitzTriple]]:
-    """Best minimum weight over the filtered triples, and all attainers."""
-    d_opt, records = search_dt(
-        gf,
-        n,
-        reduction,
-        "find-optimal",
-        partitions=partitions,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        triple_budget=triple_budget,
-    )
-    return d_opt, [T for T, _ in records]
-
-
-def find_family_optimal(
-    gf: GF,
-    n: int,
-    family: str,
-    *,
-    partitions: int = 1,
-    workers: int = 1,
-    checkpoint_path: str | None = None,
-    triple_budget: int = DEFAULT_TRIPLE_BUDGET,
-) -> tuple[int, list[CirculantSpec]]:
-    """Best minimum weight over a circulant family, and all attainers."""
-    d_opt, records = search_family(
-        gf,
-        n,
-        family,
-        "find-optimal",
-        partitions=partitions,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        triple_budget=triple_budget,
-    )
-    return d_opt, [s for s, _ in records]
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +588,7 @@ def classify(
     the semimonomial diagnostic (F4) merges Frobenius-conjugate classes
     and changes the counts (already at n = 8).
     """
-    d_opt, triples = find_dt_optimal(
+    d_opt, records = search_dt(
         gf,
         n,
         reduction,
@@ -701,18 +597,19 @@ def classify(
         checkpoint_path=checkpoint_path,
         triple_budget=triple_budget,
     )
+    triples = [T for T, _ in records]
     codes = [double_toeplitz_code(T) for T in triples]
     groups = dedupe_into_classes(codes, semimonomial=semimonomial)
 
     families: list[tuple[str, list[LinearCode], list]] = []
     for family in ("DC",) + (("NC",) if gf.q == 3 else ()):
-        d_fam, specs = find_family_optimal(gf, n, family, triple_budget=triple_budget)
+        d_fam, fam_records = search_family(gf, n, family, triple_budget=triple_budget)
         if d_fam > d_opt:
             raise AssertionError("family optimum exceeded the full-space optimum")
         fam_codes = []
         if d_fam == d_opt:
             build = double_circulant_code if family == "DC" else double_negacirculant_code
-            fam_codes = [build(s) for s in specs]
+            fam_codes = [build(s) for s, _ in fam_records]
         families.append((family, fam_codes, [signature(c) for c in fam_codes]))
 
     report = ClassificationReport(gf.q, n, d_opt)
@@ -738,12 +635,12 @@ def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) ->
     with no filter, and compares: equal optima, equal class counts, and
     a one-to-one equivalence matching between the representatives.
     """
-    d_f, triples_f = find_dt_optimal(gf, n)
-    d_u, triples_u = find_dt_optimal(gf, n, reduction="none")
+    d_f, records_f = search_dt(gf, n)
+    d_u, records_u = search_dt(gf, n, reduction="none")
     if d_f != d_u:
         return False
-    codes_f = [double_toeplitz_code(T) for T in triples_f]
-    codes_u = [double_toeplitz_code(T) for T in triples_u]
+    codes_f = [double_toeplitz_code(T) for T, _ in records_f]
+    codes_u = [double_toeplitz_code(T) for T, _ in records_u]
     groups_f = dedupe_into_classes(codes_f, semimonomial=semimonomial)
     groups_u = dedupe_into_classes(codes_u, semimonomial=semimonomial)
     if len(groups_f) != len(groups_u):

@@ -46,7 +46,8 @@ __all__ = [
     "parse_circulant",
 ]
 
-# Largest n for which the q^(n-1) triple space is brute-forced here.
+# Largest n for which the q^(n-1) triple space is brute-forced: by the
+# containment count here and by the average enumerator oracle.
 BRUTE_FORCE_N = {2: 12, 3: 8, 4: 6}
 
 
@@ -210,29 +211,23 @@ def classify_triple(T: ToeplitzTriple) -> str:
     return "neither"
 
 
-def _identity_block_code(gf: GF, A: np.ndarray) -> LinearCode:
-    m = A.shape[0]
-    G = np.hstack([np.eye(m, dtype=np.int8), A])
-    return LinearCode(gf, G)
-
-
 def double_toeplitz_code(T: ToeplitzTriple) -> LinearCode:
     """The [2m, m] code with generator (I | T(t,a,b))."""
-    return _identity_block_code(T.gf, toeplitz_matrix(T))
+    return LinearCode.systematic(T.gf, toeplitz_matrix(T))
 
 
 def double_circulant_code(spec: CirculantSpec) -> LinearCode:
     """The [2m, m] code with generator (I | circulant(r))."""
     if spec.mu != 1:
         raise ValueError("double_circulant_code needs mu = +1")
-    return _identity_block_code(spec.gf, circulant_matrix(spec))
+    return LinearCode.systematic(spec.gf, circulant_matrix(spec))
 
 
 def double_negacirculant_code(spec: CirculantSpec) -> LinearCode:
     """The [2m, m] code with generator (I | negacirculant(r))."""
     if spec.mu != -1:
         raise ValueError("double_negacirculant_code needs mu = -1")
-    return _identity_block_code(spec.gf, circulant_matrix(spec))
+    return LinearCode.systematic(spec.gf, circulant_matrix(spec))
 
 
 def contains_vector(T: ToeplitzTriple, u, v) -> bool:

@@ -52,6 +52,22 @@ def test_code_construction_checks():
     assert not C.G.flags.writeable
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_systematic_constructor_matches_general_one(q):
+    gf = GF(q)
+    rng = np.random.default_rng(10 + q)
+    for k, r in ((1, 1), (3, 3), (4, 6), (6, 2)):
+        A = rng.integers(0, q, size=(k, r), dtype=np.int8)
+        S = LinearCode.systematic(gf, A)
+        C = LinearCode(gf, np.hstack([np.eye(k, dtype=np.int8), A]))
+        assert np.array_equal(S.G, C.G) and (S.n, S.k) == (C.n, C.k)
+        assert not S.G.flags.writeable
+        for got, want in zip(S.systematic_right_block(), C.systematic_right_block()):
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        LinearCode.systematic(gf, [[0, q]])  # entry outside the field
+
+
 def test_encode_and_text_round_trip():
     gf = GF(4)
     C = LinearCode(gf, [[1, 0, 2], [0, 1, 3]])

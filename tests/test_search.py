@@ -3,20 +3,20 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from dtcodes import (
     GF,
     BudgetExceededError,
     CheckpointError,
+    LinearCode,
     ToeplitzTriple,
     are_equivalent,
     classify,
     double_circulant_code,
     double_toeplitz_code,
     enumerate_triples,
-    find_dt_optimal,
-    find_family_optimal,
     minimum_weight,
     passes_reduction,
     search_dt,
@@ -26,6 +26,14 @@ from dtcodes import (
     verify_reduction_soundness,
 )
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
+from dtcodes.search import (
+    SearchConfig,
+    _batch_min_weight_capped,
+    _chunk_ranges,
+    _MessageCache,
+    _payload_to_triple,
+    _scan_chunk,
+)
 from dtcodes.structured import CirculantSpec
 
 
@@ -127,20 +135,42 @@ def test_filtered_search_reaches_the_same_optimum():
         assert all(passes_reduction(T, reduction) for T, _ in records)
 
 
-def test_search_is_deterministic_across_workers_and_partitions():
-    gf = GF(2)
-    reference = search_dt(gf, 8, reduction="none")
-    for partitions, workers in ((3, 1), (4, 2), (2, 4)):
-        d, records = search_dt(gf, 8, reduction="none", partitions=partitions, workers=workers)
+@pytest.mark.parametrize("family,q,n,reduction", [
+    ("DT", 2, 8, "none"), ("DT", 3, 6, "C3"), ("DC", 4, 8, "none"),
+])
+def test_search_is_deterministic_across_workers_and_partitions(family, q, n, reduction):
+    gf = GF(q)
+
+    def run(**kw):
+        if family == "DT":
+            return search_dt(gf, n, reduction=reduction, **kw)
+        return search_family(gf, n, family, **kw)
+
+    reference = run()
+    # 300 partitions exceed every prefix count here, so most chunks are empty
+    for partitions, workers in ((3, 1), (4, 2), (2, 4), (300, 1)):
+        d, records = run(partitions=partitions, workers=workers)
         assert d == reference[0]
-        assert [(_key(T), mw) for T, mw in records] == [
-            (_key(T), mw) for T, mw in reference[1]
+        assert [(spec.to_text(), mw) for spec, mw in records] == [
+            (spec.to_text(), mw) for spec, mw in reference[1]
         ]
+
+    # chunks started below the sampled floor reach different local bests;
+    # those at the maximum hold exactly the optimal records, in order
+    chunks = [
+        _scan_chunk((q, n, family, reduction, "find-optimal", 1, lo, hi))
+        for lo, hi in _chunk_ranges(q ** (n // 2), 300)
+    ]
+    best = max(b for b, _ in chunks)
+    assert best == reference[0] > min(b for b, _ in chunks)
+    merged = [_payload_to_triple(gf, p, family) for b, ps in chunks if b == best for p in ps]
+    assert merged == reference[1]
 
 
 def test_circulant_family_search():
     gf = GF(3)
-    d_nc, specs = find_family_optimal(gf, 4, "NC")
+    d_nc, records = search_family(gf, 4, "NC")
+    specs = [s for s, _ in records]
     assert d_nc == 3
     assert all(s.mu == -1 for s in specs)
     naive = [
@@ -148,7 +178,7 @@ def test_circulant_family_search():
         for r in itertools.product(range(3), repeat=2)
     ]
     assert {s.r for s in specs} == {r for r, mw in naive if mw == 3}
-    d_dc, _ = find_family_optimal(gf, 4, "DC")
+    d_dc, _ = search_family(gf, 4, "DC")
     assert d_dc < d_nc
     with pytest.raises(ValueError):
         search_family(gf, 4, "XX")
@@ -170,6 +200,19 @@ def test_triple_budget():
         search_dt(gf, 12, triple_budget=100)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_capped_batch_matches_minimum_weight(q):
+    gf = GF(q)
+    rng = np.random.default_rng(q)
+    for m in range(2, 6):
+        cache = _MessageCache(q, m)
+        A = rng.integers(0, q, size=(12, m, m), dtype=np.int8)
+        exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in A]
+        for T in range(1, m + 2):
+            got = _batch_min_weight_capped(gf, A, T, cache)
+            assert got.tolist() == [min(d, T) for d in exact], (m, T)
+
+
 def test_checkpoint_round_trip(tmp_path):
     gf = GF(2)
     path = str(tmp_path / "run.json")
@@ -180,13 +223,12 @@ def test_checkpoint_round_trip(tmp_path):
         [(_key(T), mw) for T, mw in reference[1]],
     )
     data = json.loads(open(path).read())
-    assert data["version"] == 1
-    assert set(data["phase1"]) == {"0", "1", "2", "3"}
+    assert data["version"] == 2
+    assert set(data["chunks"]) == {"0", "1", "2", "3"}
 
     # drop some finished chunks to simulate an interrupted run
-    del data["phase1"]["2"]
-    del data["phase2"]["chunks"]["1"]
-    del data["phase2"]["chunks"]["3"]
+    for cid in ("1", "2", "3"):
+        del data["chunks"][cid]
     open(path, "w").write(json.dumps(data))
     d2, records2 = search_dt(gf, 8, reduction="C2", partitions=4, checkpoint_path=path)
     assert d2 == d
@@ -208,6 +250,11 @@ def test_checkpoint_version_guard(tmp_path):
     path.write_text(json.dumps({"version": 99, "config": {}}))
     with pytest.raises(CheckpointError):
         search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
+    # a two-phase (version 1) file of the very same configuration
+    config = SearchConfig(2, 6, "DT", "C2", "find-optimal", None, 1).to_dict()
+    path.write_text(json.dumps({"version": 1, "config": config, "phase1": {"0": 3}, "phase2": {}}))
+    with pytest.raises(CheckpointError):
+        search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 4)])
@@ -221,12 +268,12 @@ def test_classify_small_binary():
     assert (report.n_dt, report.n_dc, report.n_nc) == CLASS_COUNTS[2][4]
     # members count the filtered optimal triples that fell in each class
     total_members = sum(r.members for r in report.records)
-    _, optimal = find_dt_optimal(GF(2), 4)
+    _, optimal = search_dt(GF(2), 4)
     assert total_members == len(optimal)
     # a class is "DC" when some optimal double circulant code lies in it,
     # even if its lex-minimal representative is not itself circulant
-    _, dc_specs = find_family_optimal(GF(2), 4, "DC")
-    dc_codes = [double_circulant_code(s) for s in dc_specs]
+    _, dc_records = search_family(GF(2), 4, "DC")
+    dc_codes = [double_circulant_code(s) for s, _ in dc_records]
     for rec in report.records:
         C = double_toeplitz_code(rec.representative)
         assert minimum_weight(C) == report.d_opt
@@ -248,8 +295,8 @@ def test_classify_report_serialization():
 
 def test_classify_representatives_are_lex_minimal():
     report = classify(GF(2), 6)
-    _, optimal = find_dt_optimal(GF(2), 6, reduction="none")
-    best = min(T.lex_key() for T in optimal)
+    _, optimal = search_dt(GF(2), 6, reduction="none")
+    best = min(T.lex_key() for T, _ in optimal)
     assert min(r.representative.lex_key() for r in report.records) == best
 
 
