@@ -4,9 +4,9 @@ Existence thresholds for all three fields
 
 For each target minimum weight d, the averaging bound pins down the
 smallest even length from which a double Toeplitz code of minimum
-weight at least d is guaranteed to exist.  The bound is not proved
-monotone in n, so each threshold is re-verified over a long horizon
-of longer lengths before being reported.
+weight at least d is guaranteed to exist.  Each threshold comes with
+an exact-integer certificate that the bound holds at every longer
+even length too.
 """
 
 from dtcodes import GF, minimal_guaranteed_length

@@ -16,8 +16,9 @@ one word per code, some code has none, so
 
     sum_{i=1}^{d-1} psi_{q,n,i} < q^(n-1) * (q-1)
 
-guarantees a double Toeplitz [n, n/2, >= d] code.  The smallest stable
-such n is computed by :func:`minimal_guaranteed_length`.
+guarantees a double Toeplitz [n, n/2, >= d] code.  The smallest n from
+which the test holds at every even length, with a proof for the whole
+tail, is computed by :func:`minimal_guaranteed_length`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,6 @@ __all__ = [
     "existence_bound_holds",
     "minimal_guaranteed_length",
 ]
-
-# Verification horizon: a length n counts as a threshold only if the
-# existence bound also holds at every even length in (n, n + HORIZON].
-# The bound is not proved monotone in n, so the horizon makes the
-# minimality claim checkable instead of assumed.
-HORIZON = 200
 
 _MAX_SUPPORTED_D = 50
 
@@ -90,33 +85,34 @@ def existence_bound_holds(gf: GF, n: int, d: int) -> bool:
     return low_weight_total < q ** (n - 1) * (q - 1)
 
 
-def minimal_guaranteed_length(
-    gf: GF, d: int, horizon: int = HORIZON, diagnostics: list | None = None
-) -> int:
-    """Smallest even n at which the existence bound holds stably.
+def _tail_certified(q: int, n: int, d: int) -> bool:
+    """Whether the existence bound provably holds at every even length >= n.
 
-    Returns the least even n such that ``existence_bound_holds`` is
-    true at every even length in [n, n + horizon].  If the indicator
-    flips from true back to false inside the scanned range (it is not
-    proved monotone), each flip point is appended to ``diagnostics``
-    when a list is supplied.
+    U(n) = sum_{j<d} C(n,j) (q-1)^j bounds the low-weight sum divided
+    by q^(n/2-1), so U(n) < q^(n/2) (q-1) proves the bound at n.  The
+    ratio C(n+2,j) / C(n,j) = (n+2)(n+1) / ((n+2-j)(n+1-j)) grows with
+    j and shrinks with n, so if it is at most q at j = d-1 then every
+    later step n -> n+2 multiplies U by at most q while the right side
+    grows by exactly q.
+    """
+    if n + 2 - d <= 0:
+        return False
+    U = sum(math.comb(n, j) * (q - 1) ** j for j in range(d))
+    return U < q ** (n // 2) * (q - 1) and (n + 2) * (n + 1) <= q * (n + 3 - d) * (n + 2 - d)
+
+
+def minimal_guaranteed_length(gf: GF, d: int) -> int:
+    """Smallest even n such that the existence bound holds at every even length >= n.
+
+    Even lengths are tested exactly, upward, until one carries the tail
+    certificate of :func:`_tail_certified`; the threshold is the last
+    failing length plus 2.
     """
     if not 1 <= d <= _MAX_SUPPORTED_D:
         raise ValueError(f"supported minimum weights are 1..{_MAX_SUPPORTED_D}, got {d}")
-    run_start = None
-    n = 2
-    scan_limit = 5000
-    while n <= scan_limit:
-        if existence_bound_holds(gf, n, d):
-            if run_start is None:
-                run_start = n
-            if n - run_start >= horizon:
-                return run_start
-        else:
-            if run_start is not None and diagnostics is not None:
-                diagnostics.append(n)
-            run_start = None
+    threshold = n = 2
+    while not _tail_certified(gf.q, n, d):
+        if not existence_bound_holds(gf, n, d):
+            threshold = n + 2
         n += 2
-    raise RuntimeError(
-        f"no stable threshold for d = {d} over F{gf.q} found below n = {scan_limit}"
-    )
+    return threshold

@@ -230,8 +230,7 @@ def _check(ok: bool, text: str, failures: list[str]) -> None:
 
 
 def _suite_awe_oracle(failures: list[str]) -> int:
-    grid = [(2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6), (4, 4)]
-    for q, n in grid:
+    for q, n in reference_data.AWE_ORACLE_GRID:
         gf = GF(q)
         closed = average_weight_enumerator(gf, n)
         brute = average_weight_enumerator_bruteforce(gf, n)
@@ -240,7 +239,7 @@ def _suite_awe_oracle(failures: list[str]) -> int:
             f"awe closed form == enumeration at q={q} n={n}",
             failures,
         )
-    return len(grid)
+    return len(reference_data.AWE_ORACLE_GRID)
 
 
 def _suite_thresholds(failures: list[str]) -> int:
@@ -270,14 +269,13 @@ def _suite_classification_small(failures: list[str]) -> int:
             f"classify q={q} n={n}: d={expected_d}, classes {expected} (got d={report.d_opt}, {got})",
             failures,
         )
-    return len(grid)
+    return len(reference_data.AWE_ORACLE_GRID)
 
 
 def _suite_generators(failures: list[str]) -> int:
-    budget = {2: 24, 3: 14, 4: 13}
     count = 0
     for q, n, d, spec in reference_data.iter_weight_checks():
-        if n // 2 > budget[q]:
+        if n // 2 > reference_data.GENERATOR_SWEEP_KMAX[q]:
             continue
         w = minimum_weight(reference_data.build_code(q, spec))
         _check(w == d, f"q={q} {spec} has minimum weight {d} (got {w})", failures)

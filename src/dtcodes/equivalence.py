@@ -7,16 +7,23 @@ other.
 
 The decision procedure here anchors on low-weight codewords:
 
-1. cheap invariant pre-filter (:func:`signature`);
-2. backtracking over column assignments (target column, scale factor),
+1. one enumeration per code groups its nonzero codewords by weight;
+   the later steps read these layers;
+2. cheap invariant pre-filter (:func:`signature`);
+3. backtracking over column assignments (target column, scale factor),
    constrained by the sets W1, W2 of codewords in the lowest weight
    layers of the two codes.  A monomial map carries W1 bijectively onto
    W2 layer by layer, so every partial assignment propagates candidate
    bitmask sets; an empty candidate set or an unreachable W2 word cuts
    the branch.
-3. a completed assignment is accepted only after the mapped generator
-   rows of the first code all satisfy the parity checks of the second,
-   which makes every "True" answer sound irrespective of the pruning.
+4. a completed assignment is accepted only after the mapped generator
+   rows of the first code all lie in the second code, checked against
+   its systematic form, which makes every "True" answer sound
+   irrespective of the pruning.
+
+Matching a code against an ordered pool (class representatives, a
+circulant family) is done in one place, over a pool bucketed by
+signature; the first equivalent member wins.
 
 The search is exhaustive over consistent assignments, so "False" is
 sound as well; running out of the node budget raises
@@ -30,17 +37,12 @@ Frobenius map x -> x^2; see :func:`are_equivalent`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .gf import GF, gf_matmul
-from .linear import (
-    LinearCode,
-    _check_budget,
-    _message_blocks,
-    dual_code,
-    weight_enumerator,
-)
+from .gf import gf_matmul
+from .linear import LinearCode, _check_budget, _message_blocks
 
 __all__ = [
     "UndecidedError",
@@ -54,6 +56,9 @@ __all__ = [
 ]
 
 DEFAULT_NODE_CAP = 10**8
+
+# x -> x^2 on the F4 element codes 0, 1, w, v = w^2
+_FROBENIUS = np.array([0, 1, 3, 2], dtype=np.int8)
 
 
 class UndecidedError(RuntimeError):
@@ -98,8 +103,7 @@ def frobenius_image(C: LinearCode) -> LinearCode:
     """Entrywise x -> x^2 image of an F4 code (an F4-linear code again)."""
     if C.gf.q != 4:
         raise ValueError("the Frobenius image is only defined here for F4")
-    frob = np.array([0, 1, 3, 2], dtype=np.int8)
-    return LinearCode(C.gf, frob[C.G])
+    return LinearCode(C.gf, _FROBENIUS[C.G])
 
 
 def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
@@ -108,35 +112,42 @@ def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
     B, perm = C.systematic_right_block()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(C.n)
-    groups: dict[int, list[np.ndarray]] = {}
-    for msgs in _message_blocks(C.gf.q, C.k):
-        right = gf_matmul(C.gf, msgs, B)
-        words = np.hstack([msgs, right])[:, inv]
-        wts = np.count_nonzero(words, axis=1)
-        for w in np.unique(wts):
-            if w == 0:
-                continue
-            groups.setdefault(int(w), []).append(words[wts == w])
-    return {w: np.vstack(parts) for w, parts in sorted(groups.items())}
+    words = np.vstack(
+        [np.hstack([msgs, gf_matmul(C.gf, msgs, B)]) for msgs in _message_blocks(C.gf.q, C.k)]
+    )[:, inv]
+    wts = np.count_nonzero(words, axis=1)
+    return {int(w): words[wts == w] for w in np.unique(wts) if w}
 
 
-def _anchor_layers(C1: LinearCode, C2: LinearCode):
+class _Keyed(NamedTuple):
+    """A code with its nonzero codewords by weight and its signature."""
+
+    code: LinearCode
+    layers: dict[int, np.ndarray]
+    sig: tuple
+
+
+def _keyed(C: LinearCode) -> _Keyed:
+    layers = _codewords_by_weight(C)
+    coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
+    # value counts per column over the minimum-weight codewords
+    counts = (layers[min(layers)][:, :, None] == np.arange(C.gf.q)).sum(axis=0).tolist()
+    profiles = tuple(sorted((c[0],) + tuple(sorted(c[1:])) for c in counts))
+    return _Keyed(C, layers, (C.n, C.k, tuple(coeffs), profiles))
+
+
+def _anchor_layers(C1: LinearCode, g1: dict, g2: dict):
     """Matching low-weight layers of both codes, as stacked matrices.
 
-    Layers are taken in increasing weight until every column that is
-    nonzero somewhere in code 1 is touched by an anchor codeword.
-    Returns None when the layer structures already differ.
+    The layers ``g1``, ``g2`` must have the same weights and sizes
+    (equal signatures guarantee it).  Layers are taken in increasing
+    weight until every column that is nonzero somewhere in code 1 is
+    touched by an anchor codeword.
     """
-    g1 = _codewords_by_weight(C1)
-    g2 = _codewords_by_weight(C2)
-    if sorted(g1) != sorted(g2):
-        return None
     nonzero_cols = np.asarray(C1.G != 0).any(axis=0)
     take1, take2, bounds = [], [], []
     covered = np.zeros(C1.n, dtype=bool)
-    for w in sorted(g1):
-        if len(g1[w]) != len(g2[w]):
-            return None
+    for w in g1:
         take1.append(g1[w])
         take2.append(g2[w])
         bounds.append(len(g1[w]))
@@ -154,33 +165,12 @@ def signature(C: LinearCode) -> tuple:
     column profile keeps the zero count and the sorted nonzero value
     counts, both invariant under column permutation and scaling.
     """
-    W = weight_enumerator(C)
-    groups = _codewords_by_weight(C)
-    dmin = W.min_positive_weight()
-    M = groups[dmin]
-    profiles = []
-    for j in range(C.n):
-        counts = np.bincount(M[:, j], minlength=C.gf.q)
-        profiles.append((int(counts[0]),) + tuple(sorted(int(c) for c in counts[1:])))
-    return (C.n, C.k, W.coeffs, tuple(sorted(profiles)))
+    return _keyed(C).sig
 
 
-class _BacktrackState:
-    __slots__ = ("nodes", "cap")
-
-    def __init__(self, cap: int):
-        self.nodes = 0
-        self.cap = cap
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise UndecidedError(
-                f"equivalence search exceeded its node budget of {self.cap}"
-            )
-
-
-def _search_map(C1: LinearCode, C2: LinearCode, node_cap: int) -> MonomialMap | None:
+def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
+    """A monomial map carrying code x onto code y; their signatures must be equal."""
+    C1, C2 = x.code, y.code
     gf = C1.gf
     q = gf.q
     n = C1.n
@@ -190,22 +180,17 @@ def _search_map(C1: LinearCode, C2: LinearCode, node_cap: int) -> MonomialMap | 
     if len(zero1) != len(zero2):
         return None
 
-    layers = _anchor_layers(C1, C2)
-    if layers is None:
-        return None
-    W1, W2, bounds = layers
+    W1, W2, bounds = _anchor_layers(C1, x.layers, y.layers)
     N = len(W1)
 
     # Candidate bitmasks: W1 row i may map onto W2 row x only inside
     # its own weight layer.
-    layer_masks = []
+    init_cand = []
     full = (1 << N) - 1
     start = 0
     for size in bounds:
-        mask = ((1 << size) - 1) << start
-        layer_masks.extend([mask] * size)
+        init_cand.extend([((1 << size) - 1) << start] * size)
         start += size
-    init_cand = list(layer_masks)
 
     # mask2[p][v]: which W2 rows hold value v in column p.
     mask2 = [[0] * q for _ in range(n)]
@@ -224,28 +209,27 @@ def _search_map(C1: LinearCode, C2: LinearCode, node_cap: int) -> MonomialMap | 
     # propagate the most information.
     cols1.sort(key=lambda j: (hist1[j][0], j))
 
-    H2 = dual_code(C2).G if C2.k < n else None
+    B2, perm2 = C2.systematic_right_block()
+    k = C2.k
     scales = range(1, q)
-    state = _BacktrackState(node_cap)
+    nodes = 0
 
-    perm = [-1] * n
-    scale = [1] * n
+    perm, scale = [-1] * n, [1] * n
     for z1, z2 in zip(zero1, zero2):
         perm[z1] = z2
-
-    used = [False] * n
-    for z in zero2:
-        used[z] = True
+    used = [p in zero2 for p in range(n)]
 
     def verify() -> bool:
         G = np.zeros_like(C1.G)
         for j in range(n):
             G[:, perm[j]] = gf.mul_table[scale[j], C1.G[:, j]]
-        if H2 is None:
-            return True
-        return not gf_matmul(gf, G, H2.T).any()
+        # a row lies in C2 iff, in C2's systematic column order, its
+        # right part is its left part times B2
+        G = G[:, perm2]
+        return np.array_equal(gf_matmul(gf, G[:, :k], B2), G[:, k:])
 
     def descend(depth: int, cand: list[int]) -> bool:
+        nonlocal nodes
         if depth == len(cols1):
             return verify()
         j = cols1[depth]
@@ -262,7 +246,11 @@ def _search_map(C1: LinearCode, C2: LinearCode, node_cap: int) -> MonomialMap | 
                     h1[v] != h2p[mul_row[v]] for v in range(1, q)
                 ):
                     continue
-                state.tick()
+                nodes += 1
+                if nodes > node_cap:
+                    raise UndecidedError(
+                        f"equivalence search exceeded its node budget of {node_cap}"
+                    )
                 new_cand = []
                 union = 0
                 ok = True
@@ -289,15 +277,53 @@ def _search_map(C1: LinearCode, C2: LinearCode, node_cap: int) -> MonomialMap | 
     return None
 
 
+def _keyed_pair(C1: LinearCode, C2: LinearCode) -> tuple[_Keyed, _Keyed]:
+    if (C1.gf.q, C1.n, C1.k) != (C2.gf.q, C2.n, C2.k):
+        raise ValueError("codes must share field, length and dimension")
+    return _keyed(C1), _keyed(C2)
+
+
+def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
+    """Whether a monomial map carries x onto y or, with ``semimonomial``
+    (F4 only), onto the Frobenius image of y."""
+    same = x.sig == y.sig
+    if same and _search_map(x, y, node_cap) is not None:
+        return True
+    if not semimonomial:
+        return False
+    if x.code.gf.q != 4:
+        raise ValueError("the semimonomial diagnostic applies to F4 only")
+    # x -> x^2 keeps weights and permutes the nonzero values: the image
+    # has y's layers mapped entrywise and y's signature
+    layers = {w: _FROBENIUS[L] for w, L in y.layers.items()}
+    frob = _Keyed(frobenius_image(y.code), layers, y.sig)
+    return same and _search_map(x, frob, node_cap) is not None
+
+
+def _bucketed(pool) -> dict[tuple, list[tuple[int, _Keyed]]]:
+    """An ordered pool of keyed codes as signature -> [(position, code)]."""
+    buckets: dict[tuple, list[tuple[int, _Keyed]]] = {}
+    for pos, x in enumerate(pool):
+        buckets.setdefault(x.sig, []).append((pos, x))
+    return buckets
+
+
+def _first_equivalent(
+    buckets: dict, x: _Keyed, semimonomial: bool = False, node_cap: int = DEFAULT_NODE_CAP
+) -> int | None:
+    """Position of the first pool member that maps onto x, or None."""
+    for pos, member in buckets.get(x.sig, ()):
+        if _maps_onto(member, x, node_cap, semimonomial):
+            return pos
+    return None
+
+
 def find_monomial_map(
     C1: LinearCode, C2: LinearCode, node_cap: int = DEFAULT_NODE_CAP
 ) -> MonomialMap | None:
     """A monomial map carrying C1 onto C2, or None when none exists."""
-    if (C1.gf.q, C1.n, C1.k) != (C2.gf.q, C2.n, C2.k):
-        raise ValueError("codes must share field, length and dimension")
-    if signature(C1) != signature(C2):
-        return None
-    return _search_map(C1, C2, node_cap)
+    x, y = _keyed_pair(C1, C2)
+    return _search_map(x, y, node_cap) if x.sig == y.sig else None
 
 
 def are_equivalent(
@@ -312,13 +338,7 @@ def are_equivalent(
     additionally allows the Frobenius automorphism, i.e. it also
     accepts C1 P = C2^(Frobenius).
     """
-    if find_monomial_map(C1, C2, node_cap) is not None:
-        return True
-    if semimonomial:
-        if C1.gf.q != 4:
-            raise ValueError("the semimonomial diagnostic applies to F4 only")
-        return find_monomial_map(C1, frobenius_image(C2), node_cap) is not None
-    return False
+    return _maps_onto(*_keyed_pair(C1, C2), node_cap, semimonomial)
 
 
 def dedupe_into_classes(
@@ -330,22 +350,19 @@ def dedupe_into_classes(
 
     Returns index groups in first-seen order; the first index of each
     group is its representative, so feeding codes in ascending origin
-    order makes representatives the least originating objects.  An
-    undecided pairwise test aborts the whole run (UndecidedError).
+    order makes representatives the least originating objects.  Each
+    code is enumerated once, and only the representatives keep their
+    weight layers.  An undecided pairwise test aborts the whole run
+    (UndecidedError).
     """
-    codes = list(codes)
-    sigs = [signature(c) for c in codes]
+    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
     classes: list[list[int]] = []
     for i, code in enumerate(codes):
-        placed = False
-        for group in classes:
-            rep = group[0]
-            if sigs[rep] != sigs[i]:
-                continue
-            if are_equivalent(codes[rep], code, node_cap, semimonomial):
-                group.append(i)
-                placed = True
-                break
-        if not placed:
+        x = _keyed(code)
+        hit = _first_equivalent(reps, x, semimonomial, node_cap)
+        if hit is None:
+            reps.setdefault(x.sig, []).append((len(classes), x))
             classes.append([i])
+        else:
+            classes[hit].append(i)
     return classes

@@ -314,20 +314,16 @@ def min_weight_at_least(C: LinearCode, d: int) -> bool:
 def dual_code(C: LinearCode) -> LinearCode:
     """The [n, n-k] dual code.
 
-    For G = (I | A) the dual generator is (-A^T | I).  A general G is
-    brought to reduced row echelon form first; the pivot columns play
-    the role of the identity block and the construction is permuted
-    back to the original column order.
+    For G = (I | B) the dual generator is (-B^T | I).  A general G uses
+    its stored systematic form: the columns ``perm[:k]`` play the role
+    of the identity block, and the construction is permuted back to the
+    original column order.
     """
-    gf = C.gf
-    R, pivots = _rref(gf, C.G)
-    pivot_set = set(pivots)
-    nonpivots = [j for j in range(C.n) if j not in pivot_set]
-    B = R[:, nonpivots]
+    B, perm = C.systematic_right_block()
     H = np.zeros((C.n - C.k, C.n), dtype=np.int8)
-    H[:, nonpivots] = np.eye(C.n - C.k, dtype=np.int8)
-    H[:, pivots] = gf.neg_table[B.T]
-    return LinearCode(gf, H)
+    H[:, perm[C.k :]] = np.eye(C.n - C.k, dtype=np.int8)
+    H[:, perm[: C.k]] = C.gf.neg_table[B.T]
+    return LinearCode(C.gf, H)
 
 
 def is_formally_self_dual(C: LinearCode) -> bool:

@@ -31,11 +31,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .equivalence import are_equivalent, dedupe_into_classes, signature
+from .equivalence import _bucketed, _first_equivalent, _keyed, dedupe_into_classes
 from .gf import GF, gf_matmul
 from .linear import (
     BudgetExceededError,
@@ -93,15 +93,7 @@ class SearchConfig:
     partitions: int
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "family": self.family,
-            "reduction": self.reduction,
-            "mode": self.mode,
-            "d": self.d,
-            "partitions": self.partitions,
-        }
+        return asdict(self)
 
 
 def vector_rank(a) -> int:
@@ -382,8 +374,13 @@ def _chunk_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(fn, arg_list, workers: int):
-    """Run chunk jobs, yielding (chunk_id, result) as they complete."""
-    if workers <= 1 or len(arg_list) <= 1:
+    """Run chunk jobs, yielding (chunk_id, result) as they complete.
+
+    The pool gets no more processes than there are chunks or CPUs: under
+    fork it starts all of them at the first submit.
+    """
+    workers = min(workers, len(arg_list), os.cpu_count() or 1)
+    if workers <= 1:
         for cid, args in enumerate(arg_list):
             yield cid, fn(args)
         return
@@ -557,13 +554,6 @@ class ClassificationReport:
         }
 
 
-def _equivalent_to_any(code: LinearCode, sig, pool_codes, pool_sigs, semimonomial) -> bool:
-    for other, other_sig in zip(pool_codes, pool_sigs):
-        if sig == other_sig and are_equivalent(code, other, semimonomial=semimonomial):
-            return True
-    return False
-
-
 def classify(
     gf: GF,
     n: int,
@@ -601,16 +591,14 @@ def classify(
     codes = [double_toeplitz_code(T) for T in triples]
     groups = dedupe_into_classes(codes, semimonomial=semimonomial)
 
-    families: list[tuple[str, list[LinearCode], list]] = []
+    families: list[tuple[str, dict]] = []
     for family in ("DC",) + (("NC",) if gf.q == 3 else ()):
         d_fam, fam_records = search_family(gf, n, family, triple_budget=triple_budget)
         if d_fam > d_opt:
             raise AssertionError("family optimum exceeded the full-space optimum")
-        fam_codes = []
-        if d_fam == d_opt:
-            build = double_circulant_code if family == "DC" else double_negacirculant_code
-            fam_codes = [build(s) for s, _ in fam_records]
-        families.append((family, fam_codes, [signature(c) for c in fam_codes]))
+        build = double_circulant_code if family == "DC" else double_negacirculant_code
+        members = [_keyed(build(s)) for s, _ in fam_records] if d_fam == d_opt else []
+        families.append((family, _bucketed(members)))
 
     report = ClassificationReport(gf.q, n, d_opt)
     for class_id, group in enumerate(groups):
@@ -618,12 +606,9 @@ def classify(
         rep_code = codes[group[0]]
         if minimum_weight(rep_code) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
-        sig = signature(rep_code)
-        structure = "DT-only"
-        for family, fam_codes, fam_sigs in families:
-            if _equivalent_to_any(rep_code, sig, fam_codes, fam_sigs, semimonomial):
-                structure = family
-                break
+        rep = _keyed(rep_code)
+        hits = (f for f, pool in families if _first_equivalent(pool, rep, semimonomial) is not None)
+        structure = next(hits, "DT-only")
         report.records.append(ClassRecord(class_id, rep_triple, len(group), structure))
     return report
 
@@ -645,10 +630,8 @@ def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) ->
     groups_u = dedupe_into_classes(codes_u, semimonomial=semimonomial)
     if len(groups_f) != len(groups_u):
         return False
-    reps_u = [codes_u[g[0]] for g in groups_u]
-    sigs_u = [signature(c) for c in reps_u]
-    for group in groups_f:
-        rep = codes_f[group[0]]
-        if not _equivalent_to_any(rep, signature(rep), reps_u, sigs_u, semimonomial):
-            return False
-    return True
+    reps_u = _bucketed(_keyed(codes_u[g[0]]) for g in groups_u)
+    return all(
+        _first_equivalent(reps_u, _keyed(codes_f[g[0]]), semimonomial) is not None
+        for g in groups_f
+    )

@@ -27,17 +27,15 @@ from dtcodes import (
     verify_reduction_soundness,
 )
 from dtcodes.reference_data import (
+    AWE_ORACLE_GRID,
     CLASS_COUNTS,
     DT_CLASS_TRIPLES,
+    GENERATOR_SWEEP_KMAX,
     GUARANTEED_LENGTH,
     OPTIMAL_MIN_WEIGHT,
     build_code,
     iter_weight_checks,
 )
-
-# Enumeration ceiling per field for the generator-row sweep (criterion 4):
-# dimensions above these are out of desk-scale budget and are skipped.
-SWEEP_KMAX = {2: 24, 3: 14, 4: 13}
 
 # Classification grid (criterion 5).
 CLASSIFY_GRID = {
@@ -59,7 +57,7 @@ def criterion(num: int, label: str):
 
 def test_criterion_1_average_enumerator_oracle():
     with criterion(1, "closed-form family enumerator equals brute force"):
-        for q, n in ((2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (3, 4), (3, 6), (4, 4)):
+        for q, n in AWE_ORACLE_GRID:
             gf = GF(q)
             closed = average_weight_enumerator(gf, n)
             brute = average_weight_enumerator_bruteforce(gf, n)
@@ -96,7 +94,8 @@ def test_criterion_4_generator_row_weights():
     with criterion(4, "every in-budget tabulated generator attains its claimed weight"):
         checked = 0
         for q, n, d, spec in iter_weight_checks():
-            if n // 2 > SWEEP_KMAX[q]:
+            # dimensions above the sweep ceiling are out of desk-scale budget
+            if n // 2 > GENERATOR_SWEEP_KMAX[q]:
                 continue
             got = minimum_weight(build_code(q, spec))
             assert got == d, (q, n, spec, got, d)

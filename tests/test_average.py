@@ -14,6 +14,7 @@ from dtcodes import (
     existence_bound_holds,
     minimal_guaranteed_length,
 )
+from dtcodes.reference_data import GUARANTEED_LENGTH
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (4, 4)])
@@ -88,13 +89,13 @@ def test_threshold_is_a_boundary():
 
 
 def test_indicator_never_flips_back():
-    # diagnostics collect any true -> false flip; none occur in range
-    for q in (2, 3, 4):
+    # the tail certificate claims the bound at every longer length;
+    # check it exactly over 200 lengths past each recorded threshold
+    for q, per_d in GUARANTEED_LENGTH.items():
         gf = GF(q)
-        for d in (5, 20, 50):
-            flips: list[int] = []
-            minimal_guaranteed_length(gf, d, diagnostics=flips)
-            assert flips == []
+        for d, threshold in per_d.items():
+            for n in range(threshold, threshold + 201, 2):
+                assert existence_bound_holds(gf, n, d), (q, d, n)
 
 
 def test_trivial_target_weight():

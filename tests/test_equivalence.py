@@ -17,6 +17,7 @@ from dtcodes import (
     dedupe_into_classes,
     double_toeplitz_code,
     enumerate_triples,
+    equivalence,
     find_monomial_map,
     frobenius_image,
     signature,
@@ -174,3 +175,56 @@ def test_dedupe_groups_keep_first_seen_order():
     E = LinearCode(gf, [[1, 0, 0, 0], [0, 1, 0, 0]])
     groups = dedupe_into_classes([C, E, D])
     assert groups == [[0, 2], [1]]
+
+
+def test_signature_enumerator_matches_weight_enumerator():
+    # the enumerator inside the signature is read off the weight layers;
+    # weight_enumerator counts weights independently
+    rng = random.Random(41)
+    for q in (2, 3, 4):
+        gf = GF(q)
+        for _ in range(10):
+            n = rng.choice((4, 6, 8, 10))
+            C = _random_code(rng, gf, n, rng.randrange(1, n))
+            for code in (C, apply_monomial(C, _random_map(rng, q, n))):
+                assert signature(code)[2] == weight_enumerator(code).coeffs
+
+
+def test_each_code_is_enumerated_once(monkeypatch):
+    calls = []
+    original = equivalence._codewords_by_weight
+
+    def counting(C):
+        calls.append(C)
+        return original(C)
+
+    monkeypatch.setattr(equivalence, "_codewords_by_weight", counting)
+    codes = [double_toeplitz_code(T) for T in enumerate_triples(GF(2), 3)]
+    groups = dedupe_into_classes(codes)
+    assert 1 < len(groups) < len(codes)
+    assert len(calls) == len(codes)
+    C = codes[5]
+    D = apply_monomial(C, _random_map(random.Random(3), 2, C.n))
+    calls.clear()
+    assert find_monomial_map(C, D) is not None
+    assert len(calls) == 2
+
+
+def _pairwise_partition(codes, semimonomial):
+    classes = []
+    for i, C in enumerate(codes):
+        for group in classes:
+            if are_equivalent(codes[group[0]], C, semimonomial=semimonomial):
+                group.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+@pytest.mark.parametrize("q,m,semimonomial", [(3, 3, False), (4, 2, False), (4, 2, True)])
+def test_dedupe_matches_pairwise_partition(q, m, semimonomial):
+    codes = [double_toeplitz_code(T) for T in enumerate_triples(GF(q), m)]
+    groups = dedupe_into_classes(codes, semimonomial=semimonomial)
+    assert len(groups) > 1
+    assert groups == _pairwise_partition(codes, semimonomial)

@@ -128,10 +128,11 @@ def test_dual_code_orthogonality():
             [np.eye(3, dtype=np.int8), rng.integers(0, q, size=(3, 4), dtype=np.int8)],
             axis=1,
         )
-        C = LinearCode(gf, G)
-        D = dual_code(C)
-        assert (D.n, D.k) == (C.n, C.n - C.k)
-        assert not gf_matmul(gf, C.G, D.G.T).any()
+        # the column-permuted generator is not systematic
+        for C in (LinearCode(gf, G), LinearCode(gf, G[:, ::-1])):
+            D = dual_code(C)
+            assert (D.n, D.k) == (C.n, C.n - C.k)
+            assert not gf_matmul(gf, C.G, D.G.T).any()
 
 
 def test_macwilliams_matches_direct_dual_enumeration():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from dtcodes import (
     vector_rank,
     verify_reduction_soundness,
 )
+from dtcodes import search
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
@@ -165,6 +168,42 @@ def test_search_is_deterministic_across_workers_and_partitions(family, q, n, red
     assert best == reference[0] > min(b for b, _ in chunks)
     merged = [_payload_to_triple(gf, p, family) for b, ps in chunks if b == best for p in ps]
     assert merged == reference[1]
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    gf = GF(2)
+    assert search_dt(gf, 8, partitions=2, workers=5000) == search_dt(gf, 8)
+    assert _RecordingExecutor.sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    search_dt(gf, 8, partitions=7, workers=5000)
+    assert _RecordingExecutor.sizes == [2, 3]
+    # one worker, or one chunk, runs inline without a pool
+    search_dt(gf, 8, partitions=1, workers=5000)
+    search_dt(gf, 8, partitions=4, workers=1)
+    assert _RecordingExecutor.sizes == [2, 3]
 
 
 def test_circulant_family_search():
