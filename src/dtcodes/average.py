@@ -93,10 +93,8 @@ def _tail_certified(q: int, n: int, d: int) -> bool:
     ratio C(n+2,j) / C(n,j) = (n+2)(n+1) / ((n+2-j)(n+1-j)) grows with
     j and shrinks with n, so if it is at most q at j = d-1 then every
     later step n -> n+2 multiplies U by at most q while the right side
-    grows by exactly q.
+    grows by exactly q.  For d > n the first test fails (U(n) = q^n).
     """
-    if n + 2 - d <= 0:
-        return False
     U = sum(math.comb(n, j) * (q - 1) ** j for j in range(d))
     return U < q ** (n // 2) * (q - 1) and (n + 2) * (n + 1) <= q * (n + 3 - d) * (n + 2 - d)
 

@@ -269,7 +269,7 @@ def _suite_classification_small(failures: list[str]) -> int:
             f"classify q={q} n={n}: d={expected_d}, classes {expected} (got d={report.d_opt}, {got})",
             failures,
         )
-    return len(reference_data.AWE_ORACLE_GRID)
+    return len(grid)
 
 
 def _suite_generators(failures: list[str]) -> int:

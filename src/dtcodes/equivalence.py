@@ -112,11 +112,16 @@ def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
     B, perm = C.systematic_right_block()
     inv = np.empty_like(perm)
     inv[perm] = np.arange(C.n)
-    words = np.vstack(
-        [np.hstack([msgs, gf_matmul(C.gf, msgs, B)]) for msgs in _message_blocks(C.gf.q, C.k)]
-    )[:, inv]
-    wts = np.count_nonzero(words, axis=1)
-    return {int(w): words[wts == w] for w in np.unique(wts) if w}
+    groups: dict[int, list[np.ndarray]] = {}
+    for msgs in _message_blocks(C.gf.q, C.k):
+        right = gf_matmul(C.gf, msgs, B)
+        words = np.hstack([msgs, right])[:, inv]
+        wts = np.count_nonzero(words, axis=1)
+        for w in np.unique(wts):
+            if w == 0:
+                continue
+            groups.setdefault(int(w), []).append(words[wts == w])
+    return {w: np.vstack(parts) for w, parts in sorted(groups.items())}
 
 
 class _Keyed(NamedTuple):
@@ -185,12 +190,14 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
 
     # Candidate bitmasks: W1 row i may map onto W2 row x only inside
     # its own weight layer.
-    init_cand = []
+    layer_masks = []
     full = (1 << N) - 1
     start = 0
     for size in bounds:
-        init_cand.extend([((1 << size) - 1) << start] * size)
+        mask = ((1 << size) - 1) << start
+        layer_masks.extend([mask] * size)
         start += size
+    init_cand = list(layer_masks)
 
     # mask2[p][v]: which W2 rows hold value v in column p.
     mask2 = [[0] * q for _ in range(n)]
@@ -214,10 +221,14 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
     scales = range(1, q)
     nodes = 0
 
-    perm, scale = [-1] * n, [1] * n
+    perm = [-1] * n
+    scale = [1] * n
     for z1, z2 in zip(zero1, zero2):
         perm[z1] = z2
-    used = [p in zero2 for p in range(n)]
+
+    used = [False] * n
+    for z in zero2:
+        used[z] = True
 
     def verify() -> bool:
         G = np.zeros_like(C1.G)
@@ -289,15 +300,15 @@ def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
     same = x.sig == y.sig
     if same and _search_map(x, y, node_cap) is not None:
         return True
-    if not semimonomial:
-        return False
-    if x.code.gf.q != 4:
+    if semimonomial and x.code.gf.q != 4:
         raise ValueError("the semimonomial diagnostic applies to F4 only")
+    if not (semimonomial and same):
+        return False
     # x -> x^2 keeps weights and permutes the nonzero values: the image
     # has y's layers mapped entrywise and y's signature
     layers = {w: _FROBENIUS[L] for w, L in y.layers.items()}
     frob = _Keyed(frobenius_image(y.code), layers, y.sig)
-    return same and _search_map(x, frob, node_cap) is not None
+    return _search_map(x, frob, node_cap) is not None
 
 
 def _bucketed(pool) -> dict[tuple, list[tuple[int, _Keyed]]]:
@@ -341,6 +352,22 @@ def are_equivalent(
     return _maps_onto(*_keyed_pair(C1, C2), node_cap, semimonomial)
 
 
+def _dedupe(codes, node_cap: int = DEFAULT_NODE_CAP, semimonomial: bool = False):
+    """The classes of :func:`dedupe_into_classes`, and their keyed
+    representatives as signature -> [(class index, code)]."""
+    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
+    classes: list[list[int]] = []
+    for i, code in enumerate(codes):
+        x = _keyed(code)
+        hit = _first_equivalent(reps, x, semimonomial, node_cap)
+        if hit is None:
+            reps.setdefault(x.sig, []).append((len(classes), x))
+            classes.append([i])
+        else:
+            classes[hit].append(i)
+    return classes, reps
+
+
 def dedupe_into_classes(
     codes,
     node_cap: int = DEFAULT_NODE_CAP,
@@ -355,14 +382,4 @@ def dedupe_into_classes(
     weight layers.  An undecided pairwise test aborts the whole run
     (UndecidedError).
     """
-    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
-    classes: list[list[int]] = []
-    for i, code in enumerate(codes):
-        x = _keyed(code)
-        hit = _first_equivalent(reps, x, semimonomial, node_cap)
-        if hit is None:
-            reps.setdefault(x.sig, []).append((len(classes), x))
-            classes.append([i])
-        else:
-            classes[hit].append(i)
-    return classes
+    return _dedupe(codes, node_cap, semimonomial)[0]

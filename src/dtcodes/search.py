@@ -31,11 +31,11 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equivalence import _bucketed, _first_equivalent, _keyed, dedupe_into_classes
+from .equivalence import _bucketed, _dedupe, _first_equivalent, _keyed
 from .gf import GF, gf_matmul
 from .linear import (
     BudgetExceededError,
@@ -93,7 +93,15 @@ class SearchConfig:
     partitions: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "q": self.q,
+            "n": self.n,
+            "family": self.family,
+            "reduction": self.reduction,
+            "mode": self.mode,
+            "d": self.d,
+            "partitions": self.partitions,
+        }
 
 
 def vector_rank(a) -> int:
@@ -589,7 +597,8 @@ def classify(
     )
     triples = [T for T, _ in records]
     codes = [double_toeplitz_code(T) for T in triples]
-    groups = dedupe_into_classes(codes, semimonomial=semimonomial)
+    groups, reps = _dedupe(codes, semimonomial=semimonomial)
+    rep_of = dict(m for bucket in reps.values() for m in bucket)
 
     families: list[tuple[str, dict]] = []
     for family in ("DC",) + (("NC",) if gf.q == 3 else ()):
@@ -603,12 +612,14 @@ def classify(
     report = ClassificationReport(gf.q, n, d_opt)
     for class_id, group in enumerate(groups):
         rep_triple = min((triples[i] for i in group), key=ToeplitzTriple.lex_key)
-        rep_code = codes[group[0]]
-        if minimum_weight(rep_code) != d_opt:
+        rep = rep_of[class_id]
+        if minimum_weight(rep.code) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
-        rep = _keyed(rep_code)
-        hits = (f for f, pool in families if _first_equivalent(pool, rep, semimonomial) is not None)
-        structure = next(hits, "DT-only")
+        structure = "DT-only"
+        for family, pool in families:
+            if _first_equivalent(pool, rep, semimonomial) is not None:
+                structure = family
+                break
         report.records.append(ClassRecord(class_id, rep_triple, len(group), structure))
     return report
 
@@ -626,12 +637,12 @@ def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) ->
         return False
     codes_f = [double_toeplitz_code(T) for T, _ in records_f]
     codes_u = [double_toeplitz_code(T) for T, _ in records_u]
-    groups_f = dedupe_into_classes(codes_f, semimonomial=semimonomial)
-    groups_u = dedupe_into_classes(codes_u, semimonomial=semimonomial)
+    groups_f, reps_f = _dedupe(codes_f, semimonomial=semimonomial)
+    groups_u, reps_u = _dedupe(codes_u, semimonomial=semimonomial)
     if len(groups_f) != len(groups_u):
         return False
-    reps_u = _bucketed(_keyed(codes_u[g[0]]) for g in groups_u)
+    rep_of = dict(m for bucket in reps_f.values() for m in bucket)
     return all(
-        _first_equivalent(reps_u, _keyed(codes_f[g[0]]), semimonomial) is not None
-        for g in groups_f
+        _first_equivalent(reps_u, rep_of[c], semimonomial) is not None
+        for c in range(len(groups_f))
     )

@@ -14,6 +14,7 @@ from dtcodes import (
     existence_bound_holds,
     minimal_guaranteed_length,
 )
+from dtcodes.average import _tail_certified
 from dtcodes.reference_data import GUARANTEED_LENGTH
 
 
@@ -90,12 +91,33 @@ def test_threshold_is_a_boundary():
 
 def test_indicator_never_flips_back():
     # the tail certificate claims the bound at every longer length;
-    # check it exactly over 200 lengths past each recorded threshold
+    # check it exactly over 200 lengths past each recorded threshold and
+    # past the first length that carries the certificate
     for q, per_d in GUARANTEED_LENGTH.items():
         gf = GF(q)
         for d, threshold in per_d.items():
-            for n in range(threshold, threshold + 201, 2):
+            certified = threshold
+            while not _tail_certified(q, certified, d):
+                certified += 2
+            for n in range(threshold, certified + 201, 2):
                 assert existence_bound_holds(gf, n, d), (q, d, n)
+
+
+def test_tail_certificate_is_sound():
+    # wherever the certificate is granted, its inductive step must hold
+    # and the exact test must hold there and at every longer length checked
+    granted = 0
+    for q in (2, 3, 4):
+        gf = GF(q)
+        for d in range(1, 13):
+            for n in range(2, 121, 2):
+                if _tail_certified(q, n, d):
+                    granted += 1
+                    # the step n -> n+2 multiplies no term of U by more than q
+                    assert all(math.comb(n + 2, j) <= q * math.comb(n, j) for j in range(d))
+                    for m in range(n, n + 61, 2):
+                        assert existence_bound_holds(gf, m, d), (q, d, n, m)
+    assert granted > 0
 
 
 def test_trivial_target_weight():

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from dtcodes import GF, double_toeplitz_code, parse_triple, weight_enumerator
+from dtcodes import cli, reference_data
 from dtcodes.cli import main
 
 
@@ -163,6 +165,28 @@ def test_verify_tables_awe_suite(capsys):
     blob = json.loads(out)
     assert blob == {"suite": "awe-oracle", "checks": 8, "failures": 0}
     assert err.count("[pass]") == 8
+
+
+def _recorded_report(gf, n, wrong_at=None):
+    d = reference_data.OPTIMAL_MIN_WEIGHT[gf.q][n]
+    n_dt, n_dc, n_nc = reference_data.CLASS_COUNTS[gf.q][n]
+    if (gf.q, n) == wrong_at:
+        n_dt += 1
+    return SimpleNamespace(d_opt=d, n_dt=n_dt, n_dc=n_dc, n_nc=n_nc)
+
+
+def test_verify_tables_classification_suite_counts_its_checks(capsys, monkeypatch):
+    # a stand-in for classify keeps this fast; the suite's own grid has 10 cells
+    monkeypatch.setattr(cli, "classify", _recorded_report)
+    code, out, err = run(capsys, "verify-tables", "--suite", "classification-small")
+    assert code == 0
+    assert json.loads(out) == {"suite": "classification-small", "checks": 10, "failures": 0}
+    assert err.count("[pass]") == 10
+    monkeypatch.setattr(cli, "classify", lambda gf, n: _recorded_report(gf, n, wrong_at=(3, 6)))
+    code, out, err = run(capsys, "verify-tables", "--suite", "classification-small")
+    assert code != 0
+    assert json.loads(out)["checks"] == 10
+    assert "1 of 10 checks failed" in err
 
 
 def test_unknown_subcommand_exits_2(capsys):

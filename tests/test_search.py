@@ -27,7 +27,7 @@ from dtcodes import (
     vector_rank,
     verify_reduction_soundness,
 )
-from dtcodes import search
+from dtcodes import equivalence, search
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
@@ -318,6 +318,36 @@ def test_classify_small_binary():
         assert minimum_weight(C) == report.d_opt
         hit = any(are_equivalent(C, D) for D in dc_codes)
         assert hit == (rec.structure == "DC")
+
+
+def _counting_enumeration(monkeypatch) -> list:
+    calls = []
+    original = equivalence._codewords_by_weight
+    monkeypatch.setattr(equivalence, "_codewords_by_weight", lambda C: calls.append(C) or original(C))
+    return calls
+
+
+def test_classify_enumerates_each_code_once(monkeypatch):
+    # every optimal triple and every optimal family member is enumerated
+    # once; the labelling reuses the representatives' weight layers
+    gf, n = GF(3), 6
+    d_opt, optimal = search_dt(gf, n)
+    expected = len(optimal)
+    for family in ("DC", "NC"):
+        d_fam, members = search_family(gf, n, family)
+        expected += len(members) if d_fam == d_opt else 0
+    calls = _counting_enumeration(monkeypatch)
+    report = classify(gf, n)
+    assert report.n_dc + report.n_nc > 0
+    assert len(calls) == expected
+
+
+def test_reduction_soundness_enumerates_each_code_once(monkeypatch):
+    gf, n = GF(2), 8
+    expected = len(search_dt(gf, n)[1]) + len(search_dt(gf, n, reduction="none")[1])
+    calls = _counting_enumeration(monkeypatch)
+    assert verify_reduction_soundness(gf, n)
+    assert len(calls) == expected
 
 
 def test_classify_report_serialization():
