@@ -208,6 +208,8 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
             mask2[p][int(row[p])] |= bit
 
     hist1 = [tuple(np.bincount(W1[:, j], minlength=q).tolist()) for j in range(n)]
+    # column j of W1 as Python ints, built once for the whole search
+    vals1 = W1.T.tolist()
     hist2 = [tuple(np.bincount(W2[:, j], minlength=q).tolist()) for j in range(n)]
 
     cols1 = [j for j in range(n) if j not in set(zero1)]
@@ -244,7 +246,7 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         if depth == len(cols1):
             return verify()
         j = cols1[depth]
-        col_vals = [int(v) for v in W1[:, j]]
+        col_vals = vals1[j]
         h1 = hist1[j]
         for p in cols2:
             if used[p]:

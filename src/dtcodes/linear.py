@@ -1,8 +1,8 @@
 """Linear codes over F2/F3/F4 given by generator matrices.
 
-Provides encoding, exact weight enumerators, pruned minimum-weight
-computation, dual codes, and a MacWilliams transform used as an
-independent cross-check.
+Provides encoding, exact weight enumerators, exact minimum weights over
+two information sets (Brouwer-Zimmermann), dual codes, and a MacWilliams
+transform used as an independent cross-check.
 
 Enumeration budgets
 -------------------
@@ -39,6 +39,10 @@ __all__ = [
 ENUM_BUDGET = {2: 24, 3: 15, 4: 13}
 
 _BLOCK_ROWS = 1 << 14
+
+# First layer size, in messages, at which the minimum-weight scan builds
+# its second information set (see _min_weight_clamped).
+_SECOND_SET_LAYER = 1 << 10
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,7 +124,7 @@ class LinearCode:
 
     __slots__ = ("gf", "n", "k", "G", "_sys")
 
-    def __init__(self, gf: GF, rows):
+    def __init__(self, gf: GF, rows, *, _form=None):
         G = np.array(rows, dtype=np.int8)
         if G.ndim != 2 or G.shape[0] < 1:
             raise ValueError("generator matrix must be a nonempty 2-d array")
@@ -134,7 +138,10 @@ class LinearCode:
         self.n = n
         self.k = k
         self.G = G
-        if self.is_systematic():
+        if _form is not None:
+            # a systematic form the caller derived without elimination
+            B, perm = _form
+        elif self.is_systematic():
             # (I_k | B) has rank k by construction: no elimination needed
             B, perm = G[:, k:], np.arange(n)
         else:
@@ -272,43 +279,59 @@ def weight_enumerator(C: LinearCode) -> WeightEnumerator:
     return WeightEnumerator(C.n, coeffs.tolist())
 
 
-def minimum_weight(C: LinearCode) -> int:
-    """Exact minimum nonzero weight.
+def _layer_min(gf: GF, k: int, w: int, B: np.ndarray) -> int:
+    """Least codeword weight w + wt(u B) over the weight-w messages u."""
+    return w + min(
+        int(np.count_nonzero(gf_matmul(gf, msgs, B), axis=1).min())
+        for msgs in _weight_layer_blocks(gf.q, k, w)
+    )
 
-    Works on the systematic form (I | B): a codeword with message u has
-    weight wt(u) + wt(uB), so scanning messages by ascending weight can
-    stop as soon as the layer weight reaches the best weight found.
+
+def _min_weight_clamped(C: LinearCode, lo: int, hi: int) -> int:
+    """The minimum weight d of C clamped to [lo, hi]: max(lo, min(d, hi)).
+
+    Two information sets (K.-H. Zimmermann, TU Hamburg-Harburg report
+    3-96, 1996; M. Grassl, "Searching for linear codes with large
+    minimum distance", 2006): G1 = (I_k | B) is the stored form, and
+    rref((B | I_k)) = (R | M) gives G2 = (M | R), whose pivot columns
+    are r = rank(B) columns of B and k - r of the identity.  Messages
+    are scanned by ascending weight w through both; once layers 1..w-1
+    are done, every unseen codeword has weight at least
+    w + max(0, w - (k - r)).  The scan stops when that bound reaches
+    the best weight found or ``hi``, or when the best is at most ``lo``.
+    G2 costs one elimination, about as much as encoding a layer of
+    ``_SECOND_SET_LAYER`` messages, so it is built (and caught up on the
+    layers before) only when the scan reaches a layer that large; until
+    then the bound is w.
     """
     _check_budget(C.gf.q, C.k)
+    gf, k = C.gf, C.k
     B, _ = C.systematic_right_block()
-    ub = 1 + int(np.count_nonzero(B, axis=1).min()) if B.shape[1] else 1
-    w = 1
-    while w < ub:
-        for msgs in _weight_layer_blocks(C.gf.q, C.k, w):
-            right = gf_matmul(C.gf, msgs, B)
-            layer_min = w + int(np.count_nonzero(right, axis=1).min())
-            if layer_min < ub:
-                ub = layer_min
+    blocks, overlap = [B], k
+    best = _layer_min(gf, k, 1, B)
+    w = 2
+    while best > lo and w <= k and w + max(0, w - overlap) < min(best, hi):
+        if len(blocks) == 1 and math.comb(k, w) * (gf.q - 1) ** w >= _SECOND_SET_LAYER:
+            swapped = LinearCode(gf, np.hstack([B, np.eye(k, dtype=np.int8)]))
+            B2, perm2 = swapped.systematic_right_block()
+            overlap = int(np.count_nonzero(perm2[:k] >= B.shape[1]))
+            blocks.append(B2)
+            best = min([best] + [_layer_min(gf, k, v, B2) for v in range(1, w)])
+            continue  # the bound may already stop the scan
+        best = min([best] + [_layer_min(gf, k, w, Bi) for Bi in blocks])
         w += 1
-    return ub
+    return max(lo, min(best, hi))
+
+
+def minimum_weight(C: LinearCode) -> int:
+    """Exact minimum nonzero weight (the scan of :func:`_min_weight_clamped`)."""
+    return _min_weight_clamped(C, 1, C.n)
 
 
 def min_weight_at_least(C: LinearCode, d: int) -> bool:
-    """True iff no nonzero codeword has weight below d.
-
-    Short-circuits at the first violating block: messages of weight w
-    only need checking while w < d, since wt(codeword) >= wt(message).
-    """
-    _check_budget(C.gf.q, C.k)
-    if d <= 1:
-        return True
-    B, _ = C.systematic_right_block()
-    for w in range(1, d):
-        for msgs in _weight_layer_blocks(C.gf.q, C.k, w):
-            right = gf_matmul(C.gf, msgs, B)
-            if np.any(np.count_nonzero(right, axis=1) < d - w):
-                return False
-    return True
+    """True iff no nonzero codeword has weight below d; the scan stops at
+    the first layer with a lighter codeword or once its bound reaches d."""
+    return _min_weight_clamped(C, d - 1, d) >= d
 
 
 def dual_code(C: LinearCode) -> LinearCode:
@@ -320,10 +343,11 @@ def dual_code(C: LinearCode) -> LinearCode:
     original column order.
     """
     B, perm = C.systematic_right_block()
+    Bd, permd = C.gf.neg_table[B.T], np.concatenate([perm[C.k :], perm[: C.k]])
     H = np.zeros((C.n - C.k, C.n), dtype=np.int8)
-    H[:, perm[C.k :]] = np.eye(C.n - C.k, dtype=np.int8)
-    H[:, perm[: C.k]] = C.gf.neg_table[B.T]
-    return LinearCode(C.gf, H)
+    H[:, permd] = np.hstack([np.eye(C.n - C.k, dtype=np.int8), Bd])
+    # (I | -B^T) in the order permd is H's systematic form: no elimination
+    return LinearCode(C.gf, H, _form=(Bd, permd))
 
 
 def is_formally_self_dual(C: LinearCode) -> bool:

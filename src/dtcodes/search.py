@@ -299,7 +299,7 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     sampled candidate is a genuine member of the filtered space, so
     the floor is always attained.  A sample is evaluated exactly only
     when it beats the running floor, which ``min_weight_at_least``
-    rules out at the first message block with a low-weight codeword.
+    rules out at the first message layer with a low-weight codeword.
     """
     prefixes = _spread(gf.q ** (n // 2), 16 if family == "DT" else 64)
     floor = 1

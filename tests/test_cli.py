@@ -167,6 +167,14 @@ def test_verify_tables_awe_suite(capsys):
     assert err.count("[pass]") == 8
 
 
+@pytest.mark.parametrize("suite, checks", [("generators", 393), ("thresholds", 138)])
+def test_verify_tables_recorded_suites(capsys, suite, checks):
+    code, out, err = run(capsys, "verify-tables", "--suite", suite)
+    assert code == 0
+    assert json.loads(out) == {"suite": suite, "checks": checks, "failures": 0}
+    assert err.count("[pass]") == checks
+
+
 def _recorded_report(gf, n, wrong_at=None):
     d = reference_data.OPTIMAL_MIN_WEIGHT[gf.q][n]
     n_dt, n_dc, n_nc = reference_data.CLASS_COUNTS[gf.q][n]

@@ -1,7 +1,11 @@
 """Linear code container, weight routines, duality."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcodes import (
     GF,
@@ -17,6 +21,8 @@ from dtcodes import (
     weight,
     weight_enumerator,
 )
+from dtcodes import linear
+from dtcodes.reference_data import build_code
 
 
 def test_weight_counts_nonzeros():
@@ -133,6 +139,125 @@ def test_dual_code_orthogonality():
             D = dual_code(C)
             assert (D.n, D.k) == (C.n, C.n - C.k)
             assert not gf_matmul(gf, C.G, D.G.T).any()
+
+
+def test_dual_code_stores_its_systematic_form(monkeypatch):
+    codes = []
+    for q in (2, 3, 4):
+        gf = GF(q)
+        rng = np.random.default_rng(20 + q)
+        G = np.hstack([np.eye(4, dtype=np.int8), rng.integers(0, q, size=(4, 5), dtype=np.int8)])
+        codes += [LinearCode(gf, G), LinearCode(gf, G[:, ::-1])]
+    # dual_code derives the form from C's, so it never eliminates
+    monkeypatch.setattr(linear, "_rref", None)
+    duals = [dual_code(C) for C in codes]
+    monkeypatch.undo()
+    for C, D in zip(codes, duals):
+        B, perm = D.systematic_right_block()
+        S = np.zeros_like(D.G)
+        S[:, perm] = np.hstack([np.eye(D.k, dtype=np.int8), B])
+        # equal row spaces have equal reduced echelon forms
+        R1, p1 = linear._rref(C.gf, S)
+        R2, p2 = linear._rref(C.gf, D.G)
+        assert p1 == p2 and np.array_equal(R1, R2)
+
+
+@st.composite
+def _codes(draw):
+    """(gf, G, B, r): an [n, k] code drawn with a right block B of rank r.
+
+    B is r rows (I_r | Z) and k - r combinations of them, with rows and
+    columns shuffled.  Lengths cover n = k, n < 2k, n = 2k and n > 2k;
+    half the generators are T (I_k | B) P for a unit lower-triangular T
+    and a column permutation P, which is not systematic in general.
+    """
+    q = draw(st.sampled_from([2, 3, 4]))
+    gf = GF(q)
+    shape = draw(st.sampled_from(["n=k", "n<2k", "n=2k", "n>2k"]))
+    k = draw(st.integers(2 if shape == "n<2k" else 1, 7))
+    if shape == "n=k":
+        n = k
+    elif shape == "n<2k":
+        n = draw(st.integers(k + 1, 2 * k - 1))
+    elif shape == "n=2k":
+        n = 2 * k
+    else:
+        n = draw(st.integers(2 * k + 1, 2 * k + 4))
+
+    def entries(rows, cols):
+        flat = draw(st.lists(st.integers(0, q - 1), min_size=rows * cols, max_size=rows * cols))
+        return np.array(flat, dtype=np.int8).reshape(rows, cols)
+
+    def shuffle(size):
+        return np.array(draw(st.permutations(range(size))), dtype=np.intp)
+
+    r = draw(st.integers(0, min(k, n - k)))
+    E = np.hstack([np.eye(r, dtype=np.int8), entries(r, n - k - r)])
+    B = np.vstack([E, gf_matmul(gf, entries(k - r, r), E)])
+    B = B[shuffle(k)][:, shuffle(n - k)]
+    G = np.hstack([np.eye(k, dtype=np.int8), B])
+    if draw(st.booleans()):
+        T = gf.add_table[np.tril(entries(k, k), -1), np.eye(k, dtype=np.int8)]
+        G = gf_matmul(gf, T, G)[:, shuffle(n)]
+    return gf, G, B, r
+
+
+@pytest.mark.parametrize("second_set_layer", [1, linear._SECOND_SET_LAYER])
+@settings(deadline=None, max_examples=150)
+@given(drawn=_codes())
+def test_minimum_weight_matches_enumerator_oracle(second_set_layer, drawn):
+    gf, G, B, r = drawn
+    assert len(linear._rref(gf, B)[1]) == r
+    C = LinearCode(gf, G)
+    d = weight_enumerator(C).min_positive_weight()
+    # a threshold of 1 builds the second information set at layer 2; at
+    # the default, these small codes mostly keep to the one-sided scan
+    with mock.patch.object(linear, "_SECOND_SET_LAYER", second_set_layer):
+        assert minimum_weight(C) == d
+        for t in range(C.n + 2):
+            assert min_weight_at_least(C, t) == (d >= t)
+
+
+@pytest.mark.parametrize(
+    "q, B",
+    [
+        (3, [[1, 2, 2, 0, 1, 1, 0, 1, 1], [1, 2, 2, 1, 1, 0, 0, 2, 2], [2, 0, 1, 2, 1, 1, 0, 2, 0],
+             [1, 0, 0, 0, 2, 0, 1, 2, 2], [1, 0, 2, 1, 0, 0, 1, 1, 1]]),
+        (4, [[2, 0, 1, 2, 1, 0, 3, 1], [1, 1, 2, 2, 2, 1, 0, 3], [3, 0, 1, 0, 1, 2, 1, 3],
+             [2, 0, 1, 3, 2, 1, 1, 0]]),
+    ],
+)
+def test_late_second_information_set_catches_up(monkeypatch, q, B):
+    # built at layer 3, the second set's bound holds only once its
+    # layers 1 and 2 are scanned: without them both codes read d = 6
+    monkeypatch.setattr(linear, "_SECOND_SET_LAYER", 60)
+    C = LinearCode.systematic(GF(q), B)
+    assert weight_enumerator(C).min_positive_weight() == 5
+    assert minimum_weight(C) == 5
+    assert [min_weight_at_least(C, t) for t in range(C.n + 2)] == [True] * 6 + [False] * (C.n - 4)
+
+
+@pytest.mark.parametrize(
+    "q, spec, rank_b, max_layer",
+    [
+        (4, "C:(1,v,w,w,w,w,1,0,1,0,0,0,0)", 13, 4),
+        (2, "C:(1,1,1,0,1,1,1,0,0,1,0,1,0,0,0,0,0,0,0,0,0,0,0,0)", 22, 5),
+    ],
+)
+def test_two_information_sets_bound_the_scanned_layers(monkeypatch, q, spec, rank_b, max_layer):
+    # the one-sided scan needs layers 1..8 for both [2k, k, 9] witnesses
+    C = build_code(q, spec)
+    assert len(linear._rref(C.gf, C.systematic_right_block()[0])[1]) == rank_b
+    requested = []
+    layer_blocks = linear._weight_layer_blocks
+
+    def counting(q_, k, w, *args):
+        requested.append(w)
+        return layer_blocks(q_, k, w, *args)
+
+    monkeypatch.setattr(linear, "_weight_layer_blocks", counting)
+    assert minimum_weight(C) == 9
+    assert max(requested) <= max_layer
 
 
 def test_macwilliams_matches_direct_dual_enumeration():
