@@ -40,10 +40,6 @@ ENUM_BUDGET = {2: 24, 3: 15, 4: 13}
 
 _BLOCK_ROWS = 1 << 14
 
-# First layer size, in messages, at which the minimum-weight scan builds
-# its second information set (see _min_weight_clamped).
-_SECOND_SET_LAYER = 1 << 10
-
 
 class BudgetExceededError(RuntimeError):
     """An operation would exceed its declared enumeration budget."""
@@ -138,8 +134,7 @@ class LinearCode:
         self.n = n
         self.k = k
         self.G = G
-        if _form is not None:
-            # a systematic form the caller derived without elimination
+        if _form is not None:  # a systematic form derived by the caller
             B, perm = _form
         elif self.is_systematic():
             # (I_k | B) has rank k by construction: no elimination needed
@@ -279,12 +274,16 @@ def weight_enumerator(C: LinearCode) -> WeightEnumerator:
     return WeightEnumerator(C.n, coeffs.tolist())
 
 
-def _layer_min(gf: GF, k: int, w: int, B: np.ndarray) -> int:
-    """Least codeword weight w + wt(u B) over the weight-w messages u."""
-    return w + min(
-        int(np.count_nonzero(gf_matmul(gf, msgs, B), axis=1).min())
-        for msgs in _weight_layer_blocks(gf.q, k, w)
-    )
+def _layer_min(gf: GF, k: int, w: int, B: np.ndarray, best: int, stop: int) -> int:
+    """min(best, w + wt(u B)) over the weight-w messages u, stopping at
+    the first block that brings it to ``stop`` or below."""
+    if best <= stop:
+        return best
+    for msgs in _weight_layer_blocks(gf.q, k, w):
+        best = min(best, w + int(np.count_nonzero(gf_matmul(gf, msgs, B), axis=1).min()))
+        if best <= stop:
+            break
+    return best
 
 
 def _min_weight_clamped(C: LinearCode, lo: int, hi: int) -> int:
@@ -298,27 +297,25 @@ def _min_weight_clamped(C: LinearCode, lo: int, hi: int) -> int:
     are scanned by ascending weight w through both; once layers 1..w-1
     are done, every unseen codeword has weight at least
     w + max(0, w - (k - r)).  The scan stops when that bound reaches
-    the best weight found or ``hi``, or when the best is at most ``lo``.
-    G2 costs one elimination, about as much as encoding a layer of
-    ``_SECOND_SET_LAYER`` messages, so it is built (and caught up on the
-    layers before) only when the scan reaches a layer that large; until
-    then the bound is w.
+    the best weight found or ``hi``, or at the first block whose best
+    is at most ``lo``.  G2 is built the first time the scan goes past
+    layer 1, so a code settled at layer 1 pays no second elimination.
     """
     _check_budget(C.gf.q, C.k)
-    gf, k = C.gf, C.k
     B, _ = C.systematic_right_block()
-    blocks, overlap = [B], k
-    best = _layer_min(gf, k, 1, B)
-    w = 2
-    while best > lo and w <= k and w + max(0, w - overlap) < min(best, hi):
-        if len(blocks) == 1 and math.comb(k, w) * (gf.q - 1) ** w >= _SECOND_SET_LAYER:
-            swapped = LinearCode(gf, np.hstack([B, np.eye(k, dtype=np.int8)]))
+    best = _layer_min(C.gf, C.k, 1, B, C.n + 1, lo)
+    blocks, overlap, w = [B], C.k, 2
+    while best > lo and w <= C.k and w + max(0, w - overlap) < min(best, hi):
+        if len(blocks) == 1:
+            # past layer 1: build G2 and scan its layer 1
+            swapped = LinearCode(C.gf, np.hstack([B, np.eye(C.k, dtype=np.int8)]))
             B2, perm2 = swapped.systematic_right_block()
-            overlap = int(np.count_nonzero(perm2[:k] >= B.shape[1]))
+            overlap = int(np.count_nonzero(perm2[: C.k] >= B.shape[1]))
             blocks.append(B2)
-            best = min([best] + [_layer_min(gf, k, v, B2) for v in range(1, w)])
+            best = _layer_min(C.gf, C.k, 1, B2, best, lo)
             continue  # the bound may already stop the scan
-        best = min([best] + [_layer_min(gf, k, w, Bi) for Bi in blocks])
+        for Bi in blocks:
+            best = _layer_min(C.gf, C.k, w, Bi, best, lo)
         w += 1
     return max(lo, min(best, hi))
 
@@ -330,7 +327,7 @@ def minimum_weight(C: LinearCode) -> int:
 
 def min_weight_at_least(C: LinearCode, d: int) -> bool:
     """True iff no nonzero codeword has weight below d; the scan stops at
-    the first layer with a lighter codeword or once its bound reaches d."""
+    the first block with a lighter codeword or once its bound reaches d."""
     return _min_weight_clamped(C, d - 1, d) >= d
 
 

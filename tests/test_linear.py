@@ -1,10 +1,8 @@
 """Linear code container, weight routines, duality."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtcodes import (
@@ -202,39 +200,42 @@ def _codes(draw):
     return gf, G, B, r
 
 
-@pytest.mark.parametrize("second_set_layer", [1, linear._SECOND_SET_LAYER])
 @settings(deadline=None, max_examples=150)
 @given(drawn=_codes())
-def test_minimum_weight_matches_enumerator_oracle(second_set_layer, drawn):
+# equal rows of B: the only weight-2 word has message weight k = 2
+@example(drawn=(GF(2), [[1, 0, 1, 1, 1], [0, 1, 1, 1, 1]], np.ones((2, 3), dtype=np.int8), 1))
+def test_minimum_weight_matches_enumerator_oracle(drawn):
     gf, G, B, r = drawn
     assert len(linear._rref(gf, B)[1]) == r
     C = LinearCode(gf, G)
     d = weight_enumerator(C).min_positive_weight()
-    # a threshold of 1 builds the second information set at layer 2; at
-    # the default, these small codes mostly keep to the one-sided scan
-    with mock.patch.object(linear, "_SECOND_SET_LAYER", second_set_layer):
-        assert minimum_weight(C) == d
-        for t in range(C.n + 2):
-            assert min_weight_at_least(C, t) == (d >= t)
+    assert minimum_weight(C) == d
+    for t in range(C.n + 2):
+        assert min_weight_at_least(C, t) == (d >= t)
 
 
-@pytest.mark.parametrize(
-    "q, B",
-    [
-        (3, [[1, 2, 2, 0, 1, 1, 0, 1, 1], [1, 2, 2, 1, 1, 0, 0, 2, 2], [2, 0, 1, 2, 1, 1, 0, 2, 0],
-             [1, 0, 0, 0, 2, 0, 1, 2, 2], [1, 0, 2, 1, 0, 0, 1, 1, 1]]),
-        (4, [[2, 0, 1, 2, 1, 0, 3, 1], [1, 1, 2, 2, 2, 1, 0, 3], [3, 0, 1, 0, 1, 2, 1, 3],
-             [2, 0, 1, 3, 2, 1, 1, 0]]),
-    ],
-)
-def test_late_second_information_set_catches_up(monkeypatch, q, B):
-    # built at layer 3, the second set's bound holds only once its
-    # layers 1 and 2 are scanned: without them both codes read d = 6
-    monkeypatch.setattr(linear, "_SECOND_SET_LAYER", 60)
-    C = LinearCode.systematic(GF(q), B)
-    assert weight_enumerator(C).min_positive_weight() == 5
-    assert minimum_weight(C) == 5
-    assert [min_weight_at_least(C, t) for t in range(C.n + 2)] == [True] * 6 + [False] * (C.n - 4)
+def test_layer_scan_stops_at_the_first_light_block(monkeypatch):
+    # rows 0 and 1 agree, so message e0 + e1, in the first block of
+    # layer 2, gives weight 2 + 0
+    B = np.random.default_rng(7).integers(0, 2, size=(8, 8), dtype=np.int8)
+    B[1] = B[0]
+    consumed = []
+    layer_blocks = linear._weight_layer_blocks
+
+    def small_blocks(q, k, w):
+        for msgs in layer_blocks(q, k, w, 4):
+            consumed.append(w)
+            yield msgs
+
+    monkeypatch.setattr(linear, "_weight_layer_blocks", small_blocks)
+    # a best already at the stop value scans nothing
+    assert linear._layer_min(GF(2), 8, 2, B, 2, 2) == 2
+    assert consumed == []
+    assert linear._layer_min(GF(2), 8, 2, B, 99, 2) == 2
+    assert consumed == [2]
+    # below the stop value the whole layer of 28 messages is scanned
+    assert linear._layer_min(GF(2), 8, 2, B, 99, 1) == 2
+    assert consumed == [2] * 8
 
 
 @pytest.mark.parametrize(
