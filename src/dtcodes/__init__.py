@@ -46,7 +46,6 @@ from .search import (
     search_dt,
     search_family,
     vector_rank,
-    verify_reduction_soundness,
 )
 from .structured import (
     CirculantSpec,
@@ -66,6 +65,7 @@ from .structured import (
     triple_count,
     triple_of_circulant,
 )
+from .verify import verify_reduction_soundness
 
 __version__ = "0.1.0"
 

@@ -49,7 +49,7 @@ from .structured import (
     double_toeplitz_code,
     parse_triple,
 )
-from . import reference_data
+from . import verify
 
 WORKERS_ENV = "DTCODES_WORKERS"
 
@@ -221,79 +221,16 @@ def cmd_classify(args) -> int:
 # verify-tables
 
 
-def _check(ok: bool, text: str, failures: list[str]) -> None:
-    if ok:
-        _note(f"[pass] {text}")
-    else:
-        _note(f"[FAIL] {text}")
-        failures.append(text)
-
-
-def _suite_awe_oracle(failures: list[str]) -> int:
-    for q, n in reference_data.AWE_ORACLE_GRID:
-        gf = GF(q)
-        closed = average_weight_enumerator(gf, n)
-        brute = average_weight_enumerator_bruteforce(gf, n)
-        _check(
-            closed.coeffs == brute.coeffs,
-            f"awe closed form == enumeration at q={q} n={n}",
-            failures,
-        )
-    return len(reference_data.AWE_ORACLE_GRID)
-
-
-def _suite_thresholds(failures: list[str]) -> int:
-    count = 0
-    for q, table in sorted(reference_data.GUARANTEED_LENGTH.items()):
-        gf = GF(q)
-        for d, expected in sorted(table.items()):
-            got = minimal_guaranteed_length(gf, d)
-            _check(got == expected, f"n_{q}({d}) = {expected} (got {got})", failures)
-            count += 1
-    return count
-
-
-def _suite_classification_small(failures: list[str]) -> int:
-    grid = [
-        (2, 4), (2, 6), (2, 8), (2, 10), (2, 12),
-        (3, 4), (3, 6), (3, 8),
-        (4, 4), (4, 6),
-    ]
-    for q, n in grid:
-        report = classify(GF(q), n)
-        expected_d = reference_data.OPTIMAL_MIN_WEIGHT[q][n]
-        expected = reference_data.CLASS_COUNTS[q][n]
-        got = (report.n_dt, report.n_dc, report.n_nc)
-        _check(
-            report.d_opt == expected_d and got == expected,
-            f"classify q={q} n={n}: d={expected_d}, classes {expected} (got d={report.d_opt}, {got})",
-            failures,
-        )
-    return len(grid)
-
-
-def _suite_generators(failures: list[str]) -> int:
-    count = 0
-    for q, n, d, spec in reference_data.iter_weight_checks():
-        if n // 2 > reference_data.GENERATOR_SWEEP_KMAX[q]:
-            continue
-        w = minimum_weight(reference_data.build_code(q, spec))
-        _check(w == d, f"q={q} {spec} has minimum weight {d} (got {w})", failures)
-        count += 1
-    return count
-
-
-_SUITES = {
-    "awe-oracle": _suite_awe_oracle,
-    "thresholds": _suite_thresholds,
-    "classification-small": _suite_classification_small,
-    "generators": _suite_generators,
-}
-
-
 def cmd_verify_tables(args) -> int:
     failures: list[str] = []
-    count = _SUITES[args.suite](failures)
+    count = 0
+    for ok, text in verify.SUITES[args.suite]():
+        count += 1
+        if ok:
+            _note(f"[pass] {text}")
+        else:
+            _note(f"[FAIL] {text}")
+            failures.append(text)
     _emit({"suite": args.suite, "checks": count, "failures": len(failures)})
     if failures:
         _note(f"{len(failures)} of {count} checks failed; first: {failures[0]}")
@@ -369,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = sub.add_parser("verify-tables", help="recompute the recorded reference tables")
-    p_ver.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p_ver.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     p_ver.set_defaults(func=cmd_verify_tables)
 
     return parser

@@ -205,34 +205,36 @@ def _rref(gf: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        pivot = None
-        for i in range(r, rows):
-            if R[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(R[r:, c])
+        if not len(nonzero):
             continue
+        pivot = r + int(nonzero[0])
         if pivot != r:
             R[[r, pivot]] = R[[pivot, r]]
-        scale = gf.inv_table[R[r, c]]
-        R[r] = gf.mul_table[scale, R[r]]
-        for i in range(rows):
-            if i != r and R[i, c]:
-                coef = gf.neg_table[R[i, c]]
-                R[i] = gf.add_table[R[i], gf.mul_table[coef, R[r]]]
+        R[r] = gf.mul_table[gf.inv_table[R[r, c]], R[r]]
+        # subtract R[i, c] times the pivot row from every other row i at once
+        coef = gf.neg_table[R[:, c]]
+        coef[r] = 0
+        R = gf.add_table[R, gf.mul_table[coef[:, None], R[r]]]
         pivots.append(c)
         r += 1
     return R, pivots
 
 
+def _index_digits(idx: np.ndarray, q: int, length: int) -> np.ndarray:
+    """Odometer digits of each index, one row each, first digit least significant.
+
+    The vectorised form of :func:`structured.digits_of_index`; message,
+    candidate and checkpoint orders all rest on it.
+    """
+    return ((idx[:, None] // q ** np.arange(length, dtype=np.int64)) % q).astype(np.int8)
+
+
 def _message_blocks(q: int, k: int, block: int = _BLOCK_ROWS):
     """All q^k messages in odometer order (digit 0 fastest), in blocks."""
     total = q**k
-    powers = q ** np.arange(k, dtype=np.int64)
     for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = ((idx[:, None] // powers[None, :]) % q).astype(np.int8)
-        yield digits
+        yield _index_digits(np.arange(start, min(start + block, total), dtype=np.int64), q, k)
 
 
 def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):

@@ -13,36 +13,16 @@ from dtcodes import (
     GF,
     ToeplitzTriple,
     are_equivalent,
-    average_weight_enumerator,
-    average_weight_enumerator_bruteforce,
     classify,
     count_codes_containing,
     count_codes_containing_bruteforce,
     double_toeplitz_code,
     is_formally_self_dual,
-    minimal_guaranteed_length,
-    minimum_weight,
     parse_triple,
     signature,
-    verify_reduction_soundness,
 )
-from dtcodes.reference_data import (
-    AWE_ORACLE_GRID,
-    CLASS_COUNTS,
-    DT_CLASS_TRIPLES,
-    GENERATOR_SWEEP_KMAX,
-    GUARANTEED_LENGTH,
-    OPTIMAL_MIN_WEIGHT,
-    build_code,
-    iter_weight_checks,
-)
-
-# Classification grid (criterion 5).
-CLASSIFY_GRID = {
-    2: (4, 6, 8, 10, 12, 14, 16, 18),
-    3: (4, 6, 8, 10),
-    4: (4, 6, 8, 10),
-}
+from dtcodes import verify
+from dtcodes.reference_data import CLASSIFY_GRID, DT_CLASS_TRIPLES
 
 
 @contextmanager
@@ -55,13 +35,17 @@ def criterion(num: int, label: str):
     print(f"[PASS] criterion {num}: {label}")
 
 
+def _passing(checks) -> int:
+    """Run one suite of reference checks; all must pass.  Returns their count."""
+    checks = list(checks)
+    failed = [text for ok, text in checks if not ok]
+    assert not failed, failed
+    return len(checks)
+
+
 def test_criterion_1_average_enumerator_oracle():
     with criterion(1, "closed-form family enumerator equals brute force"):
-        for q, n in AWE_ORACLE_GRID:
-            gf = GF(q)
-            closed = average_weight_enumerator(gf, n)
-            brute = average_weight_enumerator_bruteforce(gf, n)
-            assert closed == brute, (q, n, closed, brute)
+        assert _passing(verify.awe_oracle()) == 8
 
 
 def test_criterion_2_counting_lemma():
@@ -80,39 +64,18 @@ def test_criterion_2_counting_lemma():
 
 def test_criterion_3_threshold_tables():
     with criterion(3, "existence thresholds reproduce all 138 tabulated values"):
-        checked = 0
-        for q, per_d in GUARANTEED_LENGTH.items():
-            gf = GF(q)
-            for d, expected in per_d.items():
-                got = minimal_guaranteed_length(gf, d)
-                assert got == expected, (q, d, got, expected)
-                checked += 1
-        assert checked == 138
+        assert _passing(verify.thresholds()) == 138
 
 
 def test_criterion_4_generator_row_weights():
     with criterion(4, "every in-budget tabulated generator attains its claimed weight"):
-        checked = 0
-        for q, n, d, spec in iter_weight_checks():
-            # dimensions above the sweep ceiling are out of desk-scale budget
-            if n // 2 > GENERATOR_SWEEP_KMAX[q]:
-                continue
-            got = minimum_weight(build_code(q, spec))
-            assert got == d, (q, n, spec, got, d)
-            checked += 1
+        checked = _passing(verify.generators())
         assert checked >= 390, checked
 
 
 def test_criterion_5_classification_grid():
     with criterion(5, "classification counts and optimal weights across the grid"):
-        for q, lengths in CLASSIFY_GRID.items():
-            gf = GF(q)
-            for n in lengths:
-                report = classify(gf, n)
-                assert report.d_opt == OPTIMAL_MIN_WEIGHT[q][n], (q, n, report.d_opt)
-                got = report.to_dict()["counts"]
-                want_dt, want_dc, want_nc = CLASS_COUNTS[q][n]
-                assert got == {"dt_only": want_dt, "dc": want_dc, "nc": want_nc}, (q, n, got)
+        assert _passing(verify.classification(CLASSIFY_GRID)) == 16
 
 
 def test_criterion_6_listed_representatives():
@@ -141,7 +104,7 @@ def test_criterion_6_listed_representatives():
 def test_criterion_7_reduction_soundness():
     with criterion(7, "symmetry reductions lose no equivalence class"):
         for q, n in ((2, 8), (2, 10), (3, 6), (4, 4)):
-            assert verify_reduction_soundness(GF(q), n), (q, n)
+            assert verify.verify_reduction_soundness(GF(q), n), (q, n)
 
 
 def _random_triple(rng: random.Random, gf: GF, n: int) -> ToeplitzTriple:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from dtcodes import GF, double_toeplitz_code, parse_triple, weight_enumerator
-from dtcodes import cli, reference_data
+from dtcodes import reference_data, verify
 from dtcodes.cli import main
 
 
@@ -183,14 +183,22 @@ def _recorded_report(gf, n, wrong_at=None):
     return SimpleNamespace(d_opt=d, n_dt=n_dt, n_dc=n_dc, n_nc=n_nc)
 
 
+def test_verify_tables_thresholds_suite_catches_a_wrong_value(capsys, monkeypatch):
+    monkeypatch.setitem(reference_data.GUARANTEED_LENGTH[3], 6, 28)
+    code, out, err = run(capsys, "verify-tables", "--suite", "thresholds")
+    assert code == 1
+    assert json.loads(out) == {"suite": "thresholds", "checks": 138, "failures": 1}
+    assert "[FAIL] n_3(6) = 28 (got 26)" in err
+
+
 def test_verify_tables_classification_suite_counts_its_checks(capsys, monkeypatch):
     # a stand-in for classify keeps this fast; the suite's own grid has 10 cells
-    monkeypatch.setattr(cli, "classify", _recorded_report)
+    monkeypatch.setattr(verify, "classify", _recorded_report)
     code, out, err = run(capsys, "verify-tables", "--suite", "classification-small")
     assert code == 0
     assert json.loads(out) == {"suite": "classification-small", "checks": 10, "failures": 0}
     assert err.count("[pass]") == 10
-    monkeypatch.setattr(cli, "classify", lambda gf, n: _recorded_report(gf, n, wrong_at=(3, 6)))
+    monkeypatch.setattr(verify, "classify", lambda gf, n: _recorded_report(gf, n, wrong_at=(3, 6)))
     code, out, err = run(capsys, "verify-tables", "--suite", "classification-small")
     assert code != 0
     assert json.loads(out)["checks"] == 10

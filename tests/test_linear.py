@@ -160,6 +160,15 @@ def test_dual_code_stores_its_systematic_form(monkeypatch):
         assert p1 == p2 and np.array_equal(R1, R2)
 
 
+def _span(gf, M) -> set:
+    """Every combination of the rows of M, built with the field tables alone."""
+    words = np.zeros((1, M.shape[1]), dtype=np.int8)
+    for row in M:
+        multiples = [gf.add_table[words, gf.mul_table[c, row]] for c in range(gf.q)]
+        words = np.unique(np.vstack(multiples), axis=0)
+    return {w.tobytes() for w in words}
+
+
 @st.composite
 def _codes(draw):
     """(gf, G, B, r): an [n, k] code drawn with a right block B of rank r.
@@ -206,7 +215,13 @@ def _codes(draw):
 @example(drawn=(GF(2), [[1, 0, 1, 1, 1], [0, 1, 1, 1, 1]], np.ones((2, 3), dtype=np.int8), 1))
 def test_minimum_weight_matches_enumerator_oracle(drawn):
     gf, G, B, r = drawn
-    assert len(linear._rref(gf, B)[1]) == r
+    R, pivots = linear._rref(gf, B)
+    # R is in reduced echelon form on its pivots, and stacking B on R
+    # does not raise the rank r that B was drawn with
+    assert pivots == sorted(set(pivots)) and len(pivots) == r and not R[r:].any()
+    for i, c in enumerate(pivots):
+        assert R[i, c] == 1 and not R[i, :c].any() and np.count_nonzero(R[:, c]) == 1
+    assert len(_span(gf, np.vstack([B, R]))) == gf.q**r
     C = LinearCode(gf, G)
     d = weight_enumerator(C).min_positive_weight()
     assert minimum_weight(C) == d

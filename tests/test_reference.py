@@ -11,6 +11,8 @@ import pytest
 from dtcodes import GF, classify_triple, minimum_weight, parse_triple, parse_vector
 from dtcodes.reference_data import (
     CLASS_COUNTS,
+    CLASSIFY_GRID,
+    CLASSIFY_SMALL_GRID,
     DC_CLASS_ROWS,
     DT_CLASS_TRIPLES,
     GUARANTEED_LENGTH,
@@ -46,6 +48,10 @@ def test_optimal_weight_and_class_count_keys_align():
     assert OPTIMAL_MIN_WEIGHT[2][14] == 4
     assert OPTIMAL_MIN_WEIGHT[3][12] == 6
     assert OPTIMAL_MIN_WEIGHT[4][8] == 4
+    # verify-tables runs a part of the acceptance grid, on recorded cells
+    assert set(CLASSIFY_SMALL_GRID) < set(CLASSIFY_GRID)
+    for q, n in CLASSIFY_GRID + CLASSIFY_SMALL_GRID:
+        assert n in OPTIMAL_MIN_WEIGHT[q] and n in CLASS_COUNTS[q], (q, n)
 
 
 def test_class_row_counts_match_recorded_counts():

@@ -25,6 +25,7 @@ from dtcodes import (
     triple_count,
     triple_of_circulant,
 )
+from dtcodes.linear import _index_digits
 from dtcodes.structured import band_sequence, digits_of_index, index_of_digits
 
 
@@ -174,9 +175,12 @@ def test_enumerate_triples_is_the_full_odometer():
 
 def test_index_digit_round_trip():
     for q in (2, 3, 4):
+        # the vectorised digits behind message, candidate and checkpoint order
+        rows = _index_digits(np.arange(q**4), q, 4)
         for idx in range(q**4):
             digits = digits_of_index(idx, q, 4)
             assert index_of_digits(digits, q) == idx
+            assert tuple(rows[idx]) == digits
 
 
 def test_distinct_triples_give_distinct_codes():
