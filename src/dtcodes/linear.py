@@ -211,7 +211,8 @@ def _rref(gf: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pivot = r + int(nonzero[0])
         if pivot != r:
             R[[r, pivot]] = R[[pivot, r]]
-        R[r] = gf.mul_table[gf.inv_table[R[r, c]], R[r]]
+        scale = gf.inv_table[R[r, c]]
+        R[r] = gf.mul_table[scale, R[r]]
         # subtract R[i, c] times the pivot row from every other row i at once
         coef = gf.neg_table[R[:, c]]
         coef[r] = 0
@@ -227,14 +228,16 @@ def _index_digits(idx: np.ndarray, q: int, length: int) -> np.ndarray:
     The vectorised form of :func:`structured.digits_of_index`; message,
     candidate and checkpoint orders all rest on it.
     """
-    return ((idx[:, None] // q ** np.arange(length, dtype=np.int64)) % q).astype(np.int8)
+    powers = q ** np.arange(length, dtype=np.int64)
+    return ((idx[:, None] // powers[None, :]) % q).astype(np.int8)
 
 
 def _message_blocks(q: int, k: int, block: int = _BLOCK_ROWS):
     """All q^k messages in odometer order (digit 0 fastest), in blocks."""
     total = q**k
     for start in range(0, total, block):
-        yield _index_digits(np.arange(start, min(start + block, total), dtype=np.int64), q, k)
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        yield _index_digits(idx, q, k)
 
 
 def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):

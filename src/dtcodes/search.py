@@ -27,6 +27,7 @@ be checkpointed to JSON.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -41,6 +42,7 @@ from .linear import (
     LinearCode,
     _index_digits,
     _weight_layer_blocks,
+    min_weight_at_least,
     minimum_weight,
 )
 from .structured import (
@@ -224,34 +226,43 @@ def _circulant_block(gf: GF, m: int, rows: np.ndarray, mu_code: int) -> np.ndarr
     return win[:, ::-1, :]
 
 
-def _index_blocks(lo: int, hi: int):
-    """The indices lo .. hi-1 as consecutive int64 arrays of at most _B_BLOCK."""
-    for start in range(lo, hi, _B_BLOCK):
-        yield np.arange(start, min(start + _B_BLOCK, hi), dtype=np.int64)
+def _index_blocks(indices):
+    """The indices as consecutive int64 arrays of at most _B_BLOCK."""
+    it = iter(indices)
+    while block := list(itertools.islice(it, _B_BLOCK)):
+        yield np.array(block, dtype=np.int64)
 
 
-def _candidate_blocks(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
+def _spread(total: int, count: int) -> np.ndarray:
+    if total <= count:
+        return np.arange(total)
+    return np.unique(np.linspace(0, total - 1, count).astype(np.int64))
+
+
+def _candidate_blocks(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
     """Yield ``(A, record)`` per block of filtered candidates, in enumeration order.
 
-    ``lo .. hi-1`` index the (t, a) prefixes for DT and the first rows
-    for DC/NC.  ``record(off, mw)`` is the checkpoint payload of the
-    block's candidate ``off`` with minimum weight ``mw``.
+    ``prefixes`` are indices of (t, a) prefixes for DT and of first
+    rows for DC/NC.  For DT, ``kept_b(count)`` gives the b indices to
+    visit among the ``count`` that survive the filter after a prefix.
+    ``record(off, mw)`` is the checkpoint payload of the block's
+    candidate ``off`` with minimum weight ``mw``.
     """
     q = gf.q
     m = n // 2
     if family != "DT":
         mu = _family_mu_code(gf, family)
         sign = 1 if family == "DC" else -1
-        for rows in _index_blocks(lo, hi):
+        for rows in _index_blocks(prefixes):
             yield _circulant_block(gf, m, rows, mu), (
                 lambda off, mw, rows=rows: [list(digits_of_index(int(rows[off]), q, m)), sign, mw]
             )
         return
     L = m - 1
-    for pidx in range(lo, hi):
-        t, ia = divmod(pidx, q**L)
+    for pidx in prefixes:
+        t, ia = divmod(int(pidx), q**L)
         a = digits_of_index(ia, q, L)
-        for ib in _index_blocks(0, _kept_b_count(q, reduction, t, a)):
+        for ib in _index_blocks(kept_b(_kept_b_count(q, reduction, t, a))):
             yield _toeplitz_block(gf, t, a, ib), (
                 lambda off, mw, t=t, a=a, ib=ib: [
                     t, list(a), list(digits_of_index(int(ib[off]), q, L)), mw
@@ -275,6 +286,26 @@ def _family_mu_code(gf: GF, family: str) -> int:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
+    """Best exact minimum weight over a deterministic sample of candidates.
+
+    Raises the starting best of a find-optimal pass, so that early
+    blocks need fewer raises and rescans at low thresholds; any
+    sampled candidate is a genuine member of the filtered space, so
+    the floor is always attained.  A sample is evaluated exactly only
+    when it beats the running floor, which ``min_weight_at_least``
+    rules out at the first message layer with a low-weight codeword.
+    """
+    prefixes = _spread(gf.q ** (n // 2), 16 if family == "DT" else 64)
+    floor = 1
+    for A, _ in _candidate_blocks(gf, n, family, reduction, prefixes, lambda c: _spread(c, 8)):
+        for Ai in A:
+            code = LinearCode.systematic(gf, Ai)
+            if min_weight_at_least(code, floor + 1):
+                floor = minimum_weight(code)
+    return floor
+
+
 # ---------------------------------------------------------------------------
 # chunk scan (top level so worker processes can import it)
 
@@ -289,7 +320,7 @@ def _scan_chunk(args) -> tuple[int, list]:
     gf = GF(q)
     cache = _MessageCache(q, n // 2)
     best, found = d, []
-    for A, record in _candidate_blocks(gf, n, family, reduction, lo, hi):
+    for A, record in _candidate_blocks(gf, n, family, reduction, range(lo, hi), range):
         if mode == "at-least":
             for off in np.flatnonzero(_batch_min_weight_capped(gf, A, d, cache) >= d):
                 found.append(record(off, minimum_weight(LinearCode.systematic(gf, A[off]))))
@@ -401,7 +432,7 @@ def _search(
     state = _load_checkpoint(checkpoint_path, config) if checkpoint_path else {"chunks": {}}
     done = {int(k): v for k, v in state["chunks"].items()}
     ranges = _chunk_ranges(prefix_total, partitions)
-    start = 1 if mode == "find-optimal" else d
+    start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
     todo = [
         (cid, (q, n, family, reduction, mode, start, lo, hi))
         for cid, (lo, hi) in enumerate(ranges)

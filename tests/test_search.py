@@ -34,6 +34,7 @@ from dtcodes.search import (
     _batch_min_weight_capped,
     _chunk_ranges,
     _MessageCache,
+    _payload_to_triple,
     _scan_chunk,
 )
 from dtcodes.structured import CirculantSpec
@@ -157,13 +158,16 @@ def test_search_is_deterministic_across_workers_and_partitions(family, q, n, red
             (spec.to_text(), mw) for spec, mw in reference[1]
         ]
 
-    # at 300 partitions the chunks reach different local bests, so the
-    # run above merged only the chunks at the maximum
-    bests = [
-        _scan_chunk((q, n, family, reduction, "find-optimal", 1, lo, hi))[0]
+    # chunks started below the sampled floor reach different local bests;
+    # those at the maximum hold exactly the optimal records, in order
+    chunks = [
+        _scan_chunk((q, n, family, reduction, "find-optimal", 1, lo, hi))
         for lo, hi in _chunk_ranges(q ** (n // 2), 300)
     ]
-    assert max(bests) == reference[0] > min(bests)
+    best = max(b for b, _ in chunks)
+    assert best == reference[0] > min(b for b, _ in chunks)
+    merged = [_payload_to_triple(gf, p, family) for b, ps in chunks if b == best for p in ps]
+    assert merged == reference[1]
 
 
 class _RecordingExecutor:
