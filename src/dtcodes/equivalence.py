@@ -21,9 +21,8 @@ The decision procedure here anchors on low-weight codewords:
    its systematic form, which makes every "True" answer sound
    irrespective of the pruning.
 
-Matching a code against an ordered pool (class representatives, a
-circulant family) is done in one place, over a pool bucketed by
-signature; the first equivalent member wins.
+Deduplication matches each code against the class representatives
+that share its signature; the first equivalent representative wins.
 
 The search is exhaustive over consistent assignments, so "False" is
 sound as well; running out of the node budget raises
@@ -296,14 +295,17 @@ def _keyed_pair(C1: LinearCode, C2: LinearCode) -> tuple[_Keyed, _Keyed]:
     return _keyed(C1), _keyed(C2)
 
 
+def _check_semimonomial(q: int, semimonomial: bool) -> None:
+    if semimonomial and q != 4:
+        raise ValueError("the semimonomial diagnostic applies to F4 only")
+
+
 def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
     """Whether a monomial map carries x onto y or, with ``semimonomial``
     (F4 only), onto the Frobenius image of y."""
     same = x.sig == y.sig
     if same and _search_map(x, y, node_cap) is not None:
         return True
-    if semimonomial and x.code.gf.q != 4:
-        raise ValueError("the semimonomial diagnostic applies to F4 only")
     if not (semimonomial and same):
         return False
     # x -> x^2 keeps weights and permutes the nonzero values: the image
@@ -311,24 +313,6 @@ def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
     layers = {w: _FROBENIUS[L] for w, L in y.layers.items()}
     frob = _Keyed(frobenius_image(y.code), layers, y.sig)
     return _search_map(x, frob, node_cap) is not None
-
-
-def _bucketed(pool) -> dict[tuple, list[tuple[int, _Keyed]]]:
-    """An ordered pool of keyed codes as signature -> [(position, code)]."""
-    buckets: dict[tuple, list[tuple[int, _Keyed]]] = {}
-    for pos, x in enumerate(pool):
-        buckets.setdefault(x.sig, []).append((pos, x))
-    return buckets
-
-
-def _first_equivalent(
-    buckets: dict, x: _Keyed, semimonomial: bool = False, node_cap: int = DEFAULT_NODE_CAP
-) -> int | None:
-    """Position of the first pool member that maps onto x, or None."""
-    for pos, member in buckets.get(x.sig, ()):
-        if _maps_onto(member, x, node_cap, semimonomial):
-            return pos
-    return None
 
 
 def find_monomial_map(
@@ -347,27 +331,12 @@ def are_equivalent(
 ) -> bool:
     """Whether a monomial matrix maps C1 onto C2.
 
-    With ``semimonomial=True`` (diagnostic switch for F4 only) the test
-    additionally allows the Frobenius automorphism, i.e. it also
-    accepts C1 P = C2^(Frobenius).
+    With ``semimonomial=True`` (diagnostic switch for F4 only; other
+    fields raise ValueError) the test additionally allows the Frobenius
+    automorphism, i.e. it also accepts C1 P = C2^(Frobenius).
     """
+    _check_semimonomial(C1.gf.q, semimonomial)
     return _maps_onto(*_keyed_pair(C1, C2), node_cap, semimonomial)
-
-
-def _dedupe(codes, node_cap: int = DEFAULT_NODE_CAP, semimonomial: bool = False):
-    """The classes of :func:`dedupe_into_classes`, and their keyed
-    representatives as signature -> [(class index, code)]."""
-    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
-    classes: list[list[int]] = []
-    for i, code in enumerate(codes):
-        x = _keyed(code)
-        hit = _first_equivalent(reps, x, semimonomial, node_cap)
-        if hit is None:
-            reps.setdefault(x.sig, []).append((len(classes), x))
-            classes.append([i])
-        else:
-            classes[hit].append(i)
-    return classes, reps
 
 
 def dedupe_into_classes(
@@ -384,4 +353,17 @@ def dedupe_into_classes(
     weight layers.  An undecided pairwise test aborts the whole run
     (UndecidedError).
     """
-    return _dedupe(codes, node_cap, semimonomial)[0]
+    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
+    classes: list[list[int]] = []
+    for i, code in enumerate(codes):
+        _check_semimonomial(code.gf.q, semimonomial)
+        x = _keyed(code)
+        bucket = reps.setdefault(x.sig, [])
+        for class_id, rep in bucket:
+            if _maps_onto(rep, x, node_cap, semimonomial):
+                classes[class_id].append(i)
+                break
+        else:
+            bucket.append((len(classes), x))
+            classes.append([i])
+    return classes

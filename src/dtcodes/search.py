@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equivalence import _bucketed, _dedupe, _first_equivalent, _keyed
+from .equivalence import _check_semimonomial, dedupe_into_classes
 from .gf import GF, gf_matmul
 from .linear import (
     BudgetExceededError,
@@ -48,9 +48,8 @@ from .linear import (
 from .structured import (
     CirculantSpec,
     ToeplitzTriple,
+    classify_triple,
     digits_of_index,
-    double_circulant_code,
-    double_negacirculant_code,
     double_toeplitz_code,
     index_of_digits,
 )
@@ -571,16 +570,25 @@ def classify(
     """Classify the optimal double Toeplitz codes of length n.
 
     Finds every filtered triple attaining the optimal minimum weight,
-    splits them into equivalence classes, and labels each class "DC"
-    when it contains a double circulant code, "NC" (F3 only; over F2
-    and F4 negacirculant equals circulant) when it contains a double
-    negacirculant but no double circulant code, and "DT-only"
-    otherwise.
+    splits them into equivalence classes, and labels each class by the
+    triples in it: "DC" when one of them is circulant, else "NC" when
+    one is negacirculant, else "DT-only".  Over F2 and F4 negation is
+    the identity, so a circulant triple is negacirculant too and "NC"
+    only occurs over F3.
+
+    The labels need no search of the circulant families: a double
+    (nega)circulant code is the double Toeplitz code of its triple, and
+    the C2 swap (t, a, b) -> (t, b, a) and the C3 scaling of a triple
+    keep a circulant triple circulant and a negacirculant one
+    negacirculant.  Every such optimal code therefore has an
+    equivalent filtered triple of the same kind among the attainers,
+    which lies in the code's class.
 
     Classes are monomial-equivalence classes by default, for every q;
     the semimonomial diagnostic (F4) merges Frobenius-conjugate classes
     and changes the counts (already at n = 8).
     """
+    _check_semimonomial(gf.q, semimonomial)
     d_opt, records = search_dt(
         gf,
         n,
@@ -592,29 +600,18 @@ def classify(
     )
     triples = [T for T, _ in records]
     codes = [double_toeplitz_code(T) for T in triples]
-    groups, reps = _dedupe(codes, semimonomial=semimonomial)
-    rep_of = dict(m for bucket in reps.values() for m in bucket)
-
-    families: list[tuple[str, dict]] = []
-    for family in ("DC",) + (("NC",) if gf.q == 3 else ()):
-        d_fam, fam_records = search_family(gf, n, family, triple_budget=triple_budget)
-        if d_fam > d_opt:
-            raise AssertionError("family optimum exceeded the full-space optimum")
-        build = double_circulant_code if family == "DC" else double_negacirculant_code
-        members = [_keyed(build(s)) for s, _ in fam_records] if d_fam == d_opt else []
-        families.append((family, _bucketed(members)))
-
     report = ClassificationReport(gf.q, n, d_opt)
-    for class_id, group in enumerate(groups):
-        rep_triple = min((triples[i] for i in group), key=ToeplitzTriple.lex_key)
-        rep = rep_of[class_id]
-        if minimum_weight(rep.code) != d_opt:
+    for class_id, group in enumerate(dedupe_into_classes(codes, semimonomial=semimonomial)):
+        if minimum_weight(codes[group[0]]) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
-        structure = "DT-only"
-        for family, pool in families:
-            if _first_equivalent(pool, rep, semimonomial) is not None:
-                structure = family
-                break
+        members = [triples[i] for i in group]
+        kinds = {classify_triple(T) for T in members}
+        if kinds & {"circulant", "both"}:
+            structure = "DC"
+        elif "negacirculant" in kinds:
+            structure = "NC"
+        else:
+            structure = "DT-only"
+        rep_triple = min(members, key=ToeplitzTriple.lex_key)
         report.records.append(ClassRecord(class_id, rep_triple, len(group), structure))
     return report
-

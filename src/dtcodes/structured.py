@@ -41,7 +41,6 @@ __all__ = [
     "count_codes_containing_bruteforce",
     "triple_count",
     "enumerate_triples",
-    "triple_from_indices",
     "parse_triple",
     "parse_circulant",
 ]
@@ -296,12 +295,6 @@ def index_of_digits(digits, q: int) -> int:
     for d in reversed(tuple(digits)):
         idx = idx * q + int(d)
     return idx
-
-
-def triple_from_indices(gf: GF, m: int, t: int, ia: int, ib: int) -> ToeplitzTriple:
-    """Triple at position (t, ia, ib) of the enumeration grid."""
-    L = m - 1
-    return ToeplitzTriple(gf, t, digits_of_index(ia, gf.q, L), digits_of_index(ib, gf.q, L))
 
 
 def enumerate_triples(gf: GF, m: int):

@@ -1,14 +1,16 @@
 """Command line entry points, output formats and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+import dtcodes
 from dtcodes import GF, double_toeplitz_code, parse_triple, weight_enumerator
-from dtcodes import reference_data, verify
+from dtcodes import reference_data, search, verify
 from dtcodes.cli import main
 
 
@@ -159,6 +161,14 @@ def test_classify_json(capsys):
     assert "4 + 4 + 0 classes" in err
 
 
+def test_classify_semimonomial_off_f4_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(search, "search_dt", lambda *a, **k: pytest.fail("searched"))
+    code, out, err = run(capsys, "classify", "--q", "2", "--n", "8", "--semimonomial")
+    assert code == 2
+    assert out == ""
+    assert "F4 only" in err
+
+
 def test_verify_tables_awe_suite(capsys):
     code, out, err = run(capsys, "verify-tables", "--suite", "awe-oracle")
     assert code == 0
@@ -213,10 +223,14 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same dtcodes as this process, installed or not
+    src = os.path.dirname(os.path.dirname(dtcodes.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dtcodes.cli", "awe", "--q", "4", "--n", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [64, 24, 180, 432, 324]

@@ -144,6 +144,12 @@ def test_semimonomial_switch():
     C2 = LinearCode(GF(3), [[1, 0, 0, 0], [0, 1, 0, 0]])
     with pytest.raises(ValueError):
         are_equivalent(C1, C2, semimonomial=True)
+    # the field is checked before any pair test, so an equivalent pair
+    # or a single code raises as well
+    with pytest.raises(ValueError):
+        are_equivalent(C1, C1, semimonomial=True)
+    with pytest.raises(ValueError):
+        dedupe_into_classes([C1], semimonomial=True)
 
 
 def test_node_cap_raises_undecided():

@@ -16,7 +16,9 @@ from dtcodes import (
     ToeplitzTriple,
     are_equivalent,
     classify,
+    classify_triple,
     double_circulant_code,
+    double_negacirculant_code,
     double_toeplitz_code,
     enumerate_triples,
     minimum_weight,
@@ -71,20 +73,29 @@ def test_c2_filter_keeps_one_per_swap_pair():
         passes_reduction(ToeplitzTriple(GF(3), 0, (0,), (0,)), "C2")
 
 
+def _filter_orbit(T: ToeplitzTriple) -> list[ToeplitzTriple]:
+    """The triples the default filter treats as one: the C2 swap pair
+    over F2, the nonzero scalar multiples (C3) otherwise."""
+    gf = T.gf
+    if gf.q == 2:
+        return [T, ToeplitzTriple(gf, T.t, T.b, T.a)]
+    orbit = []
+    for lam in range(1, gf.q):
+        scaled = ToeplitzTriple(
+            gf,
+            gf.mul(lam, T.t),
+            tuple(gf.mul(lam, x) for x in T.a),
+            tuple(gf.mul(lam, x) for x in T.b),
+        )
+        orbit.append(scaled)
+    return orbit
+
+
 @pytest.mark.parametrize("q", [3, 4])
 def test_c3_filter_keeps_one_per_scalar_orbit(q):
     gf = GF(q)
     for T in enumerate_triples(gf, 2):
-        orbit = []
-        for lam in range(1, q):
-            scaled = ToeplitzTriple(
-                gf,
-                gf.mul(lam, T.t),
-                tuple(gf.mul(lam, x) for x in T.a),
-                tuple(gf.mul(lam, x) for x in T.b),
-            )
-            orbit.append(scaled)
-        survivors = sum(passes_reduction(S, "C3") for S in orbit)
+        survivors = sum(passes_reduction(S, "C3") for S in _filter_orbit(T))
         if any(x for x in (T.t, *T.a)):
             assert survivors == 1
         else:
@@ -92,6 +103,29 @@ def test_c3_filter_keeps_one_per_scalar_orbit(q):
             assert survivors == q - 1
     with pytest.raises(ValueError):
         passes_reduction(ToeplitzTriple(GF(2), 0, (0,), (0,)), "C3")
+
+
+@pytest.mark.parametrize("q,max_m", [(2, 5), (3, 5), (4, 4)])
+def test_filter_keeps_a_circulant_triple_of_each_circulant_code(q, max_m):
+    # classify labels a class by its own filtered triples; that finds
+    # every optimal (nega)circulant code because each one's filter
+    # orbit holds a kept triple of the same kind spanning an
+    # equivalent code
+    gf = GF(q)
+    reduction = "C2" if q == 2 else "C3"
+    for m in range(1, max_m + 1):
+        for r in itertools.product(range(q), repeat=m):
+            for mu in (1, -1):
+                T = triple_of_circulant(CirculantSpec(gf, r, mu))
+                kind = classify_triple(T)
+                assert kind != "neither"
+                kept = [
+                    U
+                    for U in _filter_orbit(T)
+                    if passes_reduction(U, reduction) and classify_triple(U) == kind
+                ]
+                assert kept, (q, r, mu)
+                assert are_equivalent(double_toeplitz_code(kept[0]), double_toeplitz_code(T))
 
 
 def test_unknown_reduction_rejected():
@@ -301,6 +335,24 @@ def test_reduction_soundness_small(q, n):
     assert verify_reduction_soundness(GF(q), n)
 
 
+def _family_oracle_labels(report) -> list[str]:
+    """Each class's label by pairwise tests of its representative
+    against every optimal double circulant, then negacirculant, code."""
+    gf = GF(report.q)
+    pools = []
+    for family, build in (("DC", double_circulant_code), ("NC", double_negacirculant_code)):
+        d_fam, records = search_family(gf, report.n, family)
+        assert d_fam <= report.d_opt
+        pools.append((family, [build(s) for s, _ in records] if d_fam == report.d_opt else []))
+    labels = []
+    for rec in report.records:
+        C = double_toeplitz_code(rec.representative)
+        assert minimum_weight(C) == report.d_opt
+        hits = [family for family, pool in pools if any(are_equivalent(C, D) for D in pool)]
+        labels.append(hits[0] if hits else "DT-only")
+    return labels
+
+
 def test_classify_small_binary():
     report = classify(GF(2), 4)
     assert report.d_opt == OPTIMAL_MIN_WEIGHT[2][4]
@@ -311,13 +363,14 @@ def test_classify_small_binary():
     assert total_members == len(optimal)
     # a class is "DC" when some optimal double circulant code lies in it,
     # even if its lex-minimal representative is not itself circulant
-    _, dc_records = search_family(GF(2), 4, "DC")
-    dc_codes = [double_circulant_code(s) for s, _ in dc_records]
-    for rec in report.records:
-        C = double_toeplitz_code(rec.representative)
-        assert minimum_weight(C) == report.d_opt
-        hit = any(are_equivalent(C, D) for D in dc_codes)
-        assert hit == (rec.structure == "DC")
+    assert [r.structure for r in report.records] == _family_oracle_labels(report)
+
+
+@pytest.mark.parametrize("q,n", [(3, 4), (3, 6), (4, 6)])
+def test_classify_labels_match_family_oracle(q, n):
+    report = classify(GF(q), n)
+    assert (report.n_dt, report.n_dc, report.n_nc) == CLASS_COUNTS[q][n]
+    assert [r.structure for r in report.records] == _family_oracle_labels(report)
 
 
 def _counting_enumeration(monkeypatch) -> list:
@@ -328,18 +381,14 @@ def _counting_enumeration(monkeypatch) -> list:
 
 
 def test_classify_enumerates_each_code_once(monkeypatch):
-    # every optimal triple and every optimal family member is enumerated
-    # once; the labelling reuses the representatives' weight layers
+    # every optimal triple is enumerated once, and the DC/NC labels
+    # need no other code
     gf, n = GF(3), 6
-    d_opt, optimal = search_dt(gf, n)
-    expected = len(optimal)
-    for family in ("DC", "NC"):
-        d_fam, members = search_family(gf, n, family)
-        expected += len(members) if d_fam == d_opt else 0
+    _, optimal = search_dt(gf, n)
     calls = _counting_enumeration(monkeypatch)
     report = classify(gf, n)
     assert report.n_dc + report.n_nc > 0
-    assert len(calls) == expected
+    assert len(calls) == len(optimal)
 
 
 def test_reduction_soundness_enumerates_each_code_once(monkeypatch):
