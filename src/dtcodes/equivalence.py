@@ -9,13 +9,19 @@ The decision procedure here anchors on low-weight codewords:
 
 1. one enumeration per code groups its nonzero codewords by weight;
    the later steps read these layers;
-2. cheap invariant pre-filter (:func:`signature`);
+2. exact invariant pre-filter (:func:`signature`): besides the weight
+   enumerator and per-column value counts over the minimum-weight
+   words, it holds the hull dimension (Hermitian over F4) and the
+   sorted support co-occurrence profile of the minimum-weight words.
+   Codes with different signatures are never searched, and most
+   inequivalent pairs are separated here;
 3. backtracking over column assignments (target column, scale factor),
    constrained by the sets W1, W2 of codewords in the lowest weight
    layers of the two codes.  A monomial map carries W1 bijectively onto
-   W2 layer by layer, so every partial assignment propagates candidate
-   bitmask sets; an empty candidate set or an unreachable W2 word cuts
-   the branch.
+   W2 layer by layer, so a column may only go to a column with the same
+   sorted row of co-occurrence counts over these words, and every
+   partial assignment propagates candidate bitmask sets; an empty
+   candidate set or an unreachable W2 word cuts the branch.
 4. a completed assignment is accepted only after the mapped generator
    rows of the first code all lie in the second code, checked against
    its systematic form, which makes every "True" answer sound
@@ -41,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import gf_matmul
-from .linear import LinearCode, _check_budget, _message_blocks
+from .linear import LinearCode, _check_budget, _message_blocks, _rref
 
 __all__ = [
     "UndecidedError",
@@ -131,13 +137,34 @@ class _Keyed(NamedTuple):
     sig: tuple
 
 
+def _hull_dimension(C: LinearCode) -> int:
+    """dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian (Ḡ = G^2) over F4.
+
+    A scale s on a column multiplies its term of the inner product by
+    s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1 over F4, so the
+    dimension is a monomial invariant.  The Euclidean form over F4 is
+    not: s^2 != 1 for s = w.
+    """
+    conj = _FROBENIUS[C.G] if C.gf.q == 4 else C.G
+    return C.k - len(_rref(C.gf, gf_matmul(C.gf, C.G, conj.T))[1])
+
+
+def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
+    """Row j, sorted: how many of ``words`` are nonzero in column j and in each column."""
+    S = np.asarray(words != 0, dtype=np.int64)
+    return [tuple(sorted(row)) for row in (S.T @ S).tolist()]
+
+
 def _keyed(C: LinearCode) -> _Keyed:
     layers = _codewords_by_weight(C)
     coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
+    lowest = layers[min(layers)]
     # value counts per column over the minimum-weight codewords
-    counts = (layers[min(layers)][:, :, None] == np.arange(C.gf.q)).sum(axis=0).tolist()
+    counts = (lowest[:, :, None] == np.arange(C.gf.q)).sum(axis=0).tolist()
     profiles = tuple(sorted((c[0],) + tuple(sorted(c[1:])) for c in counts))
-    return _Keyed(C, layers, (C.n, C.k, tuple(coeffs), profiles))
+    cooccurrence = tuple(sorted(_cooccurrence_rows(lowest)))
+    sig = (C.n, C.k, tuple(coeffs), profiles, _hull_dimension(C), cooccurrence)
+    return _Keyed(C, layers, sig)
 
 
 def _anchor_layers(C1: LinearCode, g1: dict, g2: dict):
@@ -164,10 +191,23 @@ def _anchor_layers(C1: LinearCode, g1: dict, g2: dict):
 def signature(C: LinearCode) -> tuple:
     """Monomial-invariant fingerprint used as an equivalence pre-filter.
 
-    Contains n, k, the full weight enumerator and the sorted multiset
-    of per-column value profiles over the minimum-weight codewords.  A
-    column profile keeps the zero count and the sorted nonzero value
-    counts, both invariant under column permutation and scaling.
+    The tuple ``(n, k, enumerator, profiles, hull, cooccurrence)`` holds:
+
+    - ``n`` and ``k``;
+    - ``enumerator``: the full weight enumerator, counts of weights 0..n;
+    - ``profiles``: the sorted multiset of per-column value profiles
+      over the minimum-weight codewords.  A column profile keeps the
+      zero count and the sorted nonzero value counts, both invariant
+      under column permutation and scaling;
+    - ``hull``: the dimension of C ∩ C^⊥, Hermitian over F4;
+    - ``cooccurrence``: with S the 0/1 support matrix of the
+      minimum-weight codewords, the sorted multiset of the sorted rows
+      of SᵀS.  Entry (i, j) counts the words nonzero in both columns i
+      and j; scalings keep supports and a permutation permutes rows
+      and columns alike.
+
+    Every entry is also unchanged by the F4 Frobenius map, so a code
+    and its conjugate share the signature.
     """
     return _keyed(C).sig
 
@@ -216,6 +256,12 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
     # Most-constrained first: columns touched by many anchor words
     # propagate the most information.
     cols1.sort(key=lambda j: (hist1[j][0], j))
+    # The map permutes the anchor words and the columns together, so
+    # column j can land only on a column p with the same sorted row of
+    # anchor co-occurrence counts.
+    co1 = _cooccurrence_rows(W1)
+    co2 = _cooccurrence_rows(W2)
+    targets = {j: [p for p in cols2 if co2[p] == co1[j]] for j in cols1}
 
     B2, perm2 = C2.systematic_right_block()
     k = C2.k
@@ -247,16 +293,15 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         j = cols1[depth]
         col_vals = vals1[j]
         h1 = hist1[j]
-        for p in cols2:
+        for p in targets[j]:
             if used[p]:
                 continue
             m2p = mask2[p]
             h2p = hist2[p]
             for lam in scales:
                 mul_row = gf.mul_table[lam]
-                if h1[0] != h2p[0] or any(
-                    h1[v] != h2p[mul_row[v]] for v in range(1, q)
-                ):
+                # equal zero counts already hold for every target
+                if any(h1[v] != h2p[mul_row[v]] for v in range(1, q)):
                     continue
                 nodes += 1
                 if nodes > node_cap:

@@ -418,6 +418,8 @@ def _search(
         raise ValueError(f"unknown search mode {mode!r}")
     if mode != "find-optimal" and (d is None or d < 1):
         raise ValueError(f"mode {mode!r} needs a positive target weight d")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     q = gf.q
     reduction = _resolve_reduction(q, reduction) if family == "DT" else "none"
 

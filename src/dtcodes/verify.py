@@ -15,7 +15,7 @@ from .average import (
     average_weight_enumerator_bruteforce,
     minimal_guaranteed_length,
 )
-from .equivalence import dedupe_into_classes
+from .equivalence import _check_semimonomial, dedupe_into_classes
 from .gf import GF
 from .linear import minimum_weight
 from .reference_data import (
@@ -101,6 +101,7 @@ def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) ->
     thus inject into the unfiltered classes, and equal counts make the
     injection onto: every unfiltered class has a filtered member.
     """
+    _check_semimonomial(gf.q, semimonomial)
     d_f, records_f = search_dt(gf, n)
     d_u, records_u = search_dt(gf, n, reduction="none")
     if d_f != d_u:

@@ -151,6 +151,14 @@ def test_search_workers_env(capsys, monkeypatch):
     assert "DTCODES_WORKERS" in err
 
 
+@pytest.mark.parametrize("command", ["search", "classify"])
+def test_negative_workers_exit_2(capsys, command):
+    code, out, err = run(capsys, command, "--q", "2", "--n", "6", "--workers", "-3")
+    assert code == 2
+    assert out == ""
+    assert "workers must be positive" in err
+
+
 def test_classify_json(capsys):
     code, out, err = run(capsys, "classify", "--q", "2", "--n", "12")
     assert code == 0

@@ -113,13 +113,72 @@ def test_shape_mismatch_rejected():
         find_monomial_map(C1, C2)
 
 
+def _random_full_rank_code(rng: random.Random, gf: GF, n: int, k: int) -> LinearCode:
+    """A code from a random k x n generator matrix, systematic or not."""
+    while True:
+        G = [[rng.randrange(gf.q) for _ in range(n)] for _ in range(k)]
+        try:
+            return LinearCode(gf, G)
+        except ValueError:  # dependent rows
+            continue
+
+
+def _hull_size_bruteforce(C: LinearCode) -> int:
+    """Codewords orthogonal to every generator row, with scalar field
+    operations (Hermitian over F4: the row entries are squared)."""
+    gf = C.gf
+    conj = (lambda x: gf.mul(x, x)) if gf.q == 4 else (lambda x: x)
+    rows = [[conj(int(x)) for x in row] for row in C.G]
+    count = 0
+    for m in itertools.product(range(gf.q), repeat=C.k):
+        word = [int(x) for x in C.encode(m)]
+        orthogonal = True
+        for row in rows:
+            acc = 0
+            for x, y in zip(word, row):
+                acc = gf.add(acc, gf.mul(x, y))
+            orthogonal = orthogonal and acc == 0
+        count += orthogonal
+    return count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hull_dimension_matches_bruteforce(q):
+    rng = random.Random(47 + q)
+    gf = GF(q)
+    # double Toeplitz codes have large hulls more often than random ones
+    codes = [double_toeplitz_code(T) for T in rng.sample(list(enumerate_triples(gf, 3)), 10)]
+    for _ in range(12):
+        n = rng.choice((4, 6, 8))
+        k = rng.randrange(1, min(n, 8 // q + 3))  # at most 256 codewords
+        codes.append(_random_code(rng, gf, n, k))
+        codes.append(_random_full_rank_code(rng, gf, n, k))
+    seen = set()
+    for C in codes:
+        hull = signature(C)[4]
+        assert q**hull == _hull_size_bruteforce(C)
+        image = apply_monomial(C, _random_map(rng, q, C.n))
+        assert signature(image)[4] == hull
+        assert q**hull == _hull_size_bruteforce(image)
+        seen.add(hull)
+    # hulls of several sizes, the trivial one among them
+    assert 0 in seen and len(seen) >= 3
+
+
 def test_signature_invariance():
     rng = random.Random(23)
-    gf = GF(4)
-    for _ in range(5):
-        C = _random_code(rng, gf, 8, 4)
-        assert signature(apply_monomial(C, _random_map(rng, 4, 8))) == signature(C)
-        assert signature(frobenius_image(C)) == signature(C)
+    for q in (2, 3, 4):
+        gf = GF(q)
+        for _ in range(8):
+            n = rng.choice((6, 8))
+            for C in (_random_code(rng, gf, n, n // 2), _random_full_rank_code(rng, gf, n, n // 2)):
+                M = _random_map(rng, q, n)
+                assert signature(apply_monomial(C, M)) == signature(C)
+                # the scalings alone
+                scaled = MonomialMap(tuple(range(n)), M.scales)
+                assert signature(apply_monomial(C, scaled)) == signature(C)
+                if q == 4:
+                    assert signature(frobenius_image(C)) == signature(C)
 
 
 def test_frobenius_image():

@@ -29,7 +29,7 @@ from dtcodes import (
     vector_rank,
     verify_reduction_soundness,
 )
-from dtcodes import equivalence, search
+from dtcodes import equivalence, search, verify
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
@@ -240,6 +240,17 @@ def test_worker_count_is_clamped(monkeypatch):
     assert _RecordingExecutor.sizes == [2, 3]
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_must_be_positive(workers):
+    gf = GF(2)
+    with pytest.raises(ValueError, match="workers"):
+        search_dt(gf, 6, workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        search_family(gf, 6, "DC", workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        classify(gf, 6, workers=workers)
+
+
 def test_circulant_family_search():
     gf = GF(3)
     d_nc, records = search_family(gf, 4, "NC")
@@ -389,6 +400,31 @@ def test_classify_enumerates_each_code_once(monkeypatch):
     report = classify(gf, n)
     assert report.n_dc + report.n_nc > 0
     assert len(calls) == len(optimal)
+
+
+def test_classify_pair_tests_all_find_a_map(monkeypatch):
+    # the signature separates every inequivalent pair of this cell, so
+    # each code that opens no class costs one successful pair test
+    results = []
+    original = equivalence._search_map
+
+    def counting(x, y, node_cap):
+        results.append(original(x, y, node_cap))
+        return results[-1]
+
+    monkeypatch.setattr(equivalence, "_search_map", counting)
+    report = classify(GF(2), 14)
+    assert len(report.records) == 79
+    assert len(results) == 795 - 79
+    assert all(M is not None for M in results)
+
+
+def test_reduction_soundness_checks_semimonomial_before_searching(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "search_dt", lambda *a, **k: calls.append(a) or pytest.fail("searched"))
+    with pytest.raises(ValueError, match="F4 only"):
+        verify_reduction_soundness(GF(2), 8, semimonomial=True)
+    assert calls == []
 
 
 def test_reduction_soundness_enumerates_each_code_once(monkeypatch):
