@@ -181,6 +181,8 @@ def cmd_search(args) -> int:
                 }
             )
     else:
+        if args.reduction in ("C2", "C3"):
+            raise ValueError(f"the {args.reduction} filter applies to dt searches only")
         d_ref, records = search_family(gf, args.n, args.family.upper(), **common)
         for spec, mw in records:
             _emit(

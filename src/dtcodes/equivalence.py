@@ -10,18 +10,21 @@ The decision procedure here anchors on low-weight codewords:
 1. one enumeration per code groups its nonzero codewords by weight;
    the later steps read these layers;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
-   enumerator and per-column value counts over the minimum-weight
-   words, it holds the hull dimension (Hermitian over F4) and the
+   enumerator it holds the hull dimension (Hermitian over F4) and the
    sorted support co-occurrence profile of the minimum-weight words.
    Codes with different signatures are never searched, and most
-   inequivalent pairs are separated here;
+   inequivalent pairs are separated here.  Every weight layer of a
+   linear code is closed under nonzero scalars, so a column with nz
+   nonzero entries over a layer holds each nonzero value nz/(q-1)
+   times: per-column value counts add nothing to the supports;
 3. backtracking over column assignments (target column, scale factor),
    constrained by the sets W1, W2 of codewords in the lowest weight
    layers of the two codes.  A monomial map carries W1 bijectively onto
-   W2 layer by layer, so a column may only go to a column with the same
-   sorted row of co-occurrence counts over these words, and every
-   partial assignment propagates candidate bitmask sets; an empty
-   candidate set or an unreachable W2 word cuts the branch.
+   W2, so a column may only go to a column with the same sorted row of
+   co-occurrence counts over these words, and every partial assignment
+   propagates candidate bitmask sets; an empty candidate set or an
+   unreachable W2 word cuts the branch.  A map times a nonzero scalar
+   is again a map, so the first column is assigned with scale 1 only.
 4. a completed assignment is accepted only after the mapped generator
    rows of the first code all lie in the second code, checked against
    its systematic form, which makes every "True" answer sound
@@ -158,12 +161,8 @@ def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
 def _keyed(C: LinearCode) -> _Keyed:
     layers = _codewords_by_weight(C)
     coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
-    lowest = layers[min(layers)]
-    # value counts per column over the minimum-weight codewords
-    counts = (lowest[:, :, None] == np.arange(C.gf.q)).sum(axis=0).tolist()
-    profiles = tuple(sorted((c[0],) + tuple(sorted(c[1:])) for c in counts))
-    cooccurrence = tuple(sorted(_cooccurrence_rows(lowest)))
-    sig = (C.n, C.k, tuple(coeffs), profiles, _hull_dimension(C), cooccurrence)
+    cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
+    sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
     return _Keyed(C, layers, sig)
 
 
@@ -176,35 +175,33 @@ def _anchor_layers(C1: LinearCode, g1: dict, g2: dict):
     touched by an anchor codeword.
     """
     nonzero_cols = np.asarray(C1.G != 0).any(axis=0)
-    take1, take2, bounds = [], [], []
+    take1, take2 = [], []
     covered = np.zeros(C1.n, dtype=bool)
     for w in g1:
         take1.append(g1[w])
         take2.append(g2[w])
-        bounds.append(len(g1[w]))
         covered |= np.asarray(take1[-1] != 0).any(axis=0)
         if np.array_equal(covered & nonzero_cols, nonzero_cols):
             break
-    return np.vstack(take1), np.vstack(take2), bounds
+    return np.vstack(take1), np.vstack(take2)
 
 
 def signature(C: LinearCode) -> tuple:
     """Monomial-invariant fingerprint used as an equivalence pre-filter.
 
-    The tuple ``(n, k, enumerator, profiles, hull, cooccurrence)`` holds:
+    The tuple ``(n, k, enumerator, hull, cooccurrence)`` holds:
 
-    - ``n`` and ``k``;
+    - ``n``: the length;
+    - ``k``: the dimension;
     - ``enumerator``: the full weight enumerator, counts of weights 0..n;
-    - ``profiles``: the sorted multiset of per-column value profiles
-      over the minimum-weight codewords.  A column profile keeps the
-      zero count and the sorted nonzero value counts, both invariant
-      under column permutation and scaling;
     - ``hull``: the dimension of C ∩ C^⊥, Hermitian over F4;
     - ``cooccurrence``: with S the 0/1 support matrix of the
       minimum-weight codewords, the sorted multiset of the sorted rows
       of SᵀS.  Entry (i, j) counts the words nonzero in both columns i
       and j; scalings keep supports and a permutation permutes rows
-      and columns alike.
+      and columns alike.  The diagonal entry of column j is its nonzero
+      count nz, and the minimum-weight words are closed under nonzero
+      scalars, so column j holds each nonzero value nz/(q-1) times.
 
     Every entry is also unchanged by the F4 Frobenius map, so a code
     and its conjugate share the signature.
@@ -224,19 +221,9 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
     if len(zero1) != len(zero2):
         return None
 
-    W1, W2, bounds = _anchor_layers(C1, x.layers, y.layers)
+    W1, W2 = _anchor_layers(C1, x.layers, y.layers)
     N = len(W1)
-
-    # Candidate bitmasks: W1 row i may map onto W2 row x only inside
-    # its own weight layer.
-    layer_masks = []
     full = (1 << N) - 1
-    start = 0
-    for size in bounds:
-        mask = ((1 << size) - 1) << start
-        layer_masks.extend([mask] * size)
-        start += size
-    init_cand = list(layer_masks)
 
     # mask2[p][v]: which W2 rows hold value v in column p.
     mask2 = [[0] * q for _ in range(n)]
@@ -246,19 +233,19 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         for p in range(n):
             mask2[p][int(row[p])] |= bit
 
-    hist1 = [tuple(np.bincount(W1[:, j], minlength=q).tolist()) for j in range(n)]
     # column j of W1 as Python ints, built once for the whole search
     vals1 = W1.T.tolist()
-    hist2 = [tuple(np.bincount(W2[:, j], minlength=q).tolist()) for j in range(n)]
 
     cols1 = [j for j in range(n) if j not in set(zero1)]
     cols2 = [p for p in range(n) if p not in set(zero2)]
     # Most-constrained first: columns touched by many anchor words
     # propagate the most information.
-    cols1.sort(key=lambda j: (hist1[j][0], j))
+    nonzero1 = np.count_nonzero(W1, axis=0)
+    cols1.sort(key=lambda j: (-nonzero1[j], j))
     # The map permutes the anchor words and the columns together, so
     # column j can land only on a column p with the same sorted row of
-    # anchor co-occurrence counts.
+    # anchor co-occurrence counts, and so with the same value counts
+    # (scalar closure, see the module docstring).
     co1 = _cooccurrence_rows(W1)
     co2 = _cooccurrence_rows(W2)
     targets = {j: [p for p in cols2 if co2[p] == co1[j]] for j in cols1}
@@ -292,17 +279,14 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
             return verify()
         j = cols1[depth]
         col_vals = vals1[j]
-        h1 = hist1[j]
         for p in targets[j]:
             if used[p]:
                 continue
             m2p = mask2[p]
-            h2p = hist2[p]
-            for lam in scales:
+            # A map times a nonzero scalar is again a map, so the first
+            # column holds a map under scale lam only if it does under 1.
+            for lam in scales if depth else (1,):
                 mul_row = gf.mul_table[lam]
-                # equal zero counts already hold for every target
-                if any(h1[v] != h2p[mul_row[v]] for v in range(1, q)):
-                    continue
                 nodes += 1
                 if nodes > node_cap:
                     raise UndecidedError(
@@ -326,10 +310,9 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
                 if descend(depth + 1, new_cand):
                     return True
                 used[p] = False
-        perm[j] = -1
         return False
 
-    if descend(0, init_cand):
+    if descend(0, [full] * N):
         return MonomialMap(tuple(perm), tuple(scale))
     return None
 

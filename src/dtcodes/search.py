@@ -31,7 +31,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,15 +92,7 @@ class SearchConfig:
     partitions: int
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "family": self.family,
-            "reduction": self.reduction,
-            "mode": self.mode,
-            "d": self.d,
-            "partitions": self.partitions,
-        }
+        return asdict(self)
 
 
 def vector_rank(a) -> int:
@@ -418,6 +410,8 @@ def _search(
         raise ValueError(f"unknown search mode {mode!r}")
     if mode != "find-optimal" and (d is None or d < 1):
         raise ValueError(f"mode {mode!r} needs a positive target weight d")
+    if mode == "find-optimal" and d is not None:
+        raise ValueError("mode 'find-optimal' takes no target weight d")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     q = gf.q

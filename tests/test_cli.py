@@ -159,6 +159,21 @@ def test_negative_workers_exit_2(capsys, command):
     assert "workers must be positive" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--q", "3", "--n", "4", "--mode", "find-optimal", "--d", "3"),
+        ("--q", "2", "--n", "4", "--family", "dc", "--reduction", "C2"),
+        ("--q", "3", "--n", "4", "--family", "nc", "--reduction", "C3"),
+    ],
+)
+def test_ignored_search_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, "search", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_classify_json(capsys):
     code, out, err = run(capsys, "classify", "--q", "2", "--n", "12")
     assert code == 0

@@ -155,14 +155,81 @@ def test_hull_dimension_matches_bruteforce(q):
         codes.append(_random_full_rank_code(rng, gf, n, k))
     seen = set()
     for C in codes:
-        hull = signature(C)[4]
+        hull = signature(C)[3]
         assert q**hull == _hull_size_bruteforce(C)
         image = apply_monomial(C, _random_map(rng, q, C.n))
-        assert signature(image)[4] == hull
+        assert signature(image)[3] == hull
         assert q**hull == _hull_size_bruteforce(image)
         seen.add(hull)
     # hulls of several sizes, the trivial one among them
     assert 0 in seen and len(seen) >= 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_weight_layers_are_closed_under_scalars(q):
+    # the fact that lets the search drop value counts and fix the first
+    # column's scale: checked here codeword by codeword
+    rng = random.Random(59 + q)
+    gf = GF(q)
+    codes = [double_toeplitz_code(T) for T in rng.sample(list(enumerate_triples(gf, 3)), 6)]
+    for _ in range(6):
+        n = rng.choice((4, 6, 8))
+        k = rng.randrange(1, min(n, 8 // q + 3))
+        codes.append(_random_code(rng, gf, n, k))
+        codes.append(_random_full_rank_code(rng, gf, n, k))
+    for C in codes:
+        for w, layer in equivalence._codewords_by_weight(C).items():
+            words = {tuple(int(x) for x in row) for row in layer}
+            assert len(words) == len(layer)
+            for s in range(1, q):
+                assert {tuple(gf.mul(s, x) for x in word) for word in words} == words
+            for j in range(C.n):
+                column = [word[j] for word in words]
+                nz = sum(x != 0 for x in column)
+                assert nz % (q - 1) == 0
+                for v in range(1, q):
+                    assert column.count(v) == nz // (q - 1), (w, j, v)
+
+
+# (q, source triple, image triple or a map applied to the source, the
+# map find_monomial_map returns)
+_GOLDEN_MAPS = [
+    (3, (0, (1, 1, 1), (1, 1, 1)), (0, (1, 1, 1), (2, 2, 1)), None,
+     ((2, 3, 6, 0, 1, 4, 5, 7), (1, 1, 1, 2, 1, 2, 2, 1))),
+    (4, (1, (2, 1), (1, 2)), (1, (3, 1), (1, 3)), None,
+     ((0, 1, 2, 3, 5, 4), (1, 1, 3, 1, 3, 3))),
+    (3, (1, (0, 1, 1), (1, 1, 0)), None,
+     ((3, 0, 5, 2, 7, 4, 1, 6), (2, 1, 2, 1, 2, 1, 2, 1)),
+     ((3, 5, 2, 0, 1, 4, 6, 7), (1, 1, 2, 2, 1, 2, 2, 1))),
+    (4, (1, (0, 3, 1), (1, 1, 2)), None,
+     ((3, 0, 5, 2, 7, 4, 1, 6), (2, 1, 3, 2, 1, 3, 2, 1)),
+     ((5, 0, 3, 1, 6, 4, 2, 7), (2, 1, 3, 2, 3, 3, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("q,source,image,applied,expected", _GOLDEN_MAPS)
+def test_find_monomial_map_golden(q, source, image, applied, expected):
+    gf = GF(q)
+    C = double_toeplitz_code(ToeplitzTriple(gf, *source))
+    if image is None:
+        D = apply_monomial(C, MonomialMap(*applied))
+    else:
+        D = double_toeplitz_code(ToeplitzTriple(gf, *image))
+    M = find_monomial_map(C, D)
+    assert (M.perm, M.scales) == expected
+    assert _codeword_set(apply_monomial(C, M)) == _codeword_set(D)
+
+
+def test_search_node_count_without_a_map():
+    # Frobenius conjugates with equal signatures and no monomial map; the
+    # search fixes the first column's scale, so it decides in 109 nodes
+    gf = GF(4)
+    C1 = double_toeplitz_code(ToeplitzTriple(gf, 0, (1, 1, 1), (1, 1, 2)))
+    C2 = double_toeplitz_code(ToeplitzTriple(gf, 0, (1, 1, 1), (1, 1, 3)))
+    assert signature(C1) == signature(C2)
+    assert find_monomial_map(C1, C2, node_cap=109) is None
+    with pytest.raises(UndecidedError):
+        find_monomial_map(C1, C2, node_cap=108)
 
 
 def test_signature_invariance():

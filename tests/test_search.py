@@ -276,6 +276,11 @@ def test_search_argument_validation():
         search_dt(gf, 6, reduction="C3")
     with pytest.raises(ValueError):
         search_dt(GF(3), 6, reduction="C2")
+    # a target weight means nothing to a find-optimal pass
+    with pytest.raises(ValueError, match="no target weight"):
+        search_dt(gf, 6, d=3)
+    with pytest.raises(ValueError, match="no target weight"):
+        search_family(gf, 6, "DC", d=3)
 
 
 def test_triple_budget():
@@ -327,6 +332,32 @@ def test_checkpoint_config_mismatch(tmp_path):
         search_dt(gf, 6, reduction="none", partitions=2, checkpoint_path=path)
     with pytest.raises(CheckpointError):
         search_dt(gf, 6, reduction="C2", partitions=3, checkpoint_path=path)
+
+
+# search_dt(GF(2), 6, reduction="C2", partitions=2) with both chunks done
+_RECORDED_CHECKPOINT = {
+    "version": 2,
+    "config": {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-optimal",
+               "d": None, "partitions": 2},
+    "chunks": {
+        "0": [3, [[0, [1, 1], [1, 1], 3]]],
+        "1": [3, [[1, [1, 0], [1, 0], 3], [1, [0, 1], [1, 0], 3], [1, [1, 1], [0, 1], 3]]],
+    },
+}
+
+
+def test_recorded_checkpoint_resumes_without_scanning(tmp_path, monkeypatch):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_RECORDED_CHECKPOINT))
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
+    d, records = search_dt(GF(2), 6, reduction="C2", partitions=2, checkpoint_path=str(path))
+    assert d == 3
+    assert [(_key(T), mw) for T, mw in records] == [
+        ((0, (1, 1), (1, 1)), 3),
+        ((1, (1, 0), (1, 0)), 3),
+        ((1, (0, 1), (1, 0)), 3),
+        ((1, (1, 1), (0, 1)), 3),
+    ]
 
 
 def test_checkpoint_version_guard(tmp_path):
