@@ -241,16 +241,20 @@ def _message_blocks(q: int, k: int, block: int = _BLOCK_ROWS):
 
 
 def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
-    """All weight-w messages of length k, grouped into blocks.
+    """The projective weight-w messages of length k, grouped into blocks.
 
-    Supports come from ``itertools.combinations`` in lexicographic
-    order; for q > 2 each support carries every pattern of nonzero
-    values.
+    A message and its nonzero scalar multiples give codewords of one
+    weight, so only the C(k, w) (q-1)^(w-1) messages whose first
+    nonzero entry is 1 are listed.  Supports come from
+    ``itertools.combinations`` in lexicographic order; for q > 2 each
+    support carries every pattern of nonzero values after its leading 1.
     """
     if w == 0:
         yield np.zeros((1, k), dtype=np.int8)
         return
-    nonzero = np.array(list(itertools.product(range(1, q), repeat=w)), dtype=np.int8)
+    nonzero = np.array(
+        [(1, *rest) for rest in itertools.product(range(1, q), repeat=w - 1)], dtype=np.int8
+    )
     nv = len(nonzero)
     sup_per_block = max(1, block // nv)
     support_iter = itertools.combinations(range(k), w)
@@ -280,8 +284,8 @@ def weight_enumerator(C: LinearCode) -> WeightEnumerator:
 
 
 def _layer_min(gf: GF, k: int, w: int, B: np.ndarray, best: int, stop: int) -> int:
-    """min(best, w + wt(u B)) over the weight-w messages u, stopping at
-    the first block that brings it to ``stop`` or below."""
+    """min(best, w + wt(u B)) over the projective weight-w messages u,
+    stopping at the first block that brings it to ``stop`` or below."""
     if best <= stop:
         return best
     for msgs in _weight_layer_blocks(gf.q, k, w):

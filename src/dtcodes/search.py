@@ -13,16 +13,19 @@ equivalence classes:
                    by a nonzero constant gives an equivalent code, so
                    one representative per scalar orbit suffices.
 
-Every search is one pass over blocks of filtered candidates.  A
-"find-optimal" pass keeps the attainers of its running best minimum
-weight and drops them when the best rises; "collect-at" and "at-least"
-passes keep the candidates at or above a fixed target.  The prefix
-space (t, a), or the first rows of a circulant family, is split into
-contiguous chunks which can run on worker processes.  Each chunk
-returns its best and its attainers; the search keeps the attainers of
-the chunks whose best is the maximum, in chunk order, so output is
-identical for any worker or partition count.  Each completed chunk can
-be checkpointed to JSON.
+Every search is one pass over blocks of filtered candidates.  Each
+block is packed once into uint64 bit-planes of the scalar multiples of
+its rows; a projective message's right half is then an XOR of packed
+rows (a bitsliced adder over F3) and its weight a popcount, which gives
+the block's minimum weights capped at a threshold.  A "find-optimal"
+pass keeps the attainers of its running best minimum weight and drops
+them when the best rises; "collect-at" and "at-least" passes keep the
+candidates at or above a fixed target.  The prefix space (t, a), or
+the first rows of a circulant family, is split into contiguous chunks
+which can run on worker processes.  Each chunk returns its best and
+its attainers; the search keeps the attainers of the chunks whose best
+is the maximum, in chunk order, so output is identical for any worker
+or partition count.  Each completed chunk can be checkpointed to JSON.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .equivalence import _check_semimonomial, dedupe_into_classes
-from .gf import GF, gf_matmul
+from .gf import GF
 from .linear import (
     BudgetExceededError,
     LinearCode,
@@ -72,7 +75,8 @@ CHECKPOINT_VERSION = 2
 DEFAULT_TRIPLE_BUDGET = 1 << 26
 
 _B_BLOCK = 4096
-_MATMUL_ELEM_BUDGET = 8 << 20
+# Bytes of packed words that one batch step gathers per message term.
+_PACKED_BYTE_BUDGET = 1 << 20
 
 
 class CheckpointError(RuntimeError):
@@ -149,8 +153,19 @@ def _resolve_reduction(q: int, reduction: str) -> str:
 # batched minimum-weight evaluation
 
 
+# The packed word of each element code at entry 0, with bit 0 in plane 0
+# and bit 32 in plane 1: F2 x; F3 [x == 1], [x == 2]; F4 the coordinates
+# of x = x0 + w x1.
+_ENTRY_WORD = {2: (0, 1), 3: (0, 1, 1 << 32), 4: (0, 1, 1 << 32, 1 | 1 << 32)}
+
+
 class _MessageCache:
-    """The messages of each weight over F_q^m, built once per weight."""
+    """The projective messages of each weight over F_q^m, built once per weight.
+
+    A message is kept as the packed-word columns (see :func:`_pack_rows`)
+    of the scalar multiples that it sums, one column per support entry
+    in increasing order.
+    """
 
     def __init__(self, q: int, m: int):
         self.q = q
@@ -158,31 +173,98 @@ class _MessageCache:
         self._layers: dict[int, np.ndarray] = {}
 
     def layer(self, w: int) -> np.ndarray:
+        """(messages, w) packed-word columns of the weight-w messages."""
         if w not in self._layers:
-            self._layers[w] = np.vstack(list(_weight_layer_blocks(self.q, self.m, w)))
+            U = np.vstack(list(_weight_layer_blocks(self.q, self.m, w)))
+            support = np.nonzero(U)[1].reshape(len(U), w)
+            scalar_index = U[np.arange(len(U))[:, None], support] - 1
+            self._layers[w] = support * (self.q - 1) + scalar_index
         return self._layers[w]
 
 
-def _batch_min_weight_capped(gf: GF, A: np.ndarray, T: int, cache: _MessageCache) -> np.ndarray:
+def _pack_rows(gf: GF, A: np.ndarray) -> np.ndarray:
+    """The nonzero scalar multiples of the rows of each block, as uint64 words.
+
+    Returns a (blocks, m (q-1)) array whose column r (q-1) + s - 1 packs
+    s A[:, r], entry j at bit j of each plane: F2 has one plane; F4 has
+    its two GF(2) coordinates and F3 the one-hot planes [x == 1] and
+    [x == 2], in bits 0-31 and 32-63.  A sum over F2 or F4 is then an
+    XOR of words.  A negation over F3 swaps the two halves, and columns
+    c and c ^ 1 hold the two multiples of one row, negatives of each
+    other.  Raises ValueError when a row is wider than a plane.
+    """
+    q = gf.q
+    blocks, rows, m = A.shape
+    width = 64 if q == 2 else 32
+    if m > width:
+        raise ValueError(f"block width m={m} exceeds the {width} entries of a packed F{q} plane")
+    # table[s-1, x, j]: the word of s x at entry j
+    entry_word = np.array(_ENTRY_WORD[q], dtype=np.uint64)
+    table = entry_word[gf.mul_table[1:]][:, :, None] << np.arange(m, dtype=np.uint64)
+    scalars = np.arange(q - 1)[:, None, None, None]
+    words = table[scalars, A[None], np.arange(m)].sum(axis=-1)  # distinct bits: sum is OR
+    return words.transpose(1, 2, 0).reshape(blocks, rows * (q - 1))
+
+
+def _f3_add(x, xn, y, yn):
+    """(x + y, -(x + y)) of packed F3 words x and y, given with their negations.
+
+    The bitsliced one-hot sum (Boothby and Bradshaw, arXiv:0901.1413):
+    with t = (x1 | y2) ^ (x2 | y1), the sum has planes (x2 | y2) ^ t and
+    (x1 | y1) ^ t.  A negation swaps the two halves of a word, so the
+    pair of words holds both halves of each formula.
+    """
+    t = (x | yn) ^ (xn | y)
+    return (xn | yn) ^ t, (x | y) ^ t
+
+
+def _message_weights(q: int, PT: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Weights of u A for the messages ``cols``, shape (messages, blocks).
+
+    ``PT`` holds the packed words of the blocks, one row per column of
+    :func:`_pack_rows`.  Over F2 and F4 the right half u A is the XOR of
+    the message's terms.  Over F3 the last term is compared instead of
+    added: a sum x + y is zero exactly where x equals -y, so u A has the
+    weight of x ^ (-y), with x the sum of the other terms.
+    """
+    if q == 3:
+        acc = PT[cols[:, -1] ^ 1]
+        if cols.shape[1] > 1:
+            x, xn = PT[cols[:, 0]], PT[cols[:, 0] ^ 1]
+            for c in cols[:, 1:-1].T:
+                x, xn = _f3_add(x, xn, PT[c], PT[c ^ 1])
+            acc ^= x
+    else:
+        acc = PT[cols[:, -1]]
+        for c in cols[:, :-1].T:
+            acc ^= PT[c]
+    if q == 2:
+        return np.bitwise_count(acc)
+    # an entry is nonzero when either of its plane bits is set
+    halves = acc.view(np.uint32)
+    return np.bitwise_count(halves[:, 0::2] | halves[:, 1::2])
+
+
+def _batch_min_weight_capped(P: np.ndarray, T: int, cache: _MessageCache) -> np.ndarray:
     """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i).
 
+    ``P`` holds the packed rows of the blocks A_i (:func:`_pack_rows`).
     A codeword of weight below T comes from a message of weight below
-    T, so the messages of weight 1..T-1 give d_i exactly when d_i < T,
-    and a value of T proves d_i >= T.  They are scanned by ascending
-    weight w; messages of weight above w give codewords of weight
-    above w, so a code whose lowest weight so far is at most w + 1 is
-    settled and leaves the scan.
+    T, so the projective messages of weight 1..T-1 give d_i exactly
+    when d_i < T, and a value of T proves d_i >= T.  They are scanned by
+    ascending weight w; messages of weight above w give codewords of
+    weight above w, so a code whose lowest weight so far is at most
+    w + 1 is settled and leaves the scan.
     """
-    out = np.full(len(A), T, dtype=np.int64)
-    alive = np.arange(len(A))
-    m = A.shape[1]
-    for w in range(1, min(T, m + 1)):
-        U = cache.layer(w)
-        step = max(1, _MATMUL_ELEM_BUDGET // (len(U) * m))
+    out = np.full(len(P), T, dtype=np.int64)
+    alive = np.arange(len(P))
+    for w in range(1, min(T, cache.m + 1)):
+        cols = cache.layer(w)
+        step = max(1, _PACKED_BYTE_BUDGET // (8 * len(cols)))
         for lo in range(0, len(alive), step):
             idx = alive[lo : lo + step]
-            right = gf_matmul(gf, U, A[idx])  # (len(idx), len(U), m)
-            low = w + np.count_nonzero(right, axis=2).min(axis=1)
+            PT = np.ascontiguousarray(P[idx].T)
+            low = w + _message_weights(cache.q, PT, cols).min(axis=0)
             out[idx] = np.minimum(out[idx], low)
         alive = alive[out[alive] > w + 1]
         if not len(alive):
@@ -312,14 +394,15 @@ def _scan_chunk(args) -> tuple[int, list]:
     cache = _MessageCache(q, n // 2)
     best, found = d, []
     for A, record in _candidate_blocks(gf, n, family, reduction, range(lo, hi), range):
+        P = _pack_rows(gf, A)
         if mode == "at-least":
-            for off in np.flatnonzero(_batch_min_weight_capped(gf, A, d, cache) >= d):
+            for off in np.flatnonzero(_batch_min_weight_capped(P, d, cache) >= d):
                 found.append(record(off, minimum_weight(LinearCode.systematic(gf, A[off]))))
             continue
         # candidates of the block that may still attain or raise the best
         pending = np.arange(len(A))
         while len(pending):
-            capped = _batch_min_weight_capped(gf, A[pending], best + 1, cache)
+            capped = _batch_min_weight_capped(P[pending], best + 1, cache)
             above = pending[capped > best] if mode == "find-optimal" else pending[:0]
             if not len(above):
                 found += [record(i, best) for i in pending[capped == best]]

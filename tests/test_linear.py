@@ -1,5 +1,8 @@
 """Linear code container, weight routines, duality."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -227,6 +230,21 @@ def test_minimum_weight_matches_enumerator_oracle(drawn):
     assert minimum_weight(C) == d
     for t in range(C.n + 2):
         assert min_weight_at_least(C, t) == (d >= t)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_weight_layers_are_projective(q):
+    gf = GF(q)
+    k = 5
+    for w in range(1, k + 1):
+        # blocks of 7 rows split every layer with more than one support
+        layer = np.vstack(list(linear._weight_layer_blocks(q, k, w, 7)))
+        assert len(layer) == math.comb(k, w) * (q - 1) ** (w - 1)
+        assert (np.count_nonzero(layer, axis=1) == w).all()
+        assert (layer[np.arange(len(layer)), np.argmax(layer != 0, axis=1)] == 1).all()
+        multiples = [tuple(gf.mul_table[s, u]) for u in layer for s in range(1, q)]
+        full = [u for u in itertools.product(range(q), repeat=k) if k - u.count(0) == w]
+        assert sorted(multiples) == sorted(full)
 
 
 def test_layer_scan_stops_at_the_first_light_block(monkeypatch):

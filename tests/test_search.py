@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import math
 import os
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtcodes import (
     GF,
@@ -21,6 +24,7 @@ from dtcodes import (
     double_negacirculant_code,
     double_toeplitz_code,
     enumerate_triples,
+    gf_matmul,
     minimum_weight,
     passes_reduction,
     search_dt,
@@ -35,7 +39,9 @@ from dtcodes.search import (
     SearchConfig,
     _batch_min_weight_capped,
     _chunk_ranges,
+    _f3_add,
     _MessageCache,
+    _pack_rows,
     _payload_to_triple,
     _scan_chunk,
 )
@@ -298,8 +304,122 @@ def test_capped_batch_matches_minimum_weight(q):
         A = rng.integers(0, q, size=(12, m, m), dtype=np.int8)
         exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in A]
         for T in range(1, m + 2):
-            got = _batch_min_weight_capped(gf, A, T, cache)
+            got = _batch_min_weight_capped(_pack_rows(gf, A), T, cache)
             assert got.tolist() == [min(d, T) for d in exact], (m, T)
+
+
+def _table_product(gf: GF, U: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """U A over the field by mul_table/add_table lookups, one row of A at a time."""
+    right = np.zeros((len(U), A.shape[1]), dtype=np.int8)
+    for r in range(A.shape[0]):
+        right = gf.add_table[right, gf.mul_table[U[:, r, None], A[r]]]
+    return right
+
+
+def _full_layer(q: int, m: int, w: int) -> np.ndarray:
+    """Every weight-w message of length m, each nonzero value pattern included."""
+    rows = [
+        [values[support.index(i)] if i in support else 0 for i in range(m)]
+        for support in itertools.combinations(range(m), w)
+        for values in itertools.product(range(1, q), repeat=w)
+    ]
+    return np.array(rows, dtype=np.int8).reshape(-1, m)
+
+
+def _capped_oracle(gf: GF, A: np.ndarray, T: int, product) -> int:
+    """min(d, T) of (I | A) from the full message layers of weight below T.
+
+    Messages of weight w or more give codewords of weight w or more, so
+    the scan stops once the best weight found is at most w.
+    """
+    best = T
+    for w in range(1, min(T, A.shape[0] + 1)):
+        if best <= w:
+            break
+        right = product(gf, _full_layer(gf.q, len(A), w), A)
+        best = min(best, w + int(np.count_nonzero(right, axis=1).min()))
+    return best
+
+
+# Largest full message count a drawn random block may make the oracles scan.
+_ORACLE_MESSAGES = 1 << 15
+
+
+@st.composite
+def _capped_batches(draw):
+    """(q, blocks, T): zero, identity, repeated-row and random m x m blocks."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(1, 12))
+    kinds = draw(
+        st.lists(st.sampled_from(["zero", "identity", "repeated", "random"]), min_size=1, max_size=4)
+    )
+    blocks = []
+    for kind in kinds:
+        if kind == "zero":
+            A = np.zeros((m, m), dtype=np.int8)
+        elif kind == "identity":
+            A = np.eye(m, dtype=np.int8)
+        else:
+            flat = draw(st.lists(st.integers(0, q - 1), min_size=m * m, max_size=m * m))
+            A = np.array(flat, dtype=np.int8).reshape(m, m)
+            if kind == "repeated" and m > 1:
+                i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+                A[j] = GF(q).mul_table[draw(st.integers(1, q - 1)), A[i]]
+        blocks.append(A)
+    top = m + 2
+    if "random" in kinds:
+        # a random block can have a large minimum weight: bound the oracle's scan
+        scanned = itertools.accumulate(math.comb(m, w) * (q - 1) ** w for w in range(1, m + 1))
+        top = min(top, 1 + sum(1 for c in scanned if c <= _ORACLE_MESSAGES))
+    return q, np.stack(blocks), draw(st.integers(1, top))
+
+
+@settings(deadline=None, max_examples=120)
+@given(drawn=_capped_batches())
+@example(drawn=(4, np.stack([np.zeros((12, 12), np.int8), np.eye(12, dtype=np.int8)]), 14))
+@example(drawn=(3, np.ones((1, 12, 12), np.int8), 14))
+@example(drawn=(2, np.ones((1, 1, 1), np.int8), 3))
+def test_packed_capped_batch_matches_product_oracles(drawn):
+    q, A, T = drawn
+    gf = GF(q)
+    got = _batch_min_weight_capped(_pack_rows(gf, A), T, _MessageCache(q, A.shape[-1]))
+    assert got.tolist() == [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in A]
+    assert got.tolist() == [_capped_oracle(gf, Ai, T, _table_product) for Ai in A]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_packed_multiples_match_mul_table(q):
+    # plane p holds entry j at bit 32 p + j, and the element code is
+    # plane0 + 2 plane1 for every field: F3 one-hot, F4 coordinates
+    gf = GF(q)
+    A = np.random.default_rng(q).integers(0, q, size=(5, 4, 7), dtype=np.int8)
+    P = _pack_rows(gf, A)
+    assert P.shape == (5, 4 * (q - 1)) and P.dtype == np.uint64
+    j = np.arange(7, dtype=np.uint64)
+    plane0 = (P[..., None] >> j) & np.uint64(1)
+    plane1 = (P[..., None] >> (j + np.uint64(32))) & np.uint64(1)
+    if q == 3:
+        assert not (plane0 & plane1).any()
+    decoded = (plane0 + 2 * plane1).reshape(5, 4, q - 1, 7)
+    for s in range(1, q):
+        assert (decoded[:, :, s - 1] == gf.mul_table[s, A]).all(), s
+
+
+def test_f3_adder_matches_the_field_table():
+    gf = GF(3)
+    word = [np.uint64(0), np.uint64(1), np.uint64(1 << 32)]  # one-hot: bit 0 for 1, bit 32 for 2
+    assert [_pack_rows(gf, np.full((1, 1, 1), x, np.int8))[0, 0] for x in range(3)] == word
+    for x, y in itertools.product(range(3), repeat=2):
+        z = gf.add(x, y)
+        got = _f3_add(word[x], word[gf.neg(x)], word[y], word[gf.neg(y)])
+        assert got == (word[z], word[gf.neg(z)]), (x, y)
+
+
+@pytest.mark.parametrize("q, m", [(2, 65), (3, 33), (4, 33)])
+def test_packer_rejects_a_block_wider_than_its_planes(q, m):
+    with pytest.raises(ValueError, match=f"m={m}"):
+        _pack_rows(GF(q), np.zeros((1, m, m), dtype=np.int8))
+    assert _pack_rows(GF(q), np.eye(m - 1, dtype=np.int8)[None]).shape == (1, (m - 1) * (q - 1))
 
 
 def test_checkpoint_round_trip(tmp_path):
