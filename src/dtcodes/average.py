@@ -1,24 +1,14 @@
 """Average weight enumerator of the double Toeplitz family.
 
-For even n let Omega be the set of all q^(n-1) double Toeplitz [n, n/2]
-codes.  The average weight enumerator
+For even n the q^(n-1) double Toeplitz [n, n/2] codes have the summed
+weight enumerator (C(n/2, j) vanishes for j > n/2)
 
-    Psi_{q,n}(y) = sum over C in Omega of W_C(y)
+    Psi_{q,n}(y) = q^(n-1) + q^(n/2-1) sum_{j>=1} (C(n,j) - C(n/2,j)) (q-1)^j y^j.
 
-has the closed form
-
-    Psi = q^(n-1) + q^(n/2-1) * sum_{j>=1} (C(n,j) - C(n/2,j)) (q-1)^j y^j
-
-(the binomial C(n/2, j) vanishes for j > n/2, so the one expression
-covers both the j <= n/2 and j > n/2 ranges).  Averaging gives an
-existence test: if the codes jointly carry fewer low-weight words than
-one word per code, some code has none, so
-
-    sum_{i=1}^{d-1} psi_{q,n,i} < q^(n-1) * (q-1)
-
-guarantees a double Toeplitz [n, n/2, >= d] code.  The smallest n from
-which the test holds at every even length, with a proof for the whole
-tail, is computed by :func:`minimal_guaranteed_length`.
+If they jointly carry fewer words of weight 1..d-1 than one per code,
+some code has none; :func:`existence_bound_holds` tests this divided by
+q^(n/2-1), U - V < q^(n/2) (q-1), and :func:`minimal_guaranteed_length`
+bisects its monotone tail certificate and scans down to the threshold.
 """
 
 from __future__ import annotations
@@ -72,45 +62,55 @@ def average_weight_enumerator_bruteforce(gf: GF, n: int) -> WeightEnumerator:
     return WeightEnumerator(n, coeffs)
 
 
-def existence_bound_holds(gf: GF, n: int, d: int) -> bool:
-    """Strict averaging inequality guaranteeing an [n, n/2, >= d] code.
+def _low_weight_sums(q: int, n: int, d: int) -> tuple[int, int]:
+    """(U, V) = (sum_{j<d} C(n,j) (q-1)^j, sum_{j<d} C(n/2,j) (q-1)^j) by running
+    terms t_{j+1} = t_j (n-j) // (j+1) (q-1), exact as C(n,j) (n-j) = C(n,j+1) (j+1)."""
+    U = V = 0
+    u = v = 1
+    for j in range(d):
+        U += u
+        V += v
+        u = u * (n - j) // (j + 1) * (q - 1)
+        v = v * (n // 2 - j) // (j + 1) * (q - 1)
+    return U, V
 
-    True iff sum_{i=1}^{d-1} psi_{q,n,i} < q^(n-1) * (q-1).
-    """
+
+def existence_bound_holds(gf: GF, n: int, d: int) -> bool:
+    """Whether sum_{0<i<d} psi_{q,n,i} < q^(n-1) (q-1), which guarantees an [n, n/2, >= d]
+    code; tested divided by q^(n/2-1), as U - V < q^(n/2) (q-1)."""
     _check_even(n)
     if d < 1:
         raise ValueError(f"minimum weight target must be positive, got {d}")
-    q = gf.q
-    low_weight_total = sum(_psi_coeff(q, n, j) for j in range(1, d))
-    return low_weight_total < q ** (n - 1) * (q - 1)
+    U, V = _low_weight_sums(gf.q, n, d)
+    return U - V < gf.q ** (n // 2) * (gf.q - 1)
 
 
 def _tail_certified(q: int, n: int, d: int) -> bool:
     """Whether the existence bound provably holds at every even length >= n.
 
-    U(n) = sum_{j<d} C(n,j) (q-1)^j bounds the low-weight sum divided
-    by q^(n/2-1), so U(n) < q^(n/2) (q-1) proves the bound at n.  The
-    ratio C(n+2,j) / C(n,j) = (n+2)(n+1) / ((n+2-j)(n+1-j)) grows with
-    j and shrinks with n, so if it is at most q at j = d-1 then every
-    later step n -> n+2 multiplies U by at most q while the right side
-    grows by exactly q.  For d > n the first test fails (U(n) = q^n).
+    U < q^(n/2) (q-1) proves it at n, as U >= U - V.  C(n+2,j) / C(n,j) =
+    (n+2)(n+1) / ((n+2-j)(n+1-j)) grows with j and shrinks with n; at most q
+    at j = d-1, it keeps U(n+2) <= q U(n) and holds again at n+2, so the
+    certificate is monotone in n.  For d > n, U = q^n fails the first test.
     """
-    U = sum(math.comb(n, j) * (q - 1) ** j for j in range(d))
+    U, _ = _low_weight_sums(q, n, d)
     return U < q ** (n // 2) * (q - 1) and (n + 2) * (n + 1) <= q * (n + 3 - d) * (n + 2 - d)
 
 
 def minimal_guaranteed_length(gf: GF, d: int) -> int:
     """Smallest even n such that the existence bound holds at every even length >= n.
 
-    Even lengths are tested exactly, upward, until one carries the tail
-    certificate of :func:`_tail_certified`; the threshold is the last
-    failing length plus 2.
+    Gallops n = 2, 4, 8, ... and bisects to the first certified length N,
+    then scans down: the threshold is the last failing length below N plus 2.
     """
     if not 1 <= d <= _MAX_SUPPORTED_D:
         raise ValueError(f"supported minimum weights are 1..{_MAX_SUPPORTED_D}, got {d}")
-    threshold = n = 2
-    while not _tail_certified(gf.q, n, d):
-        if not existence_bound_holds(gf, n, d):
-            threshold = n + 2
-        n += 2
-    return threshold
+    low, high = 0, 2  # low is 0 or uncertified; high is certified once the gallop stops
+    while not _tail_certified(gf.q, high, d):
+        low, high = high, 2 * high
+    while high - low > 2:
+        mid = (low + high) // 4 * 2
+        low, high = (low, mid) if _tail_certified(gf.q, mid, d) else (mid, high)
+    while high > 2 and existence_bound_holds(gf, high - 2, d):
+        high -= 2
+    return high

@@ -20,6 +20,7 @@ import os
 import sys
 
 from .average import (
+    _MAX_SUPPORTED_D,
     average_weight_enumerator,
     average_weight_enumerator_bruteforce,
     existence_bound_holds,
@@ -132,8 +133,8 @@ def cmd_awe(args) -> int:
     if args.table:
         if args.dmin is None or args.dmax is None:
             raise ValueError("--table needs --dmin and --dmax")
-        if args.dmin < 1 or args.dmax < args.dmin:
-            raise ValueError("need 1 <= dmin <= dmax")
+        if not 1 <= args.dmin <= args.dmax <= _MAX_SUPPORTED_D:
+            raise ValueError(f"need 1 <= dmin <= dmax <= {_MAX_SUPPORTED_D}")
         sys.stdout.write("d,n\n")
         for d in range(args.dmin, args.dmax + 1):
             sys.stdout.write(f"{d},{minimal_guaranteed_length(gf, d)}\n")

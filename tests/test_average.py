@@ -14,7 +14,8 @@ from dtcodes import (
     existence_bound_holds,
     minimal_guaranteed_length,
 )
-from dtcodes.average import _tail_certified
+from dtcodes import average
+from dtcodes.average import _psi_coeff, _tail_certified
 from dtcodes.reference_data import GUARANTEED_LENGTH
 
 
@@ -124,3 +125,65 @@ def test_trivial_target_weight():
     # d = 1 imposes an empty sum, so the bound holds from n = 2 on
     for q in (2, 3, 4):
         assert minimal_guaranteed_length(GF(q), 1) == 2
+
+
+def _upward_scan_threshold(gf, d):
+    # the thresholds as first computed, kept as the oracle: the exact
+    # psi sum at every even length, upward to the first certified one
+    def existence_bound_holds(gf, n, d):
+        q = gf.q
+        low_weight_total = sum(_psi_coeff(q, n, j) for j in range(1, d))
+        return low_weight_total < q ** (n - 1) * (q - 1)
+
+    def _tail_certified(q, n, d):
+        U = sum(math.comb(n, j) * (q - 1) ** j for j in range(d))
+        return U < q ** (n // 2) * (q - 1) and (n + 2) * (n + 1) <= q * (n + 3 - d) * (n + 2 - d)
+
+    threshold = n = 2
+    while not _tail_certified(gf.q, n, d):
+        if not existence_bound_holds(gf, n, d):
+            threshold = n + 2
+        n += 2
+    return threshold
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_threshold_search_matches_upward_scan(q):
+    gf = GF(q)
+    for d in range(1, 51):
+        assert minimal_guaranteed_length(gf, d) == _upward_scan_threshold(gf, d), (q, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_divided_bound_matches_the_enumerator(q):
+    # d runs past n/2 and past n, where the binomials vanish
+    gf = GF(q)
+    for n in range(2, 121, 2):
+        coeffs = average_weight_enumerator(gf, n).coeffs
+        for d in range(1, n + 3):
+            expected = sum(coeffs[1:d]) < q ** (n - 1) * (q - 1)
+            assert existence_bound_holds(gf, n, d) == expected, (q, n, d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_tail_certificate_is_monotone(q):
+    # the bisection in minimal_guaranteed_length relies on this
+    for d in range(1, 51):
+        certified = [_tail_certified(q, n, d) for n in range(2, 603, 2)]
+        assert certified == sorted(certified), (q, d)
+
+
+def test_threshold_takes_few_evaluations(monkeypatch):
+    calls = []
+    sums = average._low_weight_sums
+
+    def counted(q, n, d):
+        calls.append((q, n, d))
+        return sums(q, n, d)
+
+    monkeypatch.setattr(average, "_low_weight_sums", counted)
+    for q in (2, 3, 4):
+        for d in range(1, 51):
+            calls.clear()
+            minimal_guaranteed_length(GF(q), d)
+            assert len(calls) <= 24, (q, d, len(calls))

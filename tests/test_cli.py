@@ -100,6 +100,15 @@ def test_awe_table_csv(capsys):
     assert out.splitlines() == ["d,n", "5,20", "6,26", "7,32"]
 
 
+@pytest.mark.parametrize("dmin,dmax", [("49", "52"), ("0", "3"), ("5", "4")])
+def test_awe_table_range_rejected_before_output(capsys, dmin, dmax):
+    # a range past the supported d = 50 fails up front, not after printing rows
+    code, out, err = run(capsys, "awe", "--q", "2", "--table", "--dmin", dmin, "--dmax", dmax)
+    assert code == 2
+    assert out == ""
+    assert "dmax <= 50" in err
+
+
 def test_awe_odd_length_rejected(capsys):
     code, _, err = run(capsys, "awe", "--q", "2", "--n", "7")
     assert code == 2
