@@ -13,8 +13,12 @@ equivalence classes:
                    by a nonzero constant gives an equivalent code, so
                    one representative per scalar orbit suffices.
 
-Every search is one pass over blocks of filtered candidates.  Each
-block is packed once into uint64 bit-planes of the scalar multiples of
+Every search is one pass over blocks of filtered candidates.  A
+candidate of any family is its band sequence S = (b_{m-1}, ..., b_1, t,
+a_1, ..., a_{m-1}), whose sliding windows are the rows of its Toeplitz
+matrix; a (nega)circulant matrix with first row r has S = (mu r_2, ...,
+mu r_m, r).  Blocks run across prefixes and are sized to a byte budget.
+Each is packed once into uint64 bit-planes of the scalar multiples of
 its rows; a projective message's right half is then an XOR of packed
 rows (a bitsliced adder over F3) and its weight a popcount, which gives
 the block's minimum weights capped at a threshold.  A "find-optimal"
@@ -30,7 +34,6 @@ or partition count.  Each completed chunk can be checkpointed to JSON.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +58,7 @@ from .structured import (
     digits_of_index,
     double_toeplitz_code,
     index_of_digits,
+    toeplitz_windows,
 )
 
 __all__ = [
@@ -74,7 +78,6 @@ CHECKPOINT_VERSION = 2
 # Cap on the raw candidate-space size of one search call.
 DEFAULT_TRIPLE_BUDGET = 1 << 26
 
-_B_BLOCK = 4096
 # Bytes of packed words that one batch step gathers per message term.
 _PACKED_BYTE_BUDGET = 1 << 20
 
@@ -276,87 +279,57 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, cache: _MessageCache) -> np.
 # candidate-space iteration
 
 
-def _toeplitz_block(gf: GF, t: int, a, ib: np.ndarray) -> np.ndarray:
-    """Toeplitz matrices of prefix (t, a) for the b indices ``ib``."""
-    L = len(a)
-    m = L + 1
-    S = np.empty((len(ib), 2 * m - 1), dtype=np.int8)
-    if L:
-        S[:, :L] = _index_digits(ib, gf.q, L)[:, ::-1]
-        S[:, L + 1 :] = np.array(a, dtype=np.int8)
-    S[:, L] = t
-    win = np.lib.stride_tricks.sliding_window_view(S, m, axis=1)
-    return win[:, ::-1, :]
-
-
-def _circulant_block(gf: GF, m: int, rows: np.ndarray, mu_code: int) -> np.ndarray:
-    """(Nega)circulant matrices for the first-row indices ``rows``."""
-    R = _index_digits(rows, gf.q, m)
-    S = np.empty((len(rows), 2 * m - 1), dtype=np.int8)
-    S[:, : m - 1] = gf.mul_table[mu_code, R[:, 1:]]
-    S[:, m - 1 :] = R
-    win = np.lib.stride_tricks.sliding_window_view(S, m, axis=1)
-    return win[:, ::-1, :]
-
-
-def _index_blocks(indices):
-    """The indices as consecutive int64 arrays of at most _B_BLOCK."""
-    it = iter(indices)
-    while block := list(itertools.islice(it, _B_BLOCK)):
-        yield np.array(block, dtype=np.int64)
-
-
 def _spread(total: int, count: int) -> np.ndarray:
     if total <= count:
         return np.arange(total)
     return np.unique(np.linspace(0, total - 1, count).astype(np.int64))
 
 
-def _candidate_blocks(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
-    """Yield ``(A, record)`` per block of filtered candidates, in enumeration order.
+def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
+    """Yield int8 blocks of candidate band sequences S, in enumeration order.
 
-    ``prefixes`` are indices of (t, a) prefixes for DT and of first
-    rows for DC/NC.  For DT, ``kept_b(count)`` gives the b indices to
-    visit among the ``count`` that survive the filter after a prefix.
-    ``record(off, mw)`` is the checkpoint payload of the block's
-    candidate ``off`` with minimum weight ``mw``.
+    ``prefixes`` (a range or an int64 array) holds (t, a) prefix indices
+    for DT and first-row indices for DC/NC.  For DT, ``kept_b(count)``
+    gives the b indices to visit among the ``count`` that survive the
+    filter after a prefix.  Blocks run across prefixes, with as many rows
+    as keep the (rows, q-1, m, m) words of :func:`_pack_rows` within
+    ``_PACKED_BYTE_BUDGET``.
     """
-    q = gf.q
-    m = n // 2
+    q, m = gf.q, n // 2
+    rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
     if family != "DT":
-        mu = _family_mu_code(gf, family)
-        sign = 1 if family == "DC" else -1
-        for rows in _index_blocks(prefixes):
-            yield _circulant_block(gf, m, rows, mu), (
-                lambda off, mw, rows=rows: [list(digits_of_index(int(rows[off]), q, m)), sign, mw]
-            )
+        for lo in range(0, len(prefixes), rows):
+            R = _index_digits(np.asarray(prefixes[lo : lo + rows], dtype=np.int64), q, m)
+            yield np.hstack((R[:, 1:] if family == "DC" else gf.neg_table[R[:, 1:]], R))
         return
     L = m - 1
-    for pidx in prefixes:
-        t, ia = divmod(int(pidx), q**L)
-        a = digits_of_index(ia, q, L)
-        for ib in _index_blocks(kept_b(_kept_b_count(q, reduction, t, a))):
-            yield _toeplitz_block(gf, t, a, ib), (
-                lambda off, mw, t=t, a=a, ib=ib: [
-                    t, list(a), list(digits_of_index(int(ib[off]), q, L)), mw
-                ]
-            )
+
+    def pairs():  # (prefix, b index) rows, one prefix at a time
+        for p in prefixes:
+            t, ia = divmod(int(p), q**L)
+            ib = kept_b(_kept_b_count(q, reduction, t, digits_of_index(ia, q, L)))
+            yield np.column_stack((np.full(len(ib), p), ib))
+
+    for block in _rebatch(pairs(), rows):
+        (t, ia), ib = np.divmod(block[:, 0], q**L), block[:, 1]
+        yield np.hstack(
+            (_index_digits(ib, q, L)[:, ::-1], t[:, None].astype(np.int8), _index_digits(ia, q, L))
+        )
 
 
-def _space_layout(q: int, n: int, family: str) -> tuple[int, int]:
-    """(prefix count, raw space size) of a search family."""
-    m = n // 2
-    if family == "DT":
-        return q**m, q ** (n - 1)
-    return q**m, q**m
-
-
-def _family_mu_code(gf: GF, family: str) -> int:
-    if family == "DC":
-        return 1
-    if family == "NC":
-        return int(gf.neg_table[1])
-    raise ValueError(f"unknown family {family!r}")
+def _rebatch(pieces, rows: int):
+    """The rows of consecutive arrays, regrouped into blocks of ``rows`` (the last may be short)."""
+    pending, size = [], 0
+    for piece in pieces:
+        pending.append(piece)
+        size += len(piece)
+        if size >= rows:
+            joined = np.concatenate(pending)
+            cut = size - size % rows
+            yield from (joined[lo : lo + rows] for lo in range(0, cut, rows))
+            pending, size = [joined[cut:]], size - cut
+    if size:
+        yield np.concatenate(pending)
 
 
 def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
@@ -371,8 +344,8 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     """
     prefixes = _spread(gf.q ** (n // 2), 16 if family == "DT" else 64)
     floor = 1
-    for A, _ in _candidate_blocks(gf, n, family, reduction, prefixes, lambda c: _spread(c, 8)):
-        for Ai in A:
+    for S in _candidate_bands(gf, n, family, reduction, prefixes, lambda c: _spread(c, 8)):
+        for Ai in toeplitz_windows(S):
             code = LinearCode.systematic(gf, Ai)
             if min_weight_at_least(code, floor + 1):
                 floor = minimum_weight(code)
@@ -393,11 +366,13 @@ def _scan_chunk(args) -> tuple[int, list]:
     gf = GF(q)
     cache = _MessageCache(q, n // 2)
     best, found = d, []
-    for A, record in _candidate_blocks(gf, n, family, reduction, range(lo, hi), range):
+    for S in _candidate_bands(gf, n, family, reduction, range(lo, hi), np.arange):
+        A = toeplitz_windows(S)
         P = _pack_rows(gf, A)
         if mode == "at-least":
             for off in np.flatnonzero(_batch_min_weight_capped(P, d, cache) >= d):
-                found.append(record(off, minimum_weight(LinearCode.systematic(gf, A[off]))))
+                mw = minimum_weight(LinearCode.systematic(gf, A[off]))
+                found.append(_payload(family, S[off], mw))
             continue
         # candidates of the block that may still attain or raise the best
         pending = np.arange(len(A))
@@ -405,10 +380,10 @@ def _scan_chunk(args) -> tuple[int, list]:
             capped = _batch_min_weight_capped(P[pending], best + 1, cache)
             above = pending[capped > best] if mode == "find-optimal" else pending[:0]
             if not len(above):
-                found += [record(i, best) for i in pending[capped == best]]
+                found += [_payload(family, S[i], best) for i in pending[capped == best]]
                 break
             best = minimum_weight(LinearCode.systematic(gf, A[above[0]]))
-            found = [record(above[0], best)]
+            found = [_payload(family, S[above[0]], best)]
             pending = above[1:]
     return best, found
 
@@ -417,18 +392,54 @@ def _scan_chunk(args) -> tuple[int, list]:
 # checkpointing
 
 
+def _payload(family: str, S: np.ndarray, mw: int) -> list:
+    """Checkpoint payload ``[t, a, b, mw]`` (DT) or ``[r, mu, mw]`` of band sequence S."""
+    m = (len(S) + 1) // 2
+    s = S.tolist()
+    if family == "DT":
+        return [s[m - 1], s[m:], s[: m - 1][::-1], mw]
+    return [s[m - 1 :], 1 if family == "DC" else -1, mw]
+
+
+def _payload_to_triple(gf: GF, payload, family: str):
+    if family == "DT":
+        t, a, b, mw = payload
+        return ToeplitzTriple(gf, int(t), tuple(a), tuple(b)), int(mw)
+    r, mu, mw = payload
+    return CirculantSpec(gf, tuple(r), int(mu)), int(mw)
+
+
 def _load_checkpoint(path: str, config: SearchConfig) -> dict:
+    """The checkpoint at ``path`` (fresh when absent); CheckpointError if malformed."""
     if not os.path.exists(path):
         return {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "chunks": {}}
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {data.get('version')} does not match {CHECKPOINT_VERSION}"
         )
     if data.get("config") != config.to_dict():
         raise CheckpointError("checkpoint was written by a different search configuration")
-    data.setdefault("chunks", {})
+    chunks = data.setdefault("chunks", {})
+    if not isinstance(chunks, dict) or not set(chunks) <= {str(i) for i in range(config.partitions)}:
+        raise CheckpointError(f"checkpoint chunk ids are not among 0..{config.partitions - 1}")
+    gf = GF(config.q)
+    for cid, chunk in chunks.items():
+        try:
+            best, payloads = chunk
+            if not isinstance(best, int) or not isinstance(payloads, list):
+                raise TypeError("best is not an integer or payloads not a list")
+            for payload in payloads:
+                if _payload_to_triple(gf, payload, config.family)[0].m != config.n // 2:
+                    raise ValueError(f"payload {payload} is not of length {config.n}")
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint chunk {cid} is not [best, payloads]: {exc}") from exc
     return data
 
 
@@ -467,14 +478,6 @@ def _run_chunks(fn, arg_list, workers: int):
             yield cid, futures[cid].result()
 
 
-def _payload_to_triple(gf: GF, payload, family: str):
-    if family == "DT":
-        t, a, b, mw = payload
-        return ToeplitzTriple(gf, int(t), tuple(a), tuple(b)), int(mw)
-    r, mu, mw = payload
-    return CirculantSpec(gf, tuple(r), int(mu)), int(mw)
-
-
 def _search(
     gf: GF,
     n: int,
@@ -500,7 +503,7 @@ def _search(
     q = gf.q
     reduction = _resolve_reduction(q, reduction) if family == "DT" else "none"
 
-    prefix_total, space = _space_layout(q, n, family)
+    space = q ** (n - 1) if family == "DT" else q ** (n // 2)
     if space > triple_budget:
         raise BudgetExceededError(
             f"search space {space} exceeds the budget of {triple_budget} candidates"
@@ -509,7 +512,7 @@ def _search(
     config = SearchConfig(q, n, family, reduction, mode, d, partitions)
     state = _load_checkpoint(checkpoint_path, config) if checkpoint_path else {"chunks": {}}
     done = {int(k): v for k, v in state["chunks"].items()}
-    ranges = _chunk_ranges(prefix_total, partitions)
+    ranges = _chunk_ranges(q ** (n // 2), partitions)
     start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
     todo = [
         (cid, (q, n, family, reduction, mode, start, lo, hi))

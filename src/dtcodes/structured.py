@@ -145,19 +145,19 @@ def parse_circulant(gf: GF, text: str) -> CirculantSpec:
 
 
 def band_sequence(T: ToeplitzTriple) -> np.ndarray:
-    """The length 2m-1 diagonal sequence (b_{m-1},...,b_1, t, a_1,...,a_{m-1}).
-
-    Row i of the Toeplitz matrix is the window s[m-1-i : 2m-1-i], which
-    is what the batched search exploits through sliding windows.
-    """
+    """The length 2m-1 diagonal sequence (b_{m-1},...,b_1, t, a_1,...,a_{m-1})."""
     return np.array(tuple(reversed(T.b)) + (T.t,) + T.a, dtype=np.int8)
+
+
+def toeplitz_windows(S: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix views (..., m, m) of band sequences S (..., 2m-1): row i is S[m-1-i : 2m-1-i]."""
+    m = (S.shape[-1] + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(S, m, axis=-1)[..., ::-1, :]
 
 
 def toeplitz_matrix(T: ToeplitzTriple) -> np.ndarray:
     """The m x m Toeplitz matrix of the triple."""
-    s = band_sequence(T)
-    win = np.lib.stride_tricks.sliding_window_view(s, T.m)
-    return np.ascontiguousarray(win[::-1])
+    return np.ascontiguousarray(toeplitz_windows(band_sequence(T)))
 
 
 def circulant_matrix(spec: CirculantSpec) -> np.ndarray:

@@ -160,6 +160,27 @@ def test_search_workers_env(capsys, monkeypatch):
     assert "DTCODES_WORKERS" in err
 
 
+_CONFIG = {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-optimal",
+           "d": None, "partitions": 1}
+
+
+@pytest.mark.parametrize("content", [
+    "[]",
+    json.dumps({"version": 2, "config": _CONFIG, "chunks": {"0": 5}}),
+    json.dumps({"version": 2, "config": _CONFIG, "chunks": {}})[:-9],
+], ids=["list", "int-chunk", "truncated"])
+def test_malformed_checkpoint_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "run.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))
+    assert code == 2
+    assert out == ""
+    assert "checkpoint rejected" in err
+    # the well-formed file of the same search resumes
+    path.write_text(json.dumps({"version": 2, "config": _CONFIG, "chunks": {}}))
+    assert run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("command", ["search", "classify"])
 def test_negative_workers_exit_2(capsys, command):
     code, out, err = run(capsys, command, "--q", "2", "--n", "6", "--workers", "-3")

@@ -1,5 +1,6 @@
 """Reduced exhaustive search, checkpointing and classification."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -38,14 +39,23 @@ from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
     _batch_min_weight_capped,
+    _candidate_bands,
     _chunk_ranges,
     _f3_add,
     _MessageCache,
     _pack_rows,
+    _payload,
     _payload_to_triple,
     _scan_chunk,
+    _spread,
 )
-from dtcodes.structured import CirculantSpec
+from dtcodes.structured import (
+    CirculantSpec,
+    band_sequence,
+    digits_of_index,
+    toeplitz_matrix,
+    toeplitz_windows,
+)
 
 
 def _naive_dt_scan(gf: GF, n: int):
@@ -208,6 +218,97 @@ def test_search_is_deterministic_across_workers_and_partitions(family, q, n, red
     assert best == reference[0] > min(b for b, _ in chunks)
     merged = [_payload_to_triple(gf, p, family) for b, ps in chunks if b == best for p in ps]
     assert merged == reference[1]
+
+
+def _row_bound(q: int, n: int) -> int:
+    """Rows per block: the packed (rows, q-1, m, m) words fit the byte budget."""
+    m = n // 2
+    return max(1, search._PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
+
+
+def _bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b) -> np.ndarray:
+    """The concatenated candidate blocks, each checked against the row bound."""
+    blocks = list(_candidate_bands(gf, n, family, reduction, prefixes, kept_b))
+    assert all(b.dtype == np.int8 and b.shape[1] == n - 1 for b in blocks)
+    assert all(len(b) <= _row_bound(gf.q, n) for b in blocks)
+    assert all(len(b) == _row_bound(gf.q, n) for b in blocks[:-1])
+    return np.concatenate(blocks)
+
+
+_VALID_REDUCTIONS = {2: ("none", "C2"), 3: ("none", "C3"), 4: ("none", "C3")}
+
+
+@pytest.mark.parametrize("budget", [search._PACKED_BYTE_BUDGET, 8 * 3 * 9 * 5])
+@pytest.mark.parametrize("q,max_n", [(2, 10), (3, 6), (4, 6)])
+def test_dt_bands_match_the_filtered_triple_order(q, max_n, budget, monkeypatch):
+    # the small budget cuts blocks of 5 to 7 rows at the longest n, which split prefixes
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", budget)
+    gf = GF(q)
+    for n in range(2, max_n + 1, 2):
+        for reduction in _VALID_REDUCTIONS[q]:
+            expect = [
+                band_sequence(T).tolist()
+                for T in enumerate_triples(gf, n // 2)
+                if passes_reduction(T, reduction)
+            ]
+            got = _bands(gf, n, "DT", reduction, np.arange(q ** (n // 2)), np.arange)
+            assert got.tolist() == expect, (n, reduction)
+            for S in got[:: max(1, len(got) // 7)]:
+                T, _ = _payload_to_triple(gf, _payload("DT", S, 0), "DT")
+                assert (toeplitz_windows(S) == toeplitz_matrix(T)).all()
+
+
+@pytest.mark.parametrize("budget", [search._PACKED_BYTE_BUDGET, 8 * 3 * 9])
+@pytest.mark.parametrize("family,mu", [("DC", 1), ("NC", -1)])
+@pytest.mark.parametrize("q,max_n", [(2, 10), (3, 8), (4, 6)])
+def test_circulant_bands_match_first_row_order(q, max_n, family, mu, budget, monkeypatch):
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", budget)
+    gf = GF(q)
+    for n in range(2, max_n + 1, 2):
+        m = n // 2
+        specs = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
+        got = _bands(gf, n, family, "none", range(q**m), None)
+        assert got.tolist() == [band_sequence(triple_of_circulant(c)).tolist() for c in specs]
+        assert [_payload_to_triple(gf, _payload(family, S, 5), family) for S in got] == [
+            (c, 5) for c in specs
+        ]
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (2, 12), (3, 6), (4, 6), (4, 8)])
+def test_probe_sample_is_spread_over_filtered_prefixes(q, n):
+    # the probe visits 16 spread prefixes and up to 8 spread kept b each
+    gf = GF(q)
+    reduction = "C2" if q == 2 else "C3"
+    L = n // 2 - 1
+    expect = []
+    for p in _spread(q ** (n // 2), 16):
+        t, ia = divmod(int(p), q**L)
+        kept = [
+            T
+            for T in (
+                ToeplitzTriple(gf, t, digits_of_index(ia, q, L), digits_of_index(ib, q, L))
+                for ib in range(q**L)
+            )
+            if passes_reduction(T, reduction)
+        ]
+        expect += [band_sequence(kept[int(i)]).tolist() for i in _spread(len(kept), 8)]
+    got = _bands(gf, n, "DT", reduction, _spread(q ** (n // 2), 16), lambda c: _spread(c, 8))
+    assert got.tolist() == expect
+
+
+def test_search_output_does_not_depend_on_block_rows(monkeypatch):
+    cells = [("DT", 2, 10), ("DT", 3, 6), ("DC", 4, 8), ("NC", 3, 8)]
+
+    def run_all():
+        return [
+            search_dt(GF(q), n) if family == "DT" else search_family(GF(q), n, family)
+            for family, q, n in cells
+        ]
+
+    reference = run_all()
+    # blocks of 3 to 8 rows, which split prefixes
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", 8 * 3 * 16 * 3)
+    assert run_all() == reference
 
 
 class _RecordingExecutor:
@@ -480,16 +581,110 @@ def test_recorded_checkpoint_resumes_without_scanning(tmp_path, monkeypatch):
     ]
 
 
-def test_checkpoint_version_guard(tmp_path):
+# search_family(GF(2), 8, "DC", partitions=2) with both chunks done
+_RECORDED_DC_CHECKPOINT = {
+    "version": 2,
+    "config": {"q": 2, "n": 8, "family": "DC", "reduction": "none", "mode": "find-optimal",
+               "d": None, "partitions": 2},
+    "chunks": {
+        "0": [4, [[[1, 1, 1, 0], 1, 4]]],
+        "1": [4, [[[1, 1, 0, 1], 1, 4], [[1, 0, 1, 1], 1, 4], [[0, 1, 1, 1], 1, 4]]],
+    },
+}
+
+# search_family(GF(3), 4, "NC", partitions=2) with both chunks done
+_RECORDED_NC_CHECKPOINT = {
+    "version": 2,
+    "config": {"q": 3, "n": 4, "family": "NC", "reduction": "none", "mode": "find-optimal",
+               "d": None, "partitions": 2},
+    "chunks": {
+        "0": [3, []],
+        "1": [3, [[[1, 1], -1, 3], [[2, 1], -1, 3], [[1, 2], -1, 3], [[2, 2], -1, 3]]],
+    },
+}
+
+
+@pytest.mark.parametrize("recorded,expect", [
+    (_RECORDED_DC_CHECKPOINT, ["C:(1,1,1,0)", "C:(1,1,0,1)", "C:(1,0,1,1)", "C:(0,1,1,1)"]),
+    (_RECORDED_NC_CHECKPOINT, ["N:(1,1)", "N:(2,1)", "N:(1,2)", "N:(2,2)"]),
+])
+def test_recorded_circulant_checkpoint_resumes_without_scanning(tmp_path, monkeypatch, recorded, expect):
+    config = recorded["config"]
+    gf = GF(config["q"])
     path = tmp_path / "run.json"
-    path.write_text(json.dumps({"version": 99, "config": {}}))
-    with pytest.raises(CheckpointError):
-        search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
-    # a two-phase (version 1) file of the very same configuration
-    config = SearchConfig(2, 6, "DT", "C2", "find-optimal", None, 1).to_dict()
-    path.write_text(json.dumps({"version": 1, "config": config, "phase1": {"0": 3}, "phase2": {}}))
-    with pytest.raises(CheckpointError):
-        search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
+    path.write_text(json.dumps(recorded))
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
+    d, records = search_family(
+        gf, config["n"], config["family"], partitions=2, checkpoint_path=str(path)
+    )
+    assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (
+        recorded["chunks"]["1"][0], [(text, d) for text in expect]
+    )
+    # a fresh scan writes the very same payloads
+    monkeypatch.undo()
+    fresh = tmp_path / "fresh.json"
+    search_family(gf, config["n"], config["family"], partitions=2, checkpoint_path=str(fresh))
+    assert json.loads(fresh.read_text()) == recorded
+
+
+# (family, q, n, mode, d) -> (d_ref, record count, sha256 prefix of the
+# ordered "spec min_weight" lines), recorded before candidates became
+# band sequences
+_RECORD_DIGESTS = {
+    ("DT", 2, 12, "find-optimal", None): (4, 76, "a6ff43352654715c"),
+    ("DT", 3, 8, "collect-at", 4): (4, 120, "d36569284754201a"),
+    ("DT", 4, 6, "at-least", 3): (3, 216, "85970f0e0c129eef"),
+    ("DC", 4, 8, "find-optimal", None): (4, 156, "12c10d0e346f4051"),
+    ("DC", 2, 10, "collect-at", 4): (4, 15, "96a4aa93c205b787"),
+    ("DC", 3, 8, "at-least", 3): (3, 56, "372d28780b477f73"),
+    ("NC", 3, 8, "find-optimal", None): (4, 16, "a0bc3ba382fa9387"),
+    ("NC", 3, 10, "collect-at", 4): (4, 160, "752331ba957adc4b"),
+    ("NC", 4, 8, "at-least", 3): (3, 228, "755d3f6d5db810d2"),
+}
+
+
+@pytest.mark.parametrize("cell", list(_RECORD_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_ordered_records_match_recorded_digest(cell):
+    family, q, n, mode, d = cell
+    if family == "DT":
+        best, records = search_dt(GF(q), n, mode=mode, d=d)
+    else:
+        best, records = search_family(GF(q), n, family, mode=mode, d=d)
+    text = "\n".join(f"{spec.to_text()} {mw}" for spec, mw in records)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (best, len(records), digest) == _RECORD_DIGESTS[cell]
+
+
+_C2_CONFIG = SearchConfig(2, 6, "DT", "C2", "find-optimal", None, 1).to_dict()
+
+
+def _chunks(chunks) -> str:
+    return json.dumps({"version": 2, "config": _C2_CONFIG, "chunks": chunks})
+
+
+def test_checkpoint_version_guard(tmp_path):
+    malformed = [
+        json.dumps({"version": 99, "config": {}}),
+        # a two-phase (version 1) file of the very same configuration
+        json.dumps({"version": 1, "config": _C2_CONFIG, "phase1": {"0": 3}, "phase2": {}}),
+        "[]",
+        '{"version": 2, "config": ',
+        _chunks([]),
+        _chunks({"0": 5}),
+        _chunks({"0": [3]}),
+        _chunks({"0": ["3", []]}),
+        _chunks({"0": [3, 5]}),
+        _chunks({"0": [3, [[0, [1, 1], 3]]]}),
+        _chunks({"0": [3, [[0, [1, 1], [5, 0], 3]]]}),
+        _chunks({"0": [3, [[0, [], [], 3]]]}),
+        _chunks({"1": [3, []]}),
+        _chunks({"-1": [3, []]}),
+    ]
+    path = tmp_path / "run.json"
+    for content in malformed:
+        path.write_text(content)
+        with pytest.raises(CheckpointError):
+            search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 4)])
