@@ -17,7 +17,7 @@ import math
 
 from .gf import GF
 from .linear import BudgetExceededError, WeightEnumerator, weight_enumerator
-from .structured import BRUTE_FORCE_N, double_toeplitz_code, enumerate_triples
+from .structured import BRUTE_FORCE_N, _check_even_length, double_toeplitz_code, enumerate_triples
 
 __all__ = [
     "average_weight_enumerator",
@@ -29,11 +29,6 @@ __all__ = [
 _MAX_SUPPORTED_D = 50
 
 
-def _check_even(n: int) -> None:
-    if n % 2 or n < 2:
-        raise ValueError(f"length n must be even and positive, got {n}")
-
-
 def _psi_coeff(q: int, n: int, j: int) -> int:
     if j == 0:
         return q ** (n - 1)
@@ -42,13 +37,13 @@ def _psi_coeff(q: int, n: int, j: int) -> int:
 
 def average_weight_enumerator(gf: GF, n: int) -> WeightEnumerator:
     """Closed-form Psi_{q,n} as an exact coefficient vector."""
-    _check_even(n)
+    _check_even_length(n)
     return WeightEnumerator(n, [_psi_coeff(gf.q, n, j) for j in range(n + 1)])
 
 
 def average_weight_enumerator_bruteforce(gf: GF, n: int) -> WeightEnumerator:
     """Psi_{q,n} summed code by code over the whole triple space."""
-    _check_even(n)
+    _check_even_length(n)
     limit = BRUTE_FORCE_N[gf.q]
     if n > limit:
         raise BudgetExceededError(
@@ -78,7 +73,7 @@ def _low_weight_sums(q: int, n: int, d: int) -> tuple[int, int]:
 def existence_bound_holds(gf: GF, n: int, d: int) -> bool:
     """Whether sum_{0<i<d} psi_{q,n,i} < q^(n-1) (q-1), which guarantees an [n, n/2, >= d]
     code; tested divided by q^(n/2-1), as U - V < q^(n/2) (q-1)."""
-    _check_even(n)
+    _check_even_length(n)
     if d < 1:
         raise ValueError(f"minimum weight target must be positive, got {d}")
     U, V = _low_weight_sums(gf.q, n, d)

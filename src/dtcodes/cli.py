@@ -27,10 +27,9 @@ from .average import (
     minimal_guaranteed_length,
 )
 from .equivalence import UndecidedError
-from .gf import GF, parse_vector, render_element, render_vector
+from .gf import GF, render_element, render_vector
 from .linear import (
     BudgetExceededError,
-    LinearCode,
     dual_code,
     is_formally_self_dual,
     minimum_weight,
@@ -43,13 +42,8 @@ from .search import (
     search_dt,
     search_family,
 )
-from .structured import (
-    CirculantSpec,
-    double_circulant_code,
-    double_negacirculant_code,
-    double_toeplitz_code,
-    parse_triple,
-)
+from .reference_data import build_code
+from .structured import parse_triple
 from . import verify
 
 WORKERS_ENV = "DTCODES_WORKERS"
@@ -60,7 +54,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_workers() -> int:
+def _workers(args) -> int:
+    """``--workers``, or ``$DTCODES_WORKERS`` (default 1) when it is not given."""
+    if args.workers:
+        return args.workers
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
         value = int(raw)
@@ -83,19 +80,11 @@ def _note(text: str) -> None:
 # code
 
 
-def _build_code_from_args(gf: GF, args) -> LinearCode:
-    if args.dt is not None:
-        return double_toeplitz_code(parse_triple(gf, args.dt))
-    if args.dc is not None:
-        r = parse_vector(gf, args.dc)
-        return double_circulant_code(CirculantSpec(gf, tuple(r), 1))
-    r = parse_vector(gf, args.nc)
-    return double_negacirculant_code(CirculantSpec(gf, tuple(r), -1))
-
-
 def cmd_code(args) -> int:
     gf = GF(args.q)
-    code = _build_code_from_args(gf, args)
+    if args.dt is not None and args.dt.startswith(("C:", "N:")):
+        parse_triple(gf, args.dt)  # raises: no field element starts with "C:" or "N:"
+    code = build_code(gf.q, next(spec for spec in (args.dt, args.dc, args.nc) if spec is not None))
     label = f"[{code.n},{code.k}] code over F{gf.q}"
     if args.minwt:
         w = minimum_weight(code)
@@ -161,12 +150,11 @@ def cmd_awe(args) -> int:
 
 def cmd_search(args) -> int:
     gf = GF(args.q)
-    workers = args.workers if args.workers else _default_workers()
     common = dict(
         mode=args.mode,
         d=args.d,
         partitions=args.partitions,
-        workers=workers,
+        workers=_workers(args),
         checkpoint_path=args.checkpoint,
         triple_budget=args.budget,
     )
@@ -200,13 +188,12 @@ def cmd_search(args) -> int:
 
 def cmd_classify(args) -> int:
     gf = GF(args.q)
-    workers = args.workers if args.workers else _default_workers()
     report = classify(
         gf,
         args.n,
         reduction=args.reduction,
         partitions=args.partitions,
-        workers=workers,
+        workers=_workers(args),
         semimonomial=args.semimonomial,
         checkpoint_path=args.checkpoint,
         triple_budget=args.budget,
@@ -257,8 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_code.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
     fam = p_code.add_mutually_exclusive_group(required=True)
     fam.add_argument("--dt", metavar="T;A;B", help="Toeplitz triple literal, e.g. '0;(1,1);(1,0)'")
-    fam.add_argument("--dc", metavar="(R)", help="circulant first row, e.g. '(1,1,0)'")
-    fam.add_argument("--nc", metavar="(R)", help="negacirculant first row")
+    fam.add_argument("--dc", metavar="(R)", type="C:{}".format,  # --dc/--nc keep C:/N: literals
+                     help="circulant first row, e.g. '(1,1,0)'")
+    fam.add_argument("--nc", metavar="(R)", type="N:{}".format, help="negacirculant first row")
     act = p_code.add_mutually_exclusive_group(required=True)
     act.add_argument("--minwt", action="store_true", help="minimum weight")
     act.add_argument("--wenum", action="store_true", help="weight enumerator coefficients")

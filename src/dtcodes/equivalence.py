@@ -7,8 +7,8 @@ other.
 
 The decision procedure here anchors on low-weight codewords:
 
-1. one enumeration per code groups its nonzero codewords by weight;
-   the later steps read these layers;
+1. one enumeration per code gives its signature and its anchor words:
+   its lowest weight layers, until every nonzero column is touched;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
    enumerator it holds the hull dimension (Hermitian over F4) and the
    sorted support co-occurrence profile of the minimum-weight words.
@@ -18,13 +18,15 @@ The decision procedure here anchors on low-weight codewords:
    nonzero entries over a layer holds each nonzero value nz/(q-1)
    times: per-column value counts add nothing to the supports;
 3. backtracking over column assignments (target column, scale factor),
-   constrained by the sets W1, W2 of codewords in the lowest weight
-   layers of the two codes.  A monomial map carries W1 bijectively onto
-   W2, so a column may only go to a column with the same sorted row of
-   co-occurrence counts over these words, and every partial assignment
-   propagates candidate bitmask sets; an empty candidate set or an
-   unreachable W2 word cuts the branch.  A map times a nonzero scalar
-   is again a map, so the first column is assigned with scale 1 only.
+   constrained by the anchor words W1, W2 of the two codes.  A monomial
+   map carries layers onto layers and nonzero columns onto nonzero
+   columns, so it carries W1 bijectively onto W2: anchor sets of
+   different sizes refute it, a column may only go to a column with the
+   same sorted row of co-occurrence counts over the anchors, and every
+   partial assignment propagates candidate bitmask sets; an empty
+   candidate set or an unreachable W2 word cuts the branch.  A map times
+   a nonzero scalar is again a map, so the first column is assigned
+   with scale 1 only.
 4. a completed assignment is accepted only after the mapped generator
    rows of the first code all lie in the second code, checked against
    its systematic form, which makes every "True" answer sound
@@ -50,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import gf_matmul
-from .linear import LinearCode, _check_budget, _message_blocks, _rref
+from .linear import LinearCode, _codeword_blocks, _rref
 
 __all__ = [
     "UndecidedError",
@@ -116,28 +118,23 @@ def frobenius_image(C: LinearCode) -> LinearCode:
 
 def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
     """All nonzero codewords grouped by weight (budget-guarded)."""
-    _check_budget(C.gf.q, C.k)
-    B, perm = C.systematic_right_block()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(C.n)
+    inv = np.argsort(C.systematic_right_block()[1])
     groups: dict[int, list[np.ndarray]] = {}
-    for msgs in _message_blocks(C.gf.q, C.k):
-        right = gf_matmul(C.gf, msgs, B)
-        words = np.hstack([msgs, right])[:, inv]
-        wts = np.count_nonzero(words, axis=1)
-        for w in np.unique(wts):
-            if w == 0:
-                continue
+    for words, wts in _codeword_blocks(C):
+        words = words[:, inv]  # back to the code's own column order
+        for w in np.unique(wts[wts > 0]):
             groups.setdefault(int(w), []).append(words[wts == w])
     return {w: np.vstack(parts) for w, parts in sorted(groups.items())}
 
 
 class _Keyed(NamedTuple):
-    """A code with its nonzero codewords by weight and its signature."""
+    """A code, its signature and its anchor words (module docstring, step 1)."""
 
     code: LinearCode
-    layers: dict[int, np.ndarray]
     sig: tuple
+    anchors: np.ndarray  # one anchor word per row
+    masks: list[list[int]]  # masks[p][v]: bits of the anchors with value v in column p
+    cooccurrence: list[tuple[int, ...]]  # per column, over the anchors
 
 
 def _hull_dimension(C: LinearCode) -> int:
@@ -163,27 +160,14 @@ def _keyed(C: LinearCode) -> _Keyed:
     coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
     cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
     sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
-    return _Keyed(C, layers, sig)
-
-
-def _anchor_layers(C1: LinearCode, g1: dict, g2: dict):
-    """Matching low-weight layers of both codes, as stacked matrices.
-
-    The layers ``g1``, ``g2`` must have the same weights and sizes
-    (equal signatures guarantee it).  Layers are taken in increasing
-    weight until every column that is nonzero somewhere in code 1 is
-    touched by an anchor codeword.
-    """
-    nonzero_cols = np.asarray(C1.G != 0).any(axis=0)
-    take1, take2 = [], []
-    covered = np.zeros(C1.n, dtype=bool)
-    for w in g1:
-        take1.append(g1[w])
-        take2.append(g2[w])
-        covered |= np.asarray(take1[-1] != 0).any(axis=0)
-        if np.array_equal(covered & nonzero_cols, nonzero_cols):
-            break
-    return np.vstack(take1), np.vstack(take2)
+    # the anchors: the layers up to the first that completes the nonzero columns
+    nonzero_cols = np.asarray(C.G != 0).any(axis=0)
+    touched = np.logical_or.accumulate([(L != 0).any(axis=0) for L in layers.values()])
+    stop = next(i for i, cols in enumerate(touched) if np.array_equal(cols, nonzero_cols))
+    W = np.vstack(list(layers.values())[: stop + 1])
+    bits = np.packbits(W.T[:, None] == np.arange(C.gf.q)[:, None], axis=-1, bitorder="little")
+    masks = [[int.from_bytes(b.tobytes(), "little") for b in row] for row in bits]
+    return _Keyed(C, sig, W, masks, _cooccurrence_rows(W))
 
 
 def signature(C: LinearCode) -> tuple:
@@ -218,37 +202,27 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
 
     zero1 = [j for j in range(n) if not C1.G[:, j].any()]
     zero2 = [j for j in range(n) if not C2.G[:, j].any()]
-    if len(zero1) != len(zero2):
+    # a map carries the anchors of x onto those of y (module docstring)
+    if len(zero1) != len(zero2) or len(x.anchors) != len(y.anchors):
         return None
 
-    W1, W2 = _anchor_layers(C1, x.layers, y.layers)
-    N = len(W1)
+    N = len(x.anchors)
     full = (1 << N) - 1
 
-    # mask2[p][v]: which W2 rows hold value v in column p.
-    mask2 = [[0] * q for _ in range(n)]
-    for i in range(N):
-        row = W2[i]
-        bit = 1 << i
-        for p in range(n):
-            mask2[p][int(row[p])] |= bit
-
     # column j of W1 as Python ints, built once for the whole search
-    vals1 = W1.T.tolist()
+    vals1 = x.anchors.T.tolist()
 
     cols1 = [j for j in range(n) if j not in set(zero1)]
     cols2 = [p for p in range(n) if p not in set(zero2)]
     # Most-constrained first: columns touched by many anchor words
     # propagate the most information.
-    nonzero1 = np.count_nonzero(W1, axis=0)
+    nonzero1 = np.count_nonzero(x.anchors, axis=0)
     cols1.sort(key=lambda j: (-nonzero1[j], j))
     # The map permutes the anchor words and the columns together, so
     # column j can land only on a column p with the same sorted row of
     # anchor co-occurrence counts, and so with the same value counts
     # (scalar closure, see the module docstring).
-    co1 = _cooccurrence_rows(W1)
-    co2 = _cooccurrence_rows(W2)
-    targets = {j: [p for p in cols2 if co2[p] == co1[j]] for j in cols1}
+    targets = {j: [p for p in cols2 if y.cooccurrence[p] == x.cooccurrence[j]] for j in cols1}
 
     B2, perm2 = C2.systematic_right_block()
     k = C2.k
@@ -260,14 +234,11 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
     for z1, z2 in zip(zero1, zero2):
         perm[z1] = z2
 
-    used = [False] * n
-    for z in zero2:
-        used[z] = True
+    used = set(zero2)
 
     def verify() -> bool:
-        G = np.zeros_like(C1.G)
-        for j in range(n):
-            G[:, perm[j]] = gf.mul_table[scale[j], C1.G[:, j]]
+        G = np.empty_like(C1.G)
+        G[:, perm] = gf.mul_table[scale, C1.G]  # column j, scaled, lands in column perm[j]
         # a row lies in C2 iff, in C2's systematic column order, its
         # right part is its left part times B2
         G = G[:, perm2]
@@ -280,9 +251,9 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         j = cols1[depth]
         col_vals = vals1[j]
         for p in targets[j]:
-            if used[p]:
+            if p in used:
                 continue
-            m2p = mask2[p]
+            m2p = y.masks[p]
             # A map times a nonzero scalar is again a map, so the first
             # column holds a map under scale lam only if it does under 1.
             for lam in scales if depth else (1,):
@@ -306,10 +277,10 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
                     continue
                 perm[j] = p
                 scale[j] = lam
-                used[p] = True
+                used.add(p)
                 if descend(depth + 1, new_cand):
                     return True
-                used[p] = False
+                used.discard(p)
         return False
 
     if descend(0, [full] * N):
@@ -336,10 +307,11 @@ def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
         return True
     if not (semimonomial and same):
         return False
-    # x -> x^2 keeps weights and permutes the nonzero values: the image
-    # has y's layers mapped entrywise and y's signature
-    layers = {w: _FROBENIUS[L] for w, L in y.layers.items()}
-    frob = _Keyed(frobenius_image(y.code), layers, y.sig)
+    # x -> x^2 keeps weights and supports: the image has y's signature
+    # and y's anchors mapped entrywise, and as x -> x^2 is an involution,
+    # value v of the image is value v^2 of y
+    masks = [[row[v] for v in _FROBENIUS] for row in y.masks]
+    frob = y._replace(code=frobenius_image(y.code), anchors=_FROBENIUS[y.anchors], masks=masks)
     return _search_map(x, frob, node_cap) is not None
 
 
@@ -378,7 +350,7 @@ def dedupe_into_classes(
     group is its representative, so feeding codes in ascending origin
     order makes representatives the least originating objects.  Each
     code is enumerated once, and only the representatives keep their
-    weight layers.  An undecided pairwise test aborts the whole run
+    anchor words.  An undecided pairwise test aborts the whole run
     (UndecidedError).
     """
     reps: dict[tuple, list[tuple[int, _Keyed]]] = {}

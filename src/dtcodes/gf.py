@@ -204,8 +204,10 @@ def gf_matmul(gf: GF, x, y) -> np.ndarray:
     operands are split into their two GF(2) coordinate planes
     ``x = x0 + w*x1`` and recombined with ``w^2 = w + 1``:
 
-        z0 = x0 y0 + x1 y1        (mod 2)
-        z1 = x0 y1 + x1 y0 + x1 y1 (mod 2)
+        z0 = x0 y0 + x1 y1                                      (mod 2)
+        z1 = x0 y1 + x1 y0 + x1 y1 = (x0 + x1)(y0 + y1) + x0 y0  (mod 2)
+
+    in three integer products, with terms of at most 4.
 
     Returns an int8 array of element codes.
     """
@@ -215,10 +217,8 @@ def gf_matmul(gf: GF, x, y) -> np.ndarray:
         x0, x1 = x & 1, x >> 1
         y0, y1 = y & 1, y >> 1
         p00 = _int_matmul(x0, y0)
-        p01 = _int_matmul(x0, y1)
-        p10 = _int_matmul(x1, y0)
         p11 = _int_matmul(x1, y1)
         z0 = (p00 + p11) & 1
-        z1 = (p01 + p10 + p11) & 1
+        z1 = (_int_matmul(x0 + x1, y0 + y1) + p00) & 1
         return (z0 + 2 * z1).astype(np.int8)
     return (_int_matmul(x, y) % gf.q).astype(np.int8)

@@ -271,14 +271,20 @@ def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
         yield msgs
 
 
-def weight_enumerator(C: LinearCode) -> WeightEnumerator:
-    """Exact weight enumerator by full message-space enumeration."""
+def _codeword_blocks(C: LinearCode):
+    """All q^k codewords of the systematic form (I_k | B), with their weights,
+    as blocks of (words, weights) in message order (budget-guarded)."""
     _check_budget(C.gf.q, C.k)
     B, _ = C.systematic_right_block()
-    coeffs = np.zeros(C.n + 1, dtype=np.int64)
     for msgs in _message_blocks(C.gf.q, C.k):
-        right = gf_matmul(C.gf, msgs, B)
-        wts = np.count_nonzero(msgs, axis=1) + np.count_nonzero(right, axis=1)
+        words = np.hstack([msgs, gf_matmul(C.gf, msgs, B)])
+        yield words, np.count_nonzero(words, axis=1)
+
+
+def weight_enumerator(C: LinearCode) -> WeightEnumerator:
+    """Exact weight enumerator by full message-space enumeration."""
+    coeffs = np.zeros(C.n + 1, dtype=np.int64)
+    for _, wts in _codeword_blocks(C):
         coeffs += np.bincount(wts, minlength=C.n + 1)
     return WeightEnumerator(C.n, coeffs.tolist())
 

@@ -29,15 +29,17 @@ the first rows of a circulant family, is split into contiguous chunks
 which can run on worker processes.  Each chunk returns its best and
 its attainers; the search keeps the attainers of the chunks whose best
 is the maximum, in chunk order, so output is identical for any worker
-or partition count.  Each completed chunk can be checkpointed to JSON.
+or partition count.  Each chunk can be checkpointed to JSON as it completes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .linear import (
 from .structured import (
     CirculantSpec,
     ToeplitzTriple,
+    _check_even_length,
     classify_triple,
     digits_of_index,
     double_toeplitz_code,
@@ -83,7 +86,7 @@ _PACKED_BYTE_BUDGET = 1 << 20
 
 
 class CheckpointError(RuntimeError):
-    """A checkpoint file does not match the requested search."""
+    """A checkpoint file or path is unusable, or does not match the requested search."""
 
 
 @dataclass(frozen=True)
@@ -410,14 +413,15 @@ def _payload_to_triple(gf: GF, payload, family: str):
 
 
 def _load_checkpoint(path: str, config: SearchConfig) -> dict:
-    """The checkpoint at ``path`` (fresh when absent); CheckpointError if malformed."""
-    if not os.path.exists(path):
-        return {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "chunks": {}}
+    """The checkpoint at ``path`` (fresh when absent), written back at once: CheckpointError
+    if the file is malformed or the path cannot be read or written."""
+    data = {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "chunks": {}}
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint is not a readable JSON file: {exc}") from exc
     if not isinstance(data, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if data.get("version") != CHECKPOINT_VERSION:
@@ -433,13 +437,19 @@ def _load_checkpoint(path: str, config: SearchConfig) -> dict:
     for cid, chunk in chunks.items():
         try:
             best, payloads = chunk
-            if not isinstance(best, int) or not isinstance(payloads, list):
+            if type(best) is not int or not isinstance(payloads, list):
                 raise TypeError("best is not an integer or payloads not a list")
             for payload in payloads:
                 if _payload_to_triple(gf, payload, config.family)[0].m != config.n // 2:
                     raise ValueError(f"payload {payload} is not of length {config.n}")
+                if type(payload[-1]) is not int:  # bool is a subclass of int
+                    raise TypeError(f"payload {payload} has no integer weight")
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint chunk {cid} is not [best, payloads]: {exc}") from exc
+    try:
+        _save_checkpoint(path, data)
+    except OSError as exc:
+        raise CheckpointError(f"checkpoint path is not writable: {exc}") from exc
     return data
 
 
@@ -461,21 +471,31 @@ def _chunk_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(partitions)]
 
 
-def _run_chunks(fn, arg_list, workers: int):
-    """Run chunk jobs, yielding (chunk_id, result) as they complete.
+def _run_chunks(fn, jobs: dict[int, tuple], workers: int):
+    """Run chunk jobs ``{chunk_id: args}``, yielding (chunk_id, result) as they complete.
 
-    The pool gets no more processes than there are chunks or CPUs: under
-    fork it starts all of them at the first submit.
+    A job that raises cancels the jobs not yet started, and its
+    exception is raised again with the same type, its message prefixed
+    by the chunk id and the prefix range ``args[-2:]``.  The pool gets
+    no more processes than there are chunks or CPUs: under fork it
+    starts all of them at the first submit.
     """
-    workers = min(workers, len(arg_list), os.cpu_count() or 1)
-    if workers <= 1:
-        for cid, args in enumerate(arg_list):
-            yield cid, fn(args)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {cid: pool.submit(fn, args) for cid, args in enumerate(arg_list)}
-        for cid in sorted(futures):
-            yield cid, futures[cid].result()
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    with ExitStack() as stack:
+        if workers <= 1:
+            outcomes = ((cid, partial(fn, args)) for cid, args in jobs.items())
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            futures = {pool.submit(fn, args): cid for cid, args in jobs.items()}
+            stack.callback(lambda: [future.cancel() for future in futures])
+            outcomes = ((futures[future], future.result) for future in as_completed(futures))
+        for cid, outcome in outcomes:
+            try:
+                result = outcome()
+            except Exception as exc:
+                lo, hi = jobs[cid][-2:]
+                raise type(exc)(f"chunk {cid} (prefixes [{lo}, {hi})): {exc}") from exc
+            yield cid, result
 
 
 def _search(
@@ -490,8 +510,7 @@ def _search(
     checkpoint_path: str | None,
     triple_budget: int,
 ):
-    if n % 2 or n < 2:
-        raise ValueError(f"length n must be even and positive, got {n}")
+    _check_even_length(n)
     if mode not in ("find-optimal", "collect-at", "at-least"):
         raise ValueError(f"unknown search mode {mode!r}")
     if mode != "find-optimal" and (d is None or d < 1):
@@ -514,15 +533,15 @@ def _search(
     done = {int(k): v for k, v in state["chunks"].items()}
     ranges = _chunk_ranges(q ** (n // 2), partitions)
     start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
-    todo = [
-        (cid, (q, n, family, reduction, mode, start, lo, hi))
+    todo = {
+        cid: (q, n, family, reduction, mode, start, lo, hi)
         for cid, (lo, hi) in enumerate(ranges)
         if cid not in done
-    ]
-    for i, result in _run_chunks(_scan_chunk, [a for _, a in todo], workers):
-        done[todo[i][0]] = result
+    }
+    for cid, result in _run_chunks(_scan_chunk, todo, workers):
+        done[cid] = result
         if checkpoint_path:
-            state["chunks"] = {str(k): v for k, v in done.items()}
+            state["chunks"] = {str(k): done[k] for k in sorted(done)}
             _save_checkpoint(checkpoint_path, state)
 
     best = max(chunk_best for chunk_best, _ in done.values())

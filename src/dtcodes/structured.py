@@ -242,9 +242,13 @@ def contains_vector(T: ToeplitzTriple, u, v) -> bool:
     return bool(np.array_equal(gf_matmul(T.gf, u, toeplitz_matrix(T)), v))
 
 
-def _check_halves(gf: GF, n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+def _check_even_length(n: int) -> None:
     if n % 2 or n < 2:
         raise ValueError(f"length n must be even and positive, got {n}")
+
+
+def _check_halves(gf: GF, n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+    _check_even_length(n)
     u = np.asarray(u, dtype=np.int8)
     v = np.asarray(v, dtype=np.int8)
     if u.shape != (n // 2,) or v.shape != (n // 2,):

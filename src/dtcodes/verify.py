@@ -15,7 +15,6 @@ from .average import (
     average_weight_enumerator_bruteforce,
     minimal_guaranteed_length,
 )
-from .equivalence import _check_semimonomial, dedupe_into_classes
 from .gf import GF
 from .linear import minimum_weight
 from .reference_data import (
@@ -28,8 +27,7 @@ from .reference_data import (
     build_code,
     iter_weight_checks,
 )
-from .search import classify, search_dt
-from .structured import double_toeplitz_code
+from .search import classify
 
 __all__ = [
     "SUITES",
@@ -92,8 +90,8 @@ SUITES = {
 def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) -> bool:
     """Check that the symmetry filter loses no equivalence class.
 
-    Runs the optimal-triple search twice, with the default filter and
-    with no filter, and asks for equal optima and equal class counts.
+    Runs :func:`classify` twice, with the default filter and with no
+    filter, and asks for equal optima and equal class counts.
     That suffices: with equal optima the filtered attainers are
     exactly the unfiltered attainers that pass the filter, so each
     filtered class lies inside one unfiltered class, and inequivalent
@@ -101,13 +99,6 @@ def verify_reduction_soundness(gf: GF, n: int, *, semimonomial: bool = False) ->
     thus inject into the unfiltered classes, and equal counts make the
     injection onto: every unfiltered class has a filtered member.
     """
-    _check_semimonomial(gf.q, semimonomial)
-    d_f, records_f = search_dt(gf, n)
-    d_u, records_u = search_dt(gf, n, reduction="none")
-    if d_f != d_u:
-        return False
-    codes_f = [double_toeplitz_code(T) for T, _ in records_f]
-    codes_u = [double_toeplitz_code(T) for T, _ in records_u]
-    classes_f = dedupe_into_classes(codes_f, semimonomial=semimonomial)
-    classes_u = dedupe_into_classes(codes_u, semimonomial=semimonomial)
-    return len(classes_f) == len(classes_u)
+    filtered = classify(gf, n, semimonomial=semimonomial)
+    unfiltered = classify(gf, n, reduction="none", semimonomial=semimonomial)
+    return (filtered.d_opt, len(filtered.records)) == (unfiltered.d_opt, len(unfiltered.records))

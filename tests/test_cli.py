@@ -74,6 +74,46 @@ def test_code_usage_errors(capsys):
     assert "error" in err
 
 
+# (--q, family flag, literal, action) -> exit code, stdout, stderr, as
+# printed before the code literals went through reference_data.build_code
+_CODE_LITERALS = [
+    (("2", "--dc", "(1,1,0)", "--minwt"), 0, "3\n",
+     "[6,3] code over F2: minimum weight 3\n"),
+    (("2", "--nc", "(1,1,0)", "--wenum"), 0, "[1, 0, 0, 4, 3, 0, 0]\n",
+     "[6,3] code over F2: weight enumerator with 8 codewords\n"),
+    (("3", "--nc", "(1,2,1,1,1,0)", "--minwt"), 0, "6\n",
+     "[12,6] code over F3: minimum weight 6\n"),
+    (("4", "--dc", "(1,w)", "--wenum"), 0, "[1, 0, 0, 12, 3]\n",
+     "[4,2] code over F4: weight enumerator with 16 codewords\n"),
+    (("2", "--dt", "0;(1,1);(1,0)", "--wenum"), 0, "[1, 0, 1, 3, 2, 1, 0]\n",
+     "[6,3] code over F2: weight enumerator with 8 codewords\n"),
+    (("2", "--dc", "1,1", "--minwt"), 2, "",
+     "error: vector literal must be parenthesised: '1,1'\n"),
+    (("2", "--dc", "()", "--minwt"), 2, "",
+     "error: first row must be nonempty\n"),
+    (("2", "--nc", "(1,2)", "--minwt"), 2, "",
+     "error: unknown F2 element token '2'\n"),
+    (("2", "--dt", "C:(1,1)", "--minwt"), 2, "",
+     "error: triple literal must have three ';'-separated parts: 'C:(1,1)'\n"),
+    (("2", "--dt", "N:0;(1);(1)", "--minwt"), 2, "",
+     "error: unknown F2 element token 'N:0'\n"),
+    (("2", "--dc", "(1,2)", "--minwt"), 2, "",
+     "error: unknown F2 element token '2'\n"),
+    (("2", "--dt", "2;(1);(0)", "--minwt"), 2, "",
+     "error: unknown F2 element token '2'\n"),
+    (("3", "--dc", "C:(1,2)", "--minwt"), 2, "",
+     "error: vector literal must be parenthesised: 'C:(1,2)'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", _CODE_LITERALS, ids=[" ".join(case[0][:3]) for case in _CODE_LITERALS]
+)
+def test_code_literals_keep_their_output(capsys, argv, code, out, err):
+    q, family, literal, action = argv
+    assert run(capsys, "code", "--q", q, family, literal, action) == (code, out, err)
+
+
 def test_awe_coefficients(capsys):
     code, out, _ = run(capsys, "awe", "--q", "2", "--n", "2")
     assert code == 0
@@ -179,6 +219,20 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, content):
     # the well-formed file of the same search resumes
     path.write_text(json.dumps({"version": 2, "config": _CONFIG, "chunks": {}}))
     assert run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "boolean-best"])
+def test_unusable_checkpoint_exits_2(capsys, tmp_path, where):
+    path = tmp_path
+    if where == "missing-dir":
+        path = tmp_path / "absent" / "run.json"
+    elif where == "boolean-best":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"version": 2, "config": _CONFIG, "chunks": {"0": [True, []]}}))
+    code, out, err = run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))
+    assert code == 2
+    assert out == ""
+    assert "checkpoint rejected" in err
 
 
 @pytest.mark.parametrize("command", ["search", "classify"])

@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import os
+import re
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -34,7 +36,7 @@ from dtcodes import (
     vector_rank,
     verify_reduction_soundness,
 )
-from dtcodes import equivalence, search, verify
+from dtcodes import equivalence, search
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
@@ -679,12 +681,101 @@ def test_checkpoint_version_guard(tmp_path):
         _chunks({"0": [3, [[0, [], [], 3]]]}),
         _chunks({"1": [3, []]}),
         _chunks({"-1": [3, []]}),
+        # booleans and non-integers as best or as payload weight
+        _chunks({"0": [True, []]}),
+        _chunks({"0": [3.0, []]}),
+        _chunks({"0": [3, [[0, [1, 1], [1, 1], True]]]}),
+        _chunks({"0": [3, [[0, [1, 1], [1, 1], 3.0]]]}),
+        _chunks({"0": [3, [[0, [1, 1], [1, 1], "3"]]]}),
     ]
     path = tmp_path / "run.json"
     for content in malformed:
         path.write_text(content)
         with pytest.raises(CheckpointError):
             search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
+    # the same chunk with an integer weight is accepted
+    path.write_text(_chunks({"0": [3, [[0, [1, 1], [1, 1], 3]]]}))
+    assert search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))[0] == 3
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unusable_checkpoint_path_is_rejected_before_scanning(tmp_path, monkeypatch, where):
+    path = tmp_path / "absent" / "run.json" if where == "missing-dir" else tmp_path
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a chunk"))
+    with pytest.raises(CheckpointError):
+        search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
+
+
+# Chunk jobs for the failure tests below.  They run in worker processes,
+# so they are module-level functions configured through the environment:
+# the chunk starting at prefix ``fail_lo`` raises ``settle`` seconds after
+# ``wait_for`` other chunks have left a file in ``marks``; every other
+# chunk sleeps ``sleep`` seconds, scans for real and leaves its file.
+_CHUNK_TEST_ENV = "DTCODES_CHUNK_TEST"
+
+
+def _scan_or_fail(args):
+    cfg = json.loads(os.environ[_CHUNK_TEST_ENV])
+    lo = args[-2]
+    if lo == cfg["fail_lo"]:
+        deadline = time.monotonic() + 30
+        while len(os.listdir(cfg["marks"])) < cfg["wait_for"] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(cfg["settle"])
+        raise ValueError("injected failure")
+    time.sleep(cfg["sleep"])
+    result = _scan_chunk(args)
+    open(os.path.join(cfg["marks"], str(lo)), "w").close()
+    return result
+
+
+def _chunk_test(monkeypatch, tmp_path, fail_lo, wait_for=0, settle=0.0, sleep=0.0) -> str:
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    cfg = dict(marks=str(marks), fail_lo=fail_lo, wait_for=wait_for, settle=settle, sleep=sleep)
+    monkeypatch.setenv(_CHUNK_TEST_ENV, json.dumps(cfg))
+    monkeypatch.setattr(search, "_scan_chunk", _scan_or_fail)
+    return str(marks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_chunk_leaves_the_completed_chunks_checkpointed(tmp_path, monkeypatch, workers):
+    gf, n, partitions = GF(2), 10, 8
+    reference = search_dt(gf, n, partitions=partitions)
+    ranges = _chunk_ranges(2 ** (n // 2), partitions)
+    # one worker: the last chunk fails after the others; two workers:
+    # chunk 0 fails once the other worker has done the other seven
+    failed = partitions - 1 if workers == 1 else 0
+    _chunk_test(monkeypatch, tmp_path, ranges[failed][0], wait_for=partitions - 1, settle=0.3)
+    path = tmp_path / "run.json"
+    with pytest.raises(ValueError, match="injected failure"):
+        search_dt(gf, n, partitions=partitions, workers=workers, checkpoint_path=str(path))
+    chunks = json.loads(path.read_text())["chunks"]
+    assert list(chunks) == [str(cid) for cid in range(partitions) if cid != failed]
+    # the resumed run scans the failed chunk only and ends where an
+    # uninterrupted run does
+    monkeypatch.undo()
+    scanned = []
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: scanned.append(args[-2:]) or _scan_chunk(args))
+    assert search_dt(gf, n, partitions=partitions, checkpoint_path=str(path)) == reference
+    assert scanned == [ranges[failed]]
+
+
+def test_failed_chunk_cancels_the_queued_chunks(tmp_path, monkeypatch):
+    # chunk 0 fails at once; each of the 39 others takes 0.1 s
+    marks = _chunk_test(monkeypatch, tmp_path, fail_lo=0, sleep=0.1)
+    with pytest.raises(ValueError, match="injected failure"):
+        search_dt(GF(2), 12, partitions=40, workers=2)
+    assert len(os.listdir(marks)) < 10
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunk_failure_names_its_chunk_and_prefix_range(tmp_path, monkeypatch, workers):
+    _chunk_test(monkeypatch, tmp_path, fail_lo=8)
+    message = "chunk 2 (prefixes [8, 12)): injected failure"
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        search_dt(GF(2), 8, partitions=4, workers=workers)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 4)])
@@ -765,9 +856,21 @@ def test_classify_pair_tests_all_find_a_map(monkeypatch):
     assert all(M is not None for M in results)
 
 
+def test_reduction_soundness_catches_a_filter_that_drops_a_kept_b(monkeypatch):
+    # C2 keeping f(b) < f(a) instead of f(b) <= f(a), so that each prefix
+    # loses its last kept b, the one with b = a; at n = 4 that loses
+    # every filtered member of a class
+    assert verify_reduction_soundness(GF(2), 4)
+    kept_b_count = search._kept_b_count
+    monkeypatch.setattr(
+        search, "_kept_b_count", lambda q, reduction, t, a: kept_b_count(q, reduction, t, a) - 1
+    )
+    assert not verify_reduction_soundness(GF(2), 4)
+
+
 def test_reduction_soundness_checks_semimonomial_before_searching(monkeypatch):
     calls = []
-    monkeypatch.setattr(verify, "search_dt", lambda *a, **k: calls.append(a) or pytest.fail("searched"))
+    monkeypatch.setattr(search, "search_dt", lambda *a, **k: calls.append(a) or pytest.fail("searched"))
     with pytest.raises(ValueError, match="F4 only"):
         verify_reduction_soundness(GF(2), 8, semimonomial=True)
     assert calls == []
