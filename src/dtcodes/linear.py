@@ -14,6 +14,7 @@ silently truncating.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -232,51 +233,48 @@ def _index_digits(idx: np.ndarray, q: int, length: int) -> np.ndarray:
     return ((idx[:, None] // powers[None, :]) % q).astype(np.int8)
 
 
-def _message_blocks(q: int, k: int, block: int = _BLOCK_ROWS):
-    """All q^k messages in odometer order (digit 0 fastest), in blocks."""
-    total = q**k
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        yield _index_digits(idx, q, k)
-
-
-def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
-    """The projective weight-w messages of length k, grouped into blocks.
+@functools.cache
+def _weight_layer(q: int, k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projective weight-w messages of length k, built once per (q, k, w).
 
     A message and its nonzero scalar multiples give codewords of one
     weight, so only the C(k, w) (q-1)^(w-1) messages whose first
-    nonzero entry is 1 are listed.  Supports come from
-    ``itertools.combinations`` in lexicographic order; for q > 2 each
-    support carries every pattern of nonzero values after its leading 1.
+    nonzero entry is 1 are listed.  Returns read-only int8 arrays
+    ``(supports, values)``: the supports in ``itertools.combinations``
+    order and the (q-1)^(w-1) value patterns that start with 1.  The
+    messages are every support with every pattern, support-major.
     """
-    if w == 0:
-        yield np.zeros((1, k), dtype=np.int8)
-        return
-    nonzero = np.array(
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), w))
+    supports = np.fromiter(flat, dtype=np.int8).reshape(-1, w)
+    values = np.array(
         [(1, *rest) for rest in itertools.product(range(1, q), repeat=w - 1)], dtype=np.int8
     )
-    nv = len(nonzero)
+    supports.flags.writeable = values.flags.writeable = False
+    return supports, values
+
+
+def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
+    """The messages of :func:`_weight_layer` as dense rows, in blocks of whole supports."""
+    supports, values = _weight_layer(q, k, w)
+    nv = len(values)
     sup_per_block = max(1, block // nv)
-    support_iter = itertools.combinations(range(k), w)
-    while True:
-        chunk = list(itertools.islice(support_iter, sup_per_block))
-        if not chunk:
-            return
-        S = np.array(chunk, dtype=np.int64)
-        ns = len(S)
-        msgs = np.zeros((ns * nv, k), dtype=np.int8)
-        rows = np.repeat(np.arange(ns * nv), w).reshape(ns * nv, w)
-        cols = np.repeat(S, nv, axis=0)
-        msgs[rows, cols] = np.tile(nonzero, (ns, 1))
+    for lo in range(0, len(supports), sup_per_block):
+        S = supports[lo : lo + sup_per_block]
+        msgs = np.zeros((len(S) * nv, k), dtype=np.int8)
+        np.put_along_axis(msgs, np.repeat(S, nv, axis=0), np.tile(values, (len(S), 1)), axis=1)
         yield msgs
 
 
 def _codeword_blocks(C: LinearCode):
     """All q^k codewords of the systematic form (I_k | B), with their weights,
-    as blocks of (words, weights) in message order (budget-guarded)."""
+    as blocks of (words, weights) in odometer message order, digit 0
+    fastest (budget-guarded)."""
     _check_budget(C.gf.q, C.k)
     B, _ = C.systematic_right_block()
-    for msgs in _message_blocks(C.gf.q, C.k):
+    total = C.gf.q**C.k
+    for start in range(0, total, _BLOCK_ROWS):
+        idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
+        msgs = _index_digits(idx, C.gf.q, C.k)
         words = np.hstack([msgs, gf_matmul(C.gf, msgs, B)])
         yield words, np.count_nonzero(words, axis=1)
 

@@ -21,7 +21,9 @@ mu r_m, r).  Blocks run across prefixes and are sized to a byte budget.
 Each is packed once into uint64 bit-planes of the scalar multiples of
 its rows; a projective message's right half is then an XOR of packed
 rows (a bitsliced adder over F3) and its weight a popcount, which gives
-the block's minimum weights capped at a threshold.  A "find-optimal"
+the block's minimum weights capped at a threshold.  The messages are
+the layers of :func:`linear._weight_layer`, built once per (q, m, w)
+and shared with ``minimum_weight``.  A "find-optimal"
 pass keeps the attainers of its running best minimum weight and drops
 them when the best rises; "collect-at" and "at-least" passes keep the
 candidates at or above a fixed target.  The prefix space (t, a), or
@@ -49,7 +51,7 @@ from .linear import (
     BudgetExceededError,
     LinearCode,
     _index_digits,
-    _weight_layer_blocks,
+    _weight_layer,
     min_weight_at_least,
     minimum_weight,
 )
@@ -57,11 +59,13 @@ from .structured import (
     CirculantSpec,
     ToeplitzTriple,
     _check_even_length,
+    band_sequence,
     classify_triple,
     digits_of_index,
     double_toeplitz_code,
     index_of_digits,
     toeplitz_windows,
+    triple_of_circulant,
 )
 
 __all__ = [
@@ -165,29 +169,6 @@ def _resolve_reduction(q: int, reduction: str) -> str:
 _ENTRY_WORD = {2: (0, 1), 3: (0, 1, 1 << 32), 4: (0, 1, 1 << 32, 1 | 1 << 32)}
 
 
-class _MessageCache:
-    """The projective messages of each weight over F_q^m, built once per weight.
-
-    A message is kept as the packed-word columns (see :func:`_pack_rows`)
-    of the scalar multiples that it sums, one column per support entry
-    in increasing order.
-    """
-
-    def __init__(self, q: int, m: int):
-        self.q = q
-        self.m = m
-        self._layers: dict[int, np.ndarray] = {}
-
-    def layer(self, w: int) -> np.ndarray:
-        """(messages, w) packed-word columns of the weight-w messages."""
-        if w not in self._layers:
-            U = np.vstack(list(_weight_layer_blocks(self.q, self.m, w)))
-            support = np.nonzero(U)[1].reshape(len(U), w)
-            scalar_index = U[np.arange(len(U))[:, None], support] - 1
-            self._layers[w] = support * (self.q - 1) + scalar_index
-        return self._layers[w]
-
-
 def _pack_rows(gf: GF, A: np.ndarray) -> np.ndarray:
     """The nonzero scalar multiples of the rows of each block, as uint64 words.
 
@@ -251,26 +232,31 @@ def _message_weights(q: int, PT: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.bitwise_count(halves[:, 0::2] | halves[:, 1::2])
 
 
-def _batch_min_weight_capped(P: np.ndarray, T: int, cache: _MessageCache) -> np.ndarray:
-    """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i).
+def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
+    """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i) over F_q.
 
     ``P`` holds the packed rows of the blocks A_i (:func:`_pack_rows`).
     A codeword of weight below T comes from a message of weight below
     T, so the projective messages of weight 1..T-1 give d_i exactly
     when d_i < T, and a value of T proves d_i >= T.  They are scanned by
-    ascending weight w; messages of weight above w give codewords of
-    weight above w, so a code whose lowest weight so far is at most
-    w + 1 is settled and leaves the scan.
+    ascending weight w, each layer read from :func:`linear._weight_layer`
+    as the packed-word columns ``support (q-1) + value - 1`` of its
+    terms; messages of weight above w give codewords of weight above w,
+    so a code whose lowest weight so far is at most w + 1 is settled
+    and leaves the scan.
     """
+    m = P.shape[1] // (q - 1)
     out = np.full(len(P), T, dtype=np.int64)
     alive = np.arange(len(P))
-    for w in range(1, min(T, cache.m + 1)):
-        cols = cache.layer(w)
+    for w in range(1, min(T, m + 1)):
+        supports, values = _weight_layer(q, m, w)
+        terms = np.repeat(supports.astype(np.int64) * (q - 1), len(values), axis=0)
+        cols = terms + np.tile(values - 1, (len(supports), 1))
         step = max(1, _PACKED_BYTE_BUDGET // (8 * len(cols)))
         for lo in range(0, len(alive), step):
             idx = alive[lo : lo + step]
             PT = np.ascontiguousarray(P[idx].T)
-            low = w + _message_weights(cache.q, PT, cols).min(axis=0)
+            low = w + _message_weights(q, PT, cols).min(axis=0)
             out[idx] = np.minimum(out[idx], low)
         alive = alive[out[alive] > w + 1]
         if not len(alive):
@@ -367,20 +353,19 @@ def _scan_chunk(args) -> tuple[int, list]:
     """
     q, n, family, reduction, mode, d, lo, hi = args
     gf = GF(q)
-    cache = _MessageCache(q, n // 2)
     best, found = d, []
     for S in _candidate_bands(gf, n, family, reduction, range(lo, hi), np.arange):
         A = toeplitz_windows(S)
         P = _pack_rows(gf, A)
         if mode == "at-least":
-            for off in np.flatnonzero(_batch_min_weight_capped(P, d, cache) >= d):
+            for off in np.flatnonzero(_batch_min_weight_capped(P, d, q) >= d):
                 mw = minimum_weight(LinearCode.systematic(gf, A[off]))
                 found.append(_payload(family, S[off], mw))
             continue
         # candidates of the block that may still attain or raise the best
         pending = np.arange(len(A))
         while len(pending):
-            capped = _batch_min_weight_capped(P[pending], best + 1, cache)
+            capped = _batch_min_weight_capped(P[pending], best + 1, q)
             above = pending[capped > best] if mode == "find-optimal" else pending[:0]
             if not len(above):
                 found += [_payload(family, S[i], best) for i in pending[capped == best]]
@@ -440,10 +425,13 @@ def _load_checkpoint(path: str, config: SearchConfig) -> dict:
             if type(best) is not int or not isinstance(payloads, list):
                 raise TypeError("best is not an integer or payloads not a list")
             for payload in payloads:
-                if _payload_to_triple(gf, payload, config.family)[0].m != config.n // 2:
-                    raise ValueError(f"payload {payload} is not of length {config.n}")
-                if type(payload[-1]) is not int:  # bool is a subclass of int
-                    raise TypeError(f"payload {payload} has no integer weight")
+                spec, mw = _payload_to_triple(gf, payload, config.family)
+                T = spec if config.family == "DT" else triple_of_circulant(spec)
+                # only what a scan writes for this spec: int entries (no bool,
+                # float or str), the family's sign and the configured length
+                written = _payload(config.family, band_sequence(T), mw)
+                if T.m != config.n // 2 or json.dumps(payload) != json.dumps(written):
+                    raise ValueError(f"payload {payload} is not one a length-{config.n} scan writes")
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint chunk {cid} is not [best, payloads]: {exc}") from exc
     try:

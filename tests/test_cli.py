@@ -235,6 +235,30 @@ def test_unusable_checkpoint_exits_2(capsys, tmp_path, where):
     assert "checkpoint rejected" in err
 
 
+_DC_CONFIG = dict(_CONFIG, n=8, family="DC", reduction="none")
+
+
+@pytest.mark.parametrize("payload", [
+    [[1.0, True, 1, 0], 1, 4],
+    [[1, 1, 1, 0], -1, 4],
+], ids=["non-integer-entries", "negacirculant-sign"])
+def test_circulant_checkpoint_payload_exits_2(capsys, tmp_path, payload):
+    path = tmp_path / "run.json"
+    rejected = {"version": 2, "config": _DC_CONFIG, "chunks": {"0": [4, [payload]]}}
+    path.write_text(json.dumps(rejected))
+    argv = ("search", "--q", "2", "--n", "8", "--family", "dc", "--checkpoint", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "checkpoint rejected" in err
+    # the payload as the scan writes it resumes
+    written = {"version": 2, "config": _DC_CONFIG, "chunks": {"0": [4, [[[1, 1, 1, 0], 1, 4]]]}}
+    path.write_text(json.dumps(written))
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {"r": "(1,1,1,0)", "mu": 1, "min_weight": 4}
+
+
 @pytest.mark.parametrize("command", ["search", "classify"])
 def test_negative_workers_exit_2(capsys, command):
     code, out, err = run(capsys, command, "--q", "2", "--n", "6", "--workers", "-3")

@@ -247,6 +247,69 @@ def test_weight_layers_are_projective(q):
         assert sorted(multiples) == sorted(full)
 
 
+def _islice_layer_blocks(q: int, k: int, w: int, block: int):
+    """The weight-w layer as blocks were built from ``itertools`` on every call
+    before layers were cached: the oracle for :func:`linear._weight_layer_blocks`."""
+    nonzero = np.array(
+        [(1, *rest) for rest in itertools.product(range(1, q), repeat=w - 1)], dtype=np.int8
+    )
+    nv = len(nonzero)
+    sup_per_block = max(1, block // nv)
+    support_iter = itertools.combinations(range(k), w)
+    while True:
+        chunk = list(itertools.islice(support_iter, sup_per_block))
+        if not chunk:
+            return
+        S = np.array(chunk, dtype=np.int64)
+        ns = len(S)
+        msgs = np.zeros((ns * nv, k), dtype=np.int8)
+        rows = np.repeat(np.arange(ns * nv), w).reshape(ns * nv, w)
+        cols = np.repeat(S, nv, axis=0)
+        msgs[rows, cols] = np.tile(nonzero, (ns, 1))
+        yield msgs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_weight_layer_blocks_match_the_islice_oracle(q):
+    for k in range(1, 8):
+        for w in range(1, k + 1):
+            for block in (4, 7, linear._BLOCK_ROWS):
+                got = list(linear._weight_layer_blocks(q, k, w, block))
+                want = list(_islice_layer_blocks(q, k, w, block))
+                assert len(got) == len(want), (k, w, block)
+                for g, e in zip(got, want):
+                    assert g.dtype == np.int8 and g.shape == e.shape, (k, w, block)
+                    assert (g == e).all(), (k, w, block)
+
+
+def test_weight_layer_is_read_only():
+    supports, values = linear._weight_layer(3, 5, 3)
+    assert supports.dtype == values.dtype == np.int8
+    assert supports.shape == (math.comb(5, 3), 3) and values.shape == (4, 3)
+    with pytest.raises(ValueError):
+        supports[0, 0] = 4
+    with pytest.raises(ValueError):
+        values[0, 0] = 2
+
+
+def test_minimum_weight_builds_each_layer_once():
+    # two different [26, 13, 9] codes over F4 whose right blocks differ by a
+    # column reversal: equal weight distributions, so both scans read the
+    # same layers
+    B, _ = build_code(4, "C:(1,v,w,w,w,w,1,0,1,0,0,0,0)").systematic_right_block()
+    C1, C2 = (LinearCode.systematic(GF(4), X) for X in (B, B[:, ::-1]))
+    assert not np.array_equal(C1.G, C2.G)
+    linear._weight_layer.cache_clear()
+    assert minimum_weight(C1) == 9
+    first = linear._weight_layer.cache_info()
+    assert minimum_weight(C2) == 9
+    second = linear._weight_layer.cache_info()
+    assert first.misses == first.currsize >= 3
+    # the second scan reads every layer it needs from the cache
+    assert second.misses == first.misses
+    assert second.hits >= first.hits + first.misses
+
+
 def test_layer_scan_stops_at_the_first_light_block(monkeypatch):
     # rows 0 and 1 agree, so message e0 + e1, in the first block of
     # layer 2, gives weight 2 + 0

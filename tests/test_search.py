@@ -36,7 +36,7 @@ from dtcodes import (
     vector_rank,
     verify_reduction_soundness,
 )
-from dtcodes import equivalence, search
+from dtcodes import equivalence, linear, search
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     SearchConfig,
@@ -44,7 +44,6 @@ from dtcodes.search import (
     _candidate_bands,
     _chunk_ranges,
     _f3_add,
-    _MessageCache,
     _pack_rows,
     _payload,
     _payload_to_triple,
@@ -403,12 +402,38 @@ def test_capped_batch_matches_minimum_weight(q):
     gf = GF(q)
     rng = np.random.default_rng(q)
     for m in range(2, 6):
-        cache = _MessageCache(q, m)
         A = rng.integers(0, q, size=(12, m, m), dtype=np.int8)
         exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in A]
         for T in range(1, m + 2):
-            got = _batch_min_weight_capped(_pack_rows(gf, A), T, cache)
+            got = _batch_min_weight_capped(_pack_rows(gf, A), T, q)
             assert got.tolist() == [min(d, T) for d in exact], (m, T)
+
+
+def _dense_layer_columns(q: int, m: int, w: int) -> np.ndarray:
+    """Packed-word columns of the weight-w layer from its dense message rows,
+    through ``np.nonzero``: the derivation of the former per-chunk message cache."""
+    U = np.vstack(list(linear._weight_layer_blocks(q, m, w)))
+    support = np.nonzero(U)[1].reshape(len(U), w)
+    scalar_index = U[np.arange(len(U))[:, None], support] - 1
+    return support * (q - 1) + scalar_index
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_packed_columns_match_the_dense_derivation(q, monkeypatch):
+    for m in range(1, 8):
+        seen = []
+
+        def unsettled(q_, PT, cols):  # weight m + 1 everywhere: no code settles
+            seen.append(cols)
+            return np.full((len(cols), PT.shape[1]), m + 1)
+
+        monkeypatch.setattr(search, "_message_weights", unsettled)
+        A = np.zeros((3, m, m), dtype=np.int8)
+        _batch_min_weight_capped(_pack_rows(GF(q), A), m + 2, q)
+        assert len(seen) == m
+        for w, cols in enumerate(seen, start=1):
+            assert cols.dtype == np.int64, (m, w)
+            assert np.array_equal(cols, _dense_layer_columns(q, m, w)), (m, w)
 
 
 def _table_product(gf: GF, U: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -485,7 +510,7 @@ def _capped_batches(draw):
 def test_packed_capped_batch_matches_product_oracles(drawn):
     q, A, T = drawn
     gf = GF(q)
-    got = _batch_min_weight_capped(_pack_rows(gf, A), T, _MessageCache(q, A.shape[-1]))
+    got = _batch_min_weight_capped(_pack_rows(gf, A), T, q)
     assert got.tolist() == [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in A]
     assert got.tolist() == [_capped_oracle(gf, Ai, T, _table_product) for Ai in A]
 
@@ -664,6 +689,28 @@ def _chunks(chunks) -> str:
     return json.dumps({"version": 2, "config": _C2_CONFIG, "chunks": chunks})
 
 
+def _family_chunks(family: str, q: int, n: int, chunks) -> str:
+    config = SearchConfig(q, n, family, "none", "find-optimal", None, 1).to_dict()
+    return json.dumps({"version": 2, "config": config, "chunks": chunks})
+
+
+# (family, q, n, accepted payload, its spec, rejected payloads): entries
+# that are not integers, a sign that is not an int, and the other family's sign
+_CIRCULANT_PAYLOADS = [
+    ("DC", 2, 8, [[1, 1, 1, 0], 1, 4], "C:(1,1,1,0)", [
+        [[1.0, True, 1, 0], 1, 4],
+        [[1, 1, 1, 0], True, 4],
+        [[1, 1, 1, 0], 1.0, 4],
+        [[1, 1, 1, 0], -1, 4],
+    ]),
+    ("NC", 3, 4, [[1, 2], -1, 3], "N:(1,2)", [
+        [[1, "2"], -1, 3],
+        [[1, 2], -1.0, 3],
+        [[1, 2], 1, 3],
+    ]),
+]
+
+
 def test_checkpoint_version_guard(tmp_path):
     malformed = [
         json.dumps({"version": 99, "config": {}}),
@@ -687,6 +734,10 @@ def test_checkpoint_version_guard(tmp_path):
         _chunks({"0": [3, [[0, [1, 1], [1, 1], True]]]}),
         _chunks({"0": [3, [[0, [1, 1], [1, 1], 3.0]]]}),
         _chunks({"0": [3, [[0, [1, 1], [1, 1], "3"]]]}),
+        # triple entries that are not integers: booleans, floats, strings
+        _chunks({"0": [3, [[True, [1.0, 1], [1, 1], 3]]]}),
+        _chunks({"0": [3, [["1", ["1", "1"], ["1", "1"], 3]]]}),
+        _chunks({"0": [3, [[1, [1, 1], [1, True], 3]]]}),
     ]
     path = tmp_path / "run.json"
     for content in malformed:
@@ -696,6 +747,16 @@ def test_checkpoint_version_guard(tmp_path):
     # the same chunk with an integer weight is accepted
     path.write_text(_chunks({"0": [3, [[0, [1, 1], [1, 1], 3]]]}))
     assert search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))[0] == 3
+    # first rows and signs of circulant payloads, through search_family
+    for family, q, n, good, text, bad in _CIRCULANT_PAYLOADS:
+        for payload in bad:
+            path.write_text(_family_chunks(family, q, n, {"0": [payload[-1], [payload]]}))
+            with pytest.raises(CheckpointError):
+                search_family(GF(q), n, family, checkpoint_path=str(path))
+        path.write_text(_family_chunks(family, q, n, {"0": [good[-1], [good]]}))
+        d, records = search_family(GF(q), n, family, checkpoint_path=str(path))
+        assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (good[-1], [(text, good[-1])])
+
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
