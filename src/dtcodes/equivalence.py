@@ -7,8 +7,9 @@ other.
 
 The decision procedure here anchors on low-weight codewords:
 
-1. one enumeration per code gives its signature and its anchor words:
-   its lowest weight layers, until every nonzero column is touched;
+1. one stacked enumeration of a block of codes that share (q, n, k)
+   gives each its signature and its anchor words: its lowest weight
+   layers, until every nonzero column is touched;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
    enumerator it holds the hull dimension (Hermitian over F4) and the
    sorted support co-occurrence profile of the minimum-weight words.
@@ -46,13 +47,14 @@ Frobenius map x -> x^2; see :func:`are_equivalent`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .gf import gf_matmul
-from .linear import LinearCode, _codeword_blocks, _rref
+from .gf import GF, _int_matmul, gf_matmul
+from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks
 
 __all__ = [
     "UndecidedError",
@@ -116,58 +118,102 @@ def frobenius_image(C: LinearCode) -> LinearCode:
     return LinearCode(C.gf, _FROBENIUS[C.G])
 
 
-def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
-    """All nonzero codewords grouped by weight (budget-guarded)."""
-    inv = np.argsort(C.systematic_right_block()[1])
-    groups: dict[int, list[np.ndarray]] = {}
-    for words, wts in _codeword_blocks(C):
-        words = words[:, inv]  # back to the code's own column order
-        for w in np.unique(wts[wts > 0]):
-            groups.setdefault(int(w), []).append(words[wts == w])
-    return {w: np.vstack(parts) for w, parts in sorted(groups.items())}
-
-
 class _Keyed(NamedTuple):
-    """A code, its signature and its anchor words (module docstring, step 1)."""
+    """A code's signature, anchor words and pair-search inputs (module docstring, step 1)."""
 
     code: LinearCode
     sig: tuple
     anchors: np.ndarray  # one anchor word per row
     masks: list[list[int]]  # masks[p][v]: bits of the anchors with value v in column p
     cooccurrence: list[tuple[int, ...]]  # per column, over the anchors
+    zero: list[int]  # the zero columns
+    order: list[int]  # the nonzero columns, most anchors first, then by index
+    columns: list[list[int]]  # columns[j]: the anchors' values in column j
+    by_row: dict[tuple, list[int]]  # the columns of each co-occurrence row, ascending
 
 
-def _hull_dimension(C: LinearCode) -> int:
-    """dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian (Ḡ = G^2) over F4.
+def _ranks(gf: GF, M: np.ndarray) -> np.ndarray:
+    """The rank of each matrix of a stack, by Gauss-Jordan elimination on all at once."""
+    at = np.arange(len(M))
+    free = np.ones(M.shape[:2], dtype=bool)  # rows that are not yet pivots
+    for col in range(M.shape[2]):
+        cand = (M[:, :, col] != 0) & free
+        piv = cand.argmax(axis=1)
+        has = cand[at, piv]
+        # inv_table[0] = 0: a matrix without a pivot in this column is left alone
+        lead = gf.inv_table[M[at, piv, col] * has]
+        coef = gf.mul_table[gf.neg_table[M[:, :, col]], lead[:, None]]
+        coef[at, piv] = 0
+        M = gf.add_table[M, gf.mul_table[coef[:, :, None], M[at, piv][:, None, :]]]
+        free[at, piv] &= ~has
+    return (~free).sum(axis=1)
 
-    A scale s on a column multiplies its term of the inner product by
-    s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1 over F4, so the
-    dimension is a monomial invariant.  The Euclidean form over F4 is
-    not: s^2 != 1 for s = w.
+
+def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
+    """The records of codes that share (q, n, k), from one stacked enumeration.
+
+    The hull dimension is dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian
+    (Ḡ = G^2) over F4.  A scale s on a column multiplies its term of the
+    inner product by s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1
+    over F4, so it is a monomial invariant; the Euclidean form over F4
+    is not (s^2 != 1 for s = w).
     """
-    conj = _FROBENIUS[C.G] if C.gf.q == 4 else C.G
-    return C.k - len(_rref(C.gf, gf_matmul(C.gf, C.G, conj.T))[1])
+    gf, n, k = codes[0].gf, codes[0].n, codes[0].k
+    at = np.arange(len(codes))
+    B = np.stack([C.systematic_right_block()[0] for C in codes])
+    words = np.concatenate(list(_codeword_blocks(gf, B)), axis=1)  # systematic column order
+    S = words != 0
+    wts = S @ np.ones(n, dtype=np.min_scalar_type(n))
+    layer = wts[:, None, :] == np.arange(n + 1)[:, None]  # [code, weight, word]
+    enum = layer.sum(axis=2)
+    # the anchors: the words up to the largest, over the nonzero columns, of the lightest
+    # weight that touches the column; by weight, then message, in the code's column order
+    touching = sum(  # [code, weight, column], in slices that bound the float32 copies
+        _int_matmul(layer[:, :, lo : lo + _BLOCK_ROWS], S[:, lo : lo + _BLOCK_ROWS])
+        for lo in range(0, S.shape[1], _BLOCK_ROWS)
+    )
+    N = enum.cumsum(axis=1)[at, (touching > 0).argmax(axis=1).max(axis=1)] - 1
+    # the zero word is message 0, the only one of weight 0
+    ranked = np.argsort(wts, axis=1, kind="stable")[:, 1 : N.max() + 1]
+    inv = np.argsort(np.stack([C.systematic_right_block()[1] for C in codes]), axis=1)
+    A = np.take_along_axis(words, ranked[:, :, None], axis=1)
+    A = np.take_along_axis(A, inv[:, None, :], axis=2)
+    A[np.arange(A.shape[1]) >= N[:, None]] = -1  # padding rows, which match no value
+    SA = A > 0
+    is_min = np.arange(A.shape[1]) < enum[at, (enum[:, 1:] > 0).argmax(axis=1) + 1][:, None]
+    both = _int_matmul(SA.transpose(0, 2, 1), np.concatenate([SA & is_min[:, :, None], SA], axis=2))
+    cooc_min = np.sort(both[:, :, :n], axis=2).tolist()
+    cooc = np.sort(both[:, :, n:], axis=2).tolist()
+    nz = SA.sum(axis=1)
+    eq = A.transpose(0, 2, 1)[:, :, None, :] == np.arange(gf.q)[:, None]
+    raw, nbytes = np.packbits(eq, axis=-1, bitorder="little").tobytes(), -(-A.shape[1] // 8)
+    flat = [int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)]
+    G = np.stack([C.G for C in codes])
+    gram = gf_matmul(gf, G, (_FROBENIUS[G] if gf.q == 4 else G).transpose(0, 2, 1))
+    hulls = (k - _ranks(gf, gram)).tolist()
+    out = []
+    for i, (C, nz_i, enum_i) in enumerate(zip(codes, nz.tolist(), enum.tolist())):
+        rows = list(map(tuple, cooc[i]))
+        by_row: dict[tuple, list[int]] = {}
+        for p, row in enumerate(rows):
+            by_row.setdefault(row, []).append(p)
+        masks = [flat[(i * n + p) * gf.q : (i * n + p + 1) * gf.q] for p in range(n)]
+        sig = (n, k, tuple(enum_i), hulls[i], tuple(sorted(map(tuple, cooc_min[i]))))
+        W = A[i, : N[i]].copy()  # not a view: the block's arrays die with the block
+        zero = [p for p in range(n) if not nz_i[p]]
+        order_i = sorted((p for p in range(n) if nz_i[p]), key=lambda p: -nz_i[p])
+        out.append(_Keyed(C, sig, W, masks, rows, zero, order_i, W.T.tolist(), by_row))
+    return out
 
 
-def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
-    """Row j, sorted: how many of ``words`` are nonzero in column j and in each column."""
-    S = np.asarray(words != 0, dtype=np.int64)
-    return [tuple(sorted(row)) for row in (S.T @ S).tolist()]
-
-
-def _keyed(C: LinearCode) -> _Keyed:
-    layers = _codewords_by_weight(C)
-    coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
-    cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
-    sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
-    # the anchors: the layers up to the first that completes the nonzero columns
-    nonzero_cols = np.asarray(C.G != 0).any(axis=0)
-    touched = np.logical_or.accumulate([(L != 0).any(axis=0) for L in layers.values()])
-    stop = next(i for i, cols in enumerate(touched) if np.array_equal(cols, nonzero_cols))
-    W = np.vstack(list(layers.values())[: stop + 1])
-    bits = np.packbits(W.T[:, None] == np.arange(C.gf.q)[:, None], axis=-1, bitorder="little")
-    masks = [[int.from_bytes(b.tobytes(), "little") for b in row] for row in bits]
-    return _Keyed(C, sig, W, masks, _cooccurrence_rows(W))
+def _keyed_codes(codes):
+    """The records of ``codes`` in order, keyed lazily in blocks of consecutive
+    codes that share (q, n, k).  A block's right halves hold at most
+    ``_BLOCK_ROWS`` entries, which bounds the field product's int64 temporaries."""
+    for (q, n, k), run in itertools.groupby(codes, key=lambda C: (C.gf.q, C.n, C.k)):
+        per_block = max(1, _BLOCK_ROWS // (q**k * max(1, n - k)))
+        while block := list(itertools.islice(run, per_block)):
+            yield from _key_block(block)
 
 
 def signature(C: LinearCode) -> tuple:
@@ -190,51 +236,39 @@ def signature(C: LinearCode) -> tuple:
     Every entry is also unchanged by the F4 Frobenius map, so a code
     and its conjugate share the signature.
     """
-    return _keyed(C).sig
+    return _key_block([C])[0].sig
 
 
 def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
     """A monomial map carrying code x onto code y; their signatures must be equal."""
     C1, C2 = x.code, y.code
     gf = C1.gf
-    q = gf.q
     n = C1.n
 
-    zero1 = [j for j in range(n) if not C1.G[:, j].any()]
-    zero2 = [j for j in range(n) if not C2.G[:, j].any()]
     # a map carries the anchors of x onto those of y (module docstring)
-    if len(zero1) != len(zero2) or len(x.anchors) != len(y.anchors):
+    if len(x.zero) != len(y.zero) or len(x.anchors) != len(y.anchors):
         return None
 
     N = len(x.anchors)
     full = (1 << N) - 1
-
-    # column j of W1 as Python ints, built once for the whole search
-    vals1 = x.anchors.T.tolist()
-
-    cols1 = [j for j in range(n) if j not in set(zero1)]
-    cols2 = [p for p in range(n) if p not in set(zero2)]
-    # Most-constrained first: columns touched by many anchor words
-    # propagate the most information.
-    nonzero1 = np.count_nonzero(x.anchors, axis=0)
-    cols1.sort(key=lambda j: (-nonzero1[j], j))
-    # The map permutes the anchor words and the columns together, so
-    # column j can land only on a column p with the same sorted row of
-    # anchor co-occurrence counts, and so with the same value counts
-    # (scalar closure, see the module docstring).
-    targets = {j: [p for p in cols2 if y.cooccurrence[p] == x.cooccurrence[j]] for j in cols1}
+    # x.order puts the columns touched by most anchor words first: they
+    # propagate the most information.  The map permutes anchor words and
+    # columns together, so column j can land only on a column p with the
+    # same sorted row of anchor co-occurrence counts, and so with the same
+    # value counts (scalar closure, see the module docstring).
+    targets = [y.by_row.get(x.cooccurrence[j], ()) for j in x.order]
+    mul = gf.mul_table.tolist()
 
     B2, perm2 = C2.systematic_right_block()
-    k = C2.k
-    scales = range(1, q)
+    scales = range(1, gf.q)
     nodes = 0
 
     perm = [-1] * n
     scale = [1] * n
-    for z1, z2 in zip(zero1, zero2):
+    for z1, z2 in zip(x.zero, y.zero):
         perm[z1] = z2
 
-    used = set(zero2)
+    used = set(y.zero)
 
     def verify() -> bool:
         G = np.empty_like(C1.G)
@@ -242,32 +276,32 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         # a row lies in C2 iff, in C2's systematic column order, its
         # right part is its left part times B2
         G = G[:, perm2]
-        return np.array_equal(gf_matmul(gf, G[:, :k], B2), G[:, k:])
+        return np.array_equal(gf_matmul(gf, G[:, : C2.k], B2), G[:, C2.k :])
 
     def descend(depth: int, cand: list[int]) -> bool:
         nonlocal nodes
-        if depth == len(cols1):
+        if depth == len(x.order):
             return verify()
-        j = cols1[depth]
-        col_vals = vals1[j]
-        for p in targets[j]:
+        j = x.order[depth]
+        col_vals = x.columns[j]
+        for p in targets[depth]:
             if p in used:
                 continue
             m2p = y.masks[p]
             # A map times a nonzero scalar is again a map, so the first
             # column holds a map under scale lam only if it does under 1.
             for lam in scales if depth else (1,):
-                mul_row = gf.mul_table[lam]
                 nodes += 1
                 if nodes > node_cap:
                     raise UndecidedError(
                         f"equivalence search exceeded its node budget of {node_cap}"
                     )
+                row = [m2p[v] for v in mul[lam]]  # row[u]: the y anchors with lam*u in p
                 new_cand = []
                 union = 0
                 ok = True
                 for i in range(N):
-                    c = cand[i] & m2p[mul_row[col_vals[i]]]
+                    c = cand[i] & row[col_vals[i]]
                     if not c:
                         ok = False
                         break
@@ -291,7 +325,7 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
 def _keyed_pair(C1: LinearCode, C2: LinearCode) -> tuple[_Keyed, _Keyed]:
     if (C1.gf.q, C1.n, C1.k) != (C2.gf.q, C2.n, C2.k):
         raise ValueError("codes must share field, length and dimension")
-    return _keyed(C1), _keyed(C2)
+    return tuple(_keyed_codes([C1, C2]))
 
 
 def _check_semimonomial(q: int, semimonomial: bool) -> None:
@@ -311,7 +345,10 @@ def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
     # and y's anchors mapped entrywise, and as x -> x^2 is an involution,
     # value v of the image is value v^2 of y
     masks = [[row[v] for v in _FROBENIUS] for row in y.masks]
-    frob = y._replace(code=frobenius_image(y.code), anchors=_FROBENIUS[y.anchors], masks=masks)
+    anchors = _FROBENIUS[y.anchors]
+    frob = y._replace(
+        code=frobenius_image(y.code), anchors=anchors, masks=masks, columns=anchors.T.tolist()
+    )
     return _search_map(x, frob, node_cap) is not None
 
 
@@ -348,19 +385,22 @@ def dedupe_into_classes(
 
     Returns index groups in first-seen order; the first index of each
     group is its representative, so feeding codes in ascending origin
-    order makes representatives the least originating objects.  Each
-    code is enumerated once, and only the representatives keep their
-    anchor words.  An undecided pairwise test aborts the whole run
-    (UndecidedError).
+    order makes representatives the least originating objects.  Codes
+    are keyed in blocks as they are read, each once, and only the
+    representatives keep their records.  An undecided pairwise test
+    aborts the run with an UndecidedError naming the code and the class.
     """
     reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
     classes: list[list[int]] = []
-    for i, code in enumerate(codes):
-        _check_semimonomial(code.gf.q, semimonomial)
-        x = _keyed(code)
+    for i, x in enumerate(_keyed_codes(codes)):
+        _check_semimonomial(x.code.gf.q, semimonomial)
         bucket = reps.setdefault(x.sig, [])
         for class_id, rep in bucket:
-            if _maps_onto(rep, x, node_cap, semimonomial):
+            try:
+                found = _maps_onto(rep, x, node_cap, semimonomial)
+            except UndecidedError as exc:
+                raise UndecidedError(f"code {i} against class {class_id}: {exc}") from exc
+            if found:
                 classes[class_id].append(i)
                 break
         else:

@@ -265,25 +265,25 @@ def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
         yield msgs
 
 
-def _codeword_blocks(C: LinearCode):
-    """All q^k codewords of the systematic form (I_k | B), with their weights,
-    as blocks of (words, weights) in odometer message order, digit 0
-    fastest (budget-guarded)."""
-    _check_budget(C.gf.q, C.k)
-    B, _ = C.systematic_right_block()
-    total = C.gf.q**C.k
+def _codeword_blocks(gf: GF, B: np.ndarray):
+    """All q^k codewords of (I_k | B), in blocks of at most ``_BLOCK_ROWS`` messages
+    in odometer order, digit 0 fastest (budget-guarded).  For a stack of right
+    blocks B, shape (c, k, n - k), a block of words has shape (c, rows, n)."""
+    k = B.shape[-2]
+    _check_budget(gf.q, k)
+    total = gf.q**k
     for start in range(0, total, _BLOCK_ROWS):
         idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
-        msgs = _index_digits(idx, C.gf.q, C.k)
-        words = np.hstack([msgs, gf_matmul(C.gf, msgs, B)])
-        yield words, np.count_nonzero(words, axis=1)
+        msgs = _index_digits(idx, gf.q, k)
+        right = gf_matmul(gf, msgs, B)
+        yield np.concatenate([np.broadcast_to(msgs, right.shape[:-1] + (k,)), right], axis=-1)
 
 
 def weight_enumerator(C: LinearCode) -> WeightEnumerator:
     """Exact weight enumerator by full message-space enumeration."""
     coeffs = np.zeros(C.n + 1, dtype=np.int64)
-    for _, wts in _codeword_blocks(C):
-        coeffs += np.bincount(wts, minlength=C.n + 1)
+    for words in _codeword_blocks(C.gf, C.systematic_right_block()[0]):
+        coeffs += np.bincount(np.count_nonzero(words, axis=1), minlength=C.n + 1)
     return WeightEnumerator(C.n, coeffs.tolist())
 
 

@@ -190,6 +190,17 @@ def test_search_budget_exit(capsys):
     assert "budget exceeded" in err
 
 
+def test_classify_undecided_exit(capsys, monkeypatch):
+    # the 56 optimal F3 n=6 triples fall into 3 classes, so some pair
+    # test runs, and with no nodes to spend it cannot decide
+    dedupe = search.dedupe_into_classes
+    monkeypatch.setattr(search, "dedupe_into_classes", lambda codes, **kw: dedupe(codes, node_cap=0, **kw))
+    code, out, err = run(capsys, "classify", "--q", "3", "--n", "6")
+    assert code == 3
+    assert out == ""
+    assert "equivalence search budget exceeded: code " in err
+
+
 def test_search_workers_env(capsys, monkeypatch):
     monkeypatch.setenv("DTCODES_WORKERS", "2")
     code, out, _ = run(capsys, "search", "--q", "2", "--n", "6", "--partitions", "2")

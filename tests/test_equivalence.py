@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,9 +22,13 @@ from dtcodes import (
     equivalence,
     find_monomial_map,
     frobenius_image,
+    linear,
+    search_dt,
     signature,
     weight_enumerator,
 )
+from dtcodes.gf import gf_matmul
+from dtcodes.linear import _BLOCK_ROWS, _check_budget, _index_digits, _rref
 
 
 def _codeword_set(C: LinearCode) -> frozenset:
@@ -178,7 +184,12 @@ def test_weight_layers_are_closed_under_scalars(q):
         codes.append(_random_code(rng, gf, n, k))
         codes.append(_random_full_rank_code(rng, gf, n, k))
     for C in codes:
-        for w, layer in equivalence._codewords_by_weight(C).items():
+        B, perm = C.systematic_right_block()
+        # back to the code's own column order
+        enumerated = np.vstack(list(linear._codeword_blocks(gf, B)))[:, np.argsort(perm)]
+        weights = np.count_nonzero(enumerated, axis=1)
+        for w in range(1, C.n + 1):
+            layer = enumerated[weights == w]
             words = {tuple(int(x) for x in row) for row in layer}
             assert len(words) == len(layer)
             for s in range(1, q):
@@ -286,6 +297,32 @@ def test_node_cap_raises_undecided():
         are_equivalent(C, C, node_cap=0)
 
 
+def test_dedupe_names_the_undecided_pair():
+    gf = GF(2)
+    C = double_toeplitz_code(ToeplitzTriple(gf, 1, (0,), (1,)))
+    D = apply_monomial(C, MonomialMap((1, 0, 3, 2), (1, 1, 1, 1)))
+    E = LinearCode(gf, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    # E opens class 1 without a pair test; D is tested against class 0
+    with pytest.raises(UndecidedError, match="^code 2 against class 0: .*node budget of 0") as info:
+        dedupe_into_classes([C, E, D], node_cap=0)
+    assert isinstance(info.value.__cause__, UndecidedError)
+
+
+def test_dedupe_peak_memory_stays_small():
+    # the keyer's blocks are bounded, and only the representatives'
+    # records outlive their block
+    codes = [double_toeplitz_code(T) for T, _ in search_dt(GF(4), 8)[1]]
+    assert len(codes) == 1344
+    tracemalloc.start()
+    try:
+        groups = dedupe_into_classes(codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 13
+    assert peak < 2 * 2**20
+
+
 def test_dedupe_partitions_consistently():
     gf = GF(2)
     codes = [double_toeplitz_code(T) for T in enumerate_triples(gf, 2)]
@@ -324,13 +361,13 @@ def test_signature_enumerator_matches_weight_enumerator():
 
 def test_each_code_is_enumerated_once(monkeypatch):
     calls = []
-    original = equivalence._codewords_by_weight
+    original = equivalence._key_block
 
-    def counting(C):
-        calls.append(C)
-        return original(C)
+    def counting(codes):
+        calls.extend(codes)
+        return original(codes)
 
-    monkeypatch.setattr(equivalence, "_codewords_by_weight", counting)
+    monkeypatch.setattr(equivalence, "_key_block", counting)
     codes = [double_toeplitz_code(T) for T in enumerate_triples(GF(2), 3)]
     groups = dedupe_into_classes(codes)
     assert 1 < len(groups) < len(codes)
@@ -346,7 +383,10 @@ def _pairwise_partition(codes, semimonomial):
     classes = []
     for i, C in enumerate(codes):
         for group in classes:
-            if are_equivalent(codes[group[0]], C, semimonomial=semimonomial):
+            D = codes[group[0]]
+            if (D.gf.q, D.n, D.k) != (C.gf.q, C.n, C.k):
+                continue
+            if are_equivalent(D, C, semimonomial=semimonomial):
                 group.append(i)
                 break
         else:
@@ -360,3 +400,202 @@ def test_dedupe_matches_pairwise_partition(q, m, semimonomial):
     groups = dedupe_into_classes(codes, semimonomial=semimonomial)
     assert len(groups) > 1
     assert groups == _pairwise_partition(codes, semimonomial)
+
+
+# ---------------------------------------------------------------------
+# The per-code keyer that the batched ``equivalence._key_block``
+# replaced, copied verbatim with the codeword enumeration it read, as
+# the oracle for the batched records.
+
+_FROBENIUS = np.array([0, 1, 3, 2], dtype=np.int8)
+
+
+def _codeword_blocks(C: LinearCode):
+    """All q^k codewords of the systematic form (I_k | B), with their weights,
+    as blocks of (words, weights) in odometer message order, digit 0
+    fastest (budget-guarded)."""
+    _check_budget(C.gf.q, C.k)
+    B, _ = C.systematic_right_block()
+    total = C.gf.q**C.k
+    for start in range(0, total, _BLOCK_ROWS):
+        idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
+        msgs = _index_digits(idx, C.gf.q, C.k)
+        words = np.hstack([msgs, gf_matmul(C.gf, msgs, B)])
+        yield words, np.count_nonzero(words, axis=1)
+
+
+def _codewords_by_weight(C: LinearCode) -> dict[int, np.ndarray]:
+    """All nonzero codewords grouped by weight (budget-guarded)."""
+    inv = np.argsort(C.systematic_right_block()[1])
+    groups: dict[int, list[np.ndarray]] = {}
+    for words, wts in _codeword_blocks(C):
+        words = words[:, inv]  # back to the code's own column order
+        for w in np.unique(wts[wts > 0]):
+            groups.setdefault(int(w), []).append(words[wts == w])
+    return {w: np.vstack(parts) for w, parts in sorted(groups.items())}
+
+
+class _Keyed(NamedTuple):
+    """A code, its signature and its anchor words (module docstring, step 1)."""
+
+    code: LinearCode
+    sig: tuple
+    anchors: np.ndarray  # one anchor word per row
+    masks: list[list[int]]  # masks[p][v]: bits of the anchors with value v in column p
+    cooccurrence: list[tuple[int, ...]]  # per column, over the anchors
+
+
+def _hull_dimension(C: LinearCode) -> int:
+    """dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian (Ḡ = G^2) over F4.
+
+    A scale s on a column multiplies its term of the inner product by
+    s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1 over F4, so the
+    dimension is a monomial invariant.  The Euclidean form over F4 is
+    not: s^2 != 1 for s = w.
+    """
+    conj = _FROBENIUS[C.G] if C.gf.q == 4 else C.G
+    return C.k - len(_rref(C.gf, gf_matmul(C.gf, C.G, conj.T))[1])
+
+
+def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
+    """Row j, sorted: how many of ``words`` are nonzero in column j and in each column."""
+    S = np.asarray(words != 0, dtype=np.int64)
+    return [tuple(sorted(row)) for row in (S.T @ S).tolist()]
+
+
+def _keyed(C: LinearCode) -> _Keyed:
+    layers = _codewords_by_weight(C)
+    coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
+    cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
+    sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
+    # the anchors: the layers up to the first that completes the nonzero columns
+    nonzero_cols = np.asarray(C.G != 0).any(axis=0)
+    touched = np.logical_or.accumulate([(L != 0).any(axis=0) for L in layers.values()])
+    stop = next(i for i, cols in enumerate(touched) if np.array_equal(cols, nonzero_cols))
+    W = np.vstack(list(layers.values())[: stop + 1])
+    bits = np.packbits(W.T[:, None] == np.arange(C.gf.q)[:, None], axis=-1, bitorder="little")
+    masks = [[int.from_bytes(b.tobytes(), "little") for b in row] for row in bits]
+    return _Keyed(C, sig, W, masks, _cooccurrence_rows(W))
+
+
+def _assert_matches_oracle(record, x: _Keyed) -> None:
+    """The batched record of a code equals the oracle's record x, and so
+    do the pair-search inputs that the oracle's search derived from x."""
+    C = x.code
+    assert record.code is C
+    assert record.sig == x.sig
+    assert record.anchors.dtype == x.anchors.dtype
+    assert np.array_equal(record.anchors, x.anchors)  # rows in order
+    assert record.masks == x.masks
+    assert record.cooccurrence == x.cooccurrence
+    n = C.n
+    zero = [j for j in range(n) if not C.G[:, j].any()]
+    nonzero = np.count_nonzero(x.anchors, axis=0)
+    cols = sorted((j for j in range(n) if j not in zero), key=lambda j: (-nonzero[j], j))
+    assert record.zero == zero
+    assert record.order == cols
+    assert record.columns == x.anchors.T.tolist()
+    for j in cols:
+        targets = [p for p in range(n) if p not in zero and x.cooccurrence[p] == x.cooccurrence[j]]
+        assert record.by_row[x.cooccurrence[j]] == targets
+    # the zero columns share the all-zero row, which no nonzero column has
+    assert sorted(p for ps in record.by_row.values() for p in ps) == list(range(n))
+    if zero:
+        assert record.by_row[(0,) * n] == zero
+
+
+def _with_zero_columns(rng: random.Random, C: LinearCode, count: int) -> LinearCode:
+    G = C.G.tolist()
+    for _ in range(count):
+        at = rng.randrange(len(G[0]) + 1)
+        for row in G:
+            row.insert(at, 0)
+    return LinearCode(C.gf, G)
+
+
+def _differential_codes(rng: random.Random, gf: GF, n: int, k: int, count: int) -> list:
+    """Random [n, k] codes: systematic, non-systematic, and with zero columns."""
+    codes = []
+    while len(codes) < count:
+        codes.append(_random_code(rng, gf, n, k))
+        codes.append(_random_full_rank_code(rng, gf, n, k))
+        zeros = rng.randrange(1, 3)
+        codes.append(_with_zero_columns(rng, _random_full_rank_code(rng, gf, n - zeros, k), zeros))
+    return codes[:count]
+
+
+def _splits(items: list):
+    """Every split of a list into consecutive nonempty blocks."""
+    for cuts in itertools.product((False, True), repeat=len(items) - 1):
+        blocks, block = [], [items[0]]
+        for item, cut in zip(items[1:], cuts):
+            if cut:
+                blocks.append(block)
+                block = []
+            block.append(item)
+        yield blocks + [block]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_batched_keyer_matches_the_per_code_oracle(q):
+    rng = random.Random(71 + q)
+    gf = GF(q)
+    shapes = [(4, 1), (6, 2), (6, 3), (8, 8 // q + 1)]
+    for n, k in shapes:
+        codes = _differential_codes(rng, gf, n, k, 6)
+        oracle = [_keyed(C) for C in codes]
+        for x in oracle:
+            assert q ** x.sig[3] == _hull_size_bruteforce(x.code)
+        for blocks in _splits(codes):
+            records = [r for block in blocks for r in equivalence._key_block(block)]
+            assert len(records) == len(codes)
+            for record, x in zip(records, oracle):
+                _assert_matches_oracle(record, x)
+    # the optimal codes of a small cell, whose hulls are often large
+    for T, _ in search_dt(gf, 6)[1]:
+        C = double_toeplitz_code(T)
+        _assert_matches_oracle(equivalence._key_block([C])[0], _keyed(C))
+    # codes of more than _BLOCK_ROWS codewords, keyed one a block and
+    # enumerated in slices
+    k = next(k for k in itertools.count(1) if q**k > _BLOCK_ROWS)
+    codes = _differential_codes(rng, gf, k + 3, k, 3)
+    for record, C in zip(equivalence._keyed_codes(codes), codes):
+        _assert_matches_oracle(record, _keyed(C))
+
+
+def test_dedupe_keys_mixed_shapes_in_homogeneous_blocks(monkeypatch):
+    rng = random.Random(83)
+    codes = []
+    # F4 [8, 6] codes have 4096 codewords with 2 right-half entries each,
+    # so a block holds two of them
+    shapes = [(2, 6, 3), (3, 6, 3), (2, 6, 3), (4, 8, 6), (2, 8, 4), (2, 6, 3), (3, 4, 2)]
+    for q, n, k in shapes:
+        gf = GF(q)
+        C = _random_code(rng, gf, n, k)
+        codes += [C, apply_monomial(C, _random_map(rng, q, n))]
+        codes += _differential_codes(rng, gf, n, k, 3)
+    blocks = []
+    original = equivalence._key_block
+
+    def recording(block):
+        records = original(block)
+        blocks.append(records)
+        return records
+
+    monkeypatch.setattr(equivalence, "_key_block", recording)
+    groups = dedupe_into_classes(iter(codes))
+    records = [r for block in blocks for r in block]
+    assert len(records) == len(codes)
+    for record, C in zip(records, codes):
+        _assert_matches_oracle(record, _keyed(C))
+    sizes = []
+    for block in blocks:
+        (q, n, k), = {(r.code.gf.q, r.code.n, r.code.k) for r in block}
+        # the right halves of a block's codewords fit in _BLOCK_ROWS entries
+        assert len(block) * q**k * (n - k) <= _BLOCK_ROWS
+        sizes.append((q, n, k, len(block)))
+    # each run of one shape is keyed in as few blocks as that bound allows
+    assert sizes == [(2, 6, 3, 5), (3, 6, 3, 5), (2, 6, 3, 5), (4, 8, 6, 2), (4, 8, 6, 2),
+                     (4, 8, 6, 1), (2, 8, 4, 5), (2, 6, 3, 5), (3, 4, 2, 5)]
+    monkeypatch.undo()
+    assert groups == _pairwise_partition(codes, False)

@@ -884,8 +884,8 @@ def test_classify_labels_match_family_oracle(q, n):
 
 def _counting_enumeration(monkeypatch) -> list:
     calls = []
-    original = equivalence._codewords_by_weight
-    monkeypatch.setattr(equivalence, "_codewords_by_weight", lambda C: calls.append(C) or original(C))
+    original = equivalence._key_block
+    monkeypatch.setattr(equivalence, "_key_block", lambda codes: calls.extend(codes) or original(codes))
     return calls
 
 
