@@ -40,7 +40,6 @@ from .search import (
     CheckpointError,
     ClassificationReport,
     ClassRecord,
-    SearchConfig,
     classify,
     passes_reduction,
     search_dt,
@@ -114,7 +113,6 @@ __all__ = [
     "find_monomial_map",
     "dedupe_into_classes",
     "frobenius_image",
-    "SearchConfig",
     "CheckpointError",
     "ClassificationReport",
     "ClassRecord",

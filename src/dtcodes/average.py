@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 
 from .gf import GF
-from .linear import BudgetExceededError, WeightEnumerator, weight_enumerator
-from .structured import BRUTE_FORCE_N, _check_even_length, double_toeplitz_code, enumerate_triples
+from .linear import WeightEnumerator, weight_enumerator
+from .structured import _brute_force_triples, _check_even_length, double_toeplitz_code
 
 __all__ = [
     "average_weight_enumerator",
@@ -44,17 +44,9 @@ def average_weight_enumerator(gf: GF, n: int) -> WeightEnumerator:
 def average_weight_enumerator_bruteforce(gf: GF, n: int) -> WeightEnumerator:
     """Psi_{q,n} summed code by code over the whole triple space."""
     _check_even_length(n)
-    limit = BRUTE_FORCE_N[gf.q]
-    if n > limit:
-        raise BudgetExceededError(
-            f"brute-force average over q^(n-1) codes needs n <= {limit} for F{gf.q}"
-        )
-    coeffs = [0] * (n + 1)
-    for T in enumerate_triples(gf, n // 2):
-        W = weight_enumerator(double_toeplitz_code(T))
-        for j, c in enumerate(W.coeffs):
-            coeffs[j] += c
-    return WeightEnumerator(n, coeffs)
+    triples = _brute_force_triples(gf, n, "average")
+    enumerators = (weight_enumerator(double_toeplitz_code(T)).coeffs for T in triples)
+    return WeightEnumerator(n, [sum(column) for column in zip(*enumerators)])
 
 
 def _low_weight_sums(q: int, n: int, d: int) -> tuple[int, int]:

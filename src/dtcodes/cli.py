@@ -54,18 +54,19 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _workers(args) -> int:
-    """``--workers``, or ``$DTCODES_WORKERS`` (default 1) when it is not given."""
-    if args.workers:
-        return args.workers
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be positive, got {value}")
-    return value
+def _run_options(args) -> dict:
+    """The search keywords of the run options; --workers falls back to $DTCODES_WORKERS or 1."""
+    workers = args.workers
+    if not workers:
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from exc
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV} must be positive, got {workers}")
+    return dict(partitions=args.partitions, workers=workers, checkpoint_path=args.checkpoint,
+                triple_budget=args.budget)
 
 
 def _emit(obj) -> None:
@@ -150,14 +151,7 @@ def cmd_awe(args) -> int:
 
 def cmd_search(args) -> int:
     gf = GF(args.q)
-    common = dict(
-        mode=args.mode,
-        d=args.d,
-        partitions=args.partitions,
-        workers=_workers(args),
-        checkpoint_path=args.checkpoint,
-        triple_budget=args.budget,
-    )
+    common = dict(mode=args.mode, d=args.d, **_run_options(args))
     if args.family == "dt":
         d_ref, records = search_dt(gf, args.n, args.reduction, **common)
         for T, mw in records:
@@ -189,14 +183,7 @@ def cmd_search(args) -> int:
 def cmd_classify(args) -> int:
     gf = GF(args.q)
     report = classify(
-        gf,
-        args.n,
-        reduction=args.reduction,
-        partitions=args.partitions,
-        workers=_workers(args),
-        semimonomial=args.semimonomial,
-        checkpoint_path=args.checkpoint,
-        triple_budget=args.budget,
+        gf, args.n, reduction=args.reduction, semimonomial=args.semimonomial, **_run_options(args)
     )
     _emit(report.to_dict())
     _note(
@@ -267,31 +254,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_awe.add_argument("--dmax", type=int)
     p_awe.set_defaults(func=cmd_awe)
 
-    p_search = sub.add_parser("search", help="scan a triple or first-row space")
-    p_search.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
-    p_search.add_argument("--n", type=int, required=True)
+    # the options of a search run, shared by search and classify
+    p_run = argparse.ArgumentParser(add_help=False)
+    p_run.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
+    p_run.add_argument("--n", type=int, required=True)
+    p_run.add_argument("--reduction", choices=("auto", "none", "C2", "C3"), default="auto",
+                       help="symmetry filter for dt searches")
+    p_run.add_argument("--workers", type=int, default=0,
+                       help=f"worker processes (default ${WORKERS_ENV} or 1)")
+    p_run.add_argument("--partitions", type=int, default=1)
+    p_run.add_argument("--checkpoint", help="JSON checkpoint path for resume")
+    p_run.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET,
+                       help="largest candidate space the search will accept")
+
+    p_search = sub.add_parser("search", parents=[p_run], help="scan a triple or first-row space")
     p_search.add_argument("--family", choices=("dt", "dc", "nc"), default="dt")
-    p_search.add_argument("--reduction", choices=("auto", "none", "C2", "C3"), default="auto",
-                          help="symmetry filter for dt searches")
     p_search.add_argument("--mode", choices=("find-optimal", "at-least", "collect-at"),
                           default="find-optimal")
     p_search.add_argument("--d", type=int, help="target weight for at-least / collect-at")
-    p_search.add_argument("--workers", type=int, default=0,
-                          help=f"worker processes (default ${WORKERS_ENV} or 1)")
-    p_search.add_argument("--partitions", type=int, default=1)
-    p_search.add_argument("--checkpoint", help="JSON checkpoint path for resume")
-    p_search.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET,
-                          help="largest candidate space the search will accept")
     p_search.set_defaults(func=cmd_search)
 
-    p_cls = sub.add_parser("classify", help="equivalence classes of the optimal codes")
-    p_cls.add_argument("--q", type=int, required=True, choices=(2, 3, 4))
-    p_cls.add_argument("--n", type=int, required=True)
-    p_cls.add_argument("--reduction", choices=("auto", "none", "C2", "C3"), default="auto")
-    p_cls.add_argument("--workers", type=int, default=0)
-    p_cls.add_argument("--partitions", type=int, default=1)
-    p_cls.add_argument("--checkpoint")
-    p_cls.add_argument("--budget", type=int, default=DEFAULT_TRIPLE_BUDGET)
+    p_cls = sub.add_parser("classify", parents=[p_run],
+                           help="equivalence classes of the optimal codes")
     p_cls.add_argument("--semimonomial", action="store_true",
                        help="F4 diagnostic: also merge Frobenius-conjugate classes")
     p_cls.set_defaults(func=cmd_classify)

@@ -265,6 +265,14 @@ def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
         yield msgs
 
 
+@functools.cache
+def _message_table(q: int, k: int) -> np.ndarray:
+    """All q^k messages of length k in odometer order, built once per (q, k) (read-only)."""
+    msgs = _index_digits(np.arange(q**k, dtype=np.int64), q, k)
+    msgs.flags.writeable = False
+    return msgs
+
+
 def _codeword_blocks(gf: GF, B: np.ndarray):
     """All q^k codewords of (I_k | B), in blocks of at most ``_BLOCK_ROWS`` messages
     in odometer order, digit 0 fastest (budget-guarded).  For a stack of right
@@ -273,8 +281,8 @@ def _codeword_blocks(gf: GF, B: np.ndarray):
     _check_budget(gf.q, k)
     total = gf.q**k
     for start in range(0, total, _BLOCK_ROWS):
-        idx = np.arange(start, min(start + _BLOCK_ROWS, total), dtype=np.int64)
-        msgs = _index_digits(idx, gf.q, k)
+        msgs = (_message_table(gf.q, k) if total <= _BLOCK_ROWS  # one block: built once
+                else _index_digits(np.arange(start, min(start + _BLOCK_ROWS, total)), gf.q, k))
         right = gf_matmul(gf, msgs, B)
         yield np.concatenate([np.broadcast_to(msgs, right.shape[:-1] + (k,)), right], axis=-1)
 

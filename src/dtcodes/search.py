@@ -13,25 +13,25 @@ equivalence classes:
                    by a nonzero constant gives an equivalent code, so
                    one representative per scalar orbit suffices.
 
-Every search is one pass over blocks of filtered candidates.  A
-candidate of any family is its band sequence S = (b_{m-1}, ..., b_1, t,
-a_1, ..., a_{m-1}), whose sliding windows are the rows of its Toeplitz
-matrix; a (nega)circulant matrix with first row r has S = (mu r_2, ...,
-mu r_m, r).  Blocks run across prefixes and are sized to a byte budget.
-Each is packed once into uint64 bit-planes of the scalar multiples of
-its rows; a projective message's right half is then an XOR of packed
-rows (a bitsliced adder over F3) and its weight a popcount, which gives
-the block's minimum weights capped at a threshold.  The messages are
-the layers of :func:`linear._weight_layer`, built once per (q, m, w)
-and shared with ``minimum_weight``.  A "find-optimal"
-pass keeps the attainers of its running best minimum weight and drops
-them when the best rises; "collect-at" and "at-least" passes keep the
-candidates at or above a fixed target.  The prefix space (t, a), or
-the first rows of a circulant family, is split into contiguous chunks
-which can run on worker processes.  Each chunk returns its best and
-its attainers; the search keeps the attainers of the chunks whose best
-is the maximum, in chunk order, so output is identical for any worker
-or partition count.  Each chunk can be checkpointed to JSON as it completes.
+Every search is one pass over blocks of filtered candidates.  A candidate
+of any family is its band sequence (see :mod:`structured`), whose
+sliding windows are the rows of its Toeplitz matrix.  Blocks run across
+prefixes and are sized to a byte budget.  Each is packed once into uint64
+bit-planes of the scalar multiples of its rows; a projective message's
+right half is then an XOR of packed rows (a bitsliced adder over F3) and
+its weight a popcount, which gives the block's minimum weights capped at
+a threshold.  The messages are the layers of
+:func:`linear._weight_layer`, built once per (q, m, w) and shared with
+``minimum_weight``.  A "find-optimal" pass keeps the attainers of its
+running best minimum weight and drops them when the best rises;
+"collect-at" and "at-least" passes keep the candidates at or above a
+fixed target.  The prefix space (t, a), or the first rows of a circulant
+family, is split into contiguous chunks which can run on worker
+processes.  Each chunk returns its best and its attainers; the search
+keeps the attainers of the chunks whose best is the maximum, in chunk
+order, so output is identical for any worker or partition count.  Each
+chunk can be checkpointed to JSON as it completes, and a resumed chunk
+must hold only what its scan writes.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -60,17 +60,18 @@ from .structured import (
     ToeplitzTriple,
     _check_even_length,
     band_sequence,
+    circulant_bands,
     classify_triple,
     digits_of_index,
     double_toeplitz_code,
     index_of_digits,
+    split_bands,
     toeplitz_windows,
-    triple_of_circulant,
+    triple_bands,
 )
 
 __all__ = [
     "CheckpointError",
-    "SearchConfig",
     "ClassRecord",
     "ClassificationReport",
     "vector_rank",
@@ -93,22 +94,6 @@ class CheckpointError(RuntimeError):
     """A checkpoint file or path is unusable, or does not match the requested search."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Identity of one search run; stored inside checkpoints."""
-
-    q: int
-    n: int
-    family: str  # "DT" | "DC" | "NC"
-    reduction: str  # "none" | "C2" | "C3"
-    mode: str  # "find-optimal" | "collect-at" | "at-least"
-    d: int | None
-    partitions: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def vector_rank(a) -> int:
     """Odometer rank f(a) = sum_i 2^(i-1) a_i of a binary vector."""
     a = np.asarray(a)
@@ -117,13 +102,17 @@ def vector_rank(a) -> int:
     return int(sum(int(x) << i for i, x in enumerate(a)))
 
 
-def _check_reduction(q: int, reduction: str) -> None:
+def _resolve_reduction(q: int, reduction: str) -> str:
+    """The filter that ``reduction`` names over F_q, with "auto" as C2 (F2) or C3 (F3, F4)."""
+    if reduction == "auto":
+        return "C2" if q == 2 else "C3"
     if reduction not in ("none", "C2", "C3"):
         raise ValueError(f"unknown reduction {reduction!r}")
     if reduction == "C2" and q != 2:
         raise ValueError("the C2 filter applies to binary searches only")
     if reduction == "C3" and q not in (3, 4):
         raise ValueError("the C3 filter applies to F3 and F4 searches only")
+    return reduction
 
 
 def _kept_b_count(q: int, reduction: str, t: int, a) -> int:
@@ -145,18 +134,11 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
 
     "none" keeps everything; "C2" (binary only) keeps f(a) >= f(b);
     "C3" (F3/F4 only) keeps triples whose (t, a) part starts with 1,
-    all-zero parts included.
+    all-zero parts included; "auto" is the field's filter.
     """
     q = T.gf.q
-    _check_reduction(q, reduction)
+    reduction = _resolve_reduction(q, reduction)
     return index_of_digits(T.b, q) < _kept_b_count(q, reduction, T.t, T.a)
-
-
-def _resolve_reduction(q: int, reduction: str) -> str:
-    if reduction == "auto":
-        return "C2" if q == 2 else "C3"
-    _check_reduction(q, reduction)
-    return reduction
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +271,7 @@ def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept
     if family != "DT":
         for lo in range(0, len(prefixes), rows):
             R = _index_digits(np.asarray(prefixes[lo : lo + rows], dtype=np.int64), q, m)
-            yield np.hstack((R[:, 1:] if family == "DC" else gf.neg_table[R[:, 1:]], R))
+            yield circulant_bands(gf, R, 1 if family == "DC" else -1)
         return
     L = m - 1
 
@@ -301,9 +283,7 @@ def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept
 
     for block in _rebatch(pairs(), rows):
         (t, ia), ib = np.divmod(block[:, 0], q**L), block[:, 1]
-        yield np.hstack(
-            (_index_digits(ib, q, L)[:, ::-1], t[:, None].astype(np.int8), _index_digits(ia, q, L))
-        )
+        yield triple_bands(t, _index_digits(ia, q, L), _index_digits(ib, q, L))
 
 
 def _rebatch(pieces, rows: int):
@@ -382,25 +362,46 @@ def _scan_chunk(args) -> tuple[int, list]:
 
 def _payload(family: str, S: np.ndarray, mw: int) -> list:
     """Checkpoint payload ``[t, a, b, mw]`` (DT) or ``[r, mu, mw]`` of band sequence S."""
-    m = (len(S) + 1) // 2
-    s = S.tolist()
     if family == "DT":
-        return [s[m - 1], s[m:], s[: m - 1][::-1], mw]
-    return [s[m - 1 :], 1 if family == "DC" else -1, mw]
+        return [*split_bands(S), mw]
+    return [S[len(S) // 2 :].tolist(), 1 if family == "DC" else -1, mw]
 
 
 def _payload_to_triple(gf: GF, payload, family: str):
-    if family == "DT":
-        t, a, b, mw = payload
-        return ToeplitzTriple(gf, int(t), tuple(a), tuple(b)), int(mw)
-    r, mu, mw = payload
-    return CirculantSpec(gf, tuple(r), int(mu)), int(mw)
+    """(spec, min weight) of a payload: the spec's arguments, then the weight."""
+    *args, mw = payload
+    return (ToeplitzTriple if family == "DT" else CirculantSpec)(gf, *args), int(mw)
 
 
-def _load_checkpoint(path: str, config: SearchConfig) -> dict:
-    """The checkpoint at ``path`` (fresh when absent), written back at once: CheckpointError
-    if the file is malformed or the path cannot be read or written."""
-    data = {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "chunks": {}}
+def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> None:
+    """ValueError unless ``[best, payloads]`` is what the scan of prefixes [lo, hi) writes."""
+    gf, n, family, mode = GF(config["q"]), config["n"], config["family"], config["mode"]
+    if mode != "find-optimal" and best != config["d"]:
+        raise ValueError(f"best {best} is not the target weight {config['d']}")
+    span = gf.q ** (n // 2 - 1) if family == "DT" else 1  # candidates per prefix
+    last = lo * span - 1
+    for payload in payloads:
+        spec, mw = _payload_to_triple(gf, payload, family)
+        # only what a scan writes for this spec: int entries (no bool,
+        # float or str), the family's sign and the configured length
+        written = _payload(family, band_sequence(spec), mw)
+        if spec.m != n // 2 or json.dumps(payload) != json.dumps(written):
+            raise ValueError(f"payload {payload} is not one a length-{n} scan writes")
+        # the candidate's place in the enumeration order: b fastest, then a, then t
+        index = index_of_digits(spec.b + spec.a + (spec.t,) if family == "DT" else spec.r, gf.q)
+        if not last < index < hi * span:
+            raise ValueError(f"payload {payload} is out of scan order or outside [{lo}, {hi})")
+        if family == "DT" and not passes_reduction(spec, config["reduction"]):
+            raise ValueError(f"payload {payload} fails the {config['reduction']} filter")
+        if mw < best if mode == "at-least" else mw != best:
+            raise ValueError(f"payload weight {mw} does not fit the chunk best {best}")
+        last = index
+
+
+def _load_checkpoint(path: str, config: dict, ranges: list[tuple[int, int]]) -> dict:
+    """The checkpoint at ``path`` (fresh when absent), written back at once: CheckpointError if
+    the file is malformed, a chunk fails :func:`_check_chunk`, or the path is unusable."""
+    data = {"version": CHECKPOINT_VERSION, "config": config, "chunks": {}}
     try:
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -413,27 +414,19 @@ def _load_checkpoint(path: str, config: SearchConfig) -> dict:
         raise CheckpointError(
             f"checkpoint version {data.get('version')} does not match {CHECKPOINT_VERSION}"
         )
-    if data.get("config") != config.to_dict():
+    if data.get("config") != config:
         raise CheckpointError("checkpoint was written by a different search configuration")
     chunks = data.setdefault("chunks", {})
-    if not isinstance(chunks, dict) or not set(chunks) <= {str(i) for i in range(config.partitions)}:
-        raise CheckpointError(f"checkpoint chunk ids are not among 0..{config.partitions - 1}")
-    gf = GF(config.q)
+    if not isinstance(chunks, dict) or not set(chunks) <= {str(i) for i in range(len(ranges))}:
+        raise CheckpointError(f"checkpoint chunk ids are not among 0..{len(ranges) - 1}")
     for cid, chunk in chunks.items():
         try:
             best, payloads = chunk
             if type(best) is not int or not isinstance(payloads, list):
                 raise TypeError("best is not an integer or payloads not a list")
-            for payload in payloads:
-                spec, mw = _payload_to_triple(gf, payload, config.family)
-                T = spec if config.family == "DT" else triple_of_circulant(spec)
-                # only what a scan writes for this spec: int entries (no bool,
-                # float or str), the family's sign and the configured length
-                written = _payload(config.family, band_sequence(T), mw)
-                if T.m != config.n // 2 or json.dumps(payload) != json.dumps(written):
-                    raise ValueError(f"payload {payload} is not one a length-{config.n} scan writes")
+            _check_chunk(config, *ranges[int(cid)], best, payloads)
         except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint chunk {cid} is not [best, payloads]: {exc}") from exc
+            raise CheckpointError(f"checkpoint chunk {cid} is not its scan's output: {exc}") from exc
     try:
         _save_checkpoint(path, data)
     except OSError as exc:
@@ -516,10 +509,12 @@ def _search(
             f"search space {space} exceeds the budget of {triple_budget} candidates"
         )
 
-    config = SearchConfig(q, n, family, reduction, mode, d, partitions)
-    state = _load_checkpoint(checkpoint_path, config) if checkpoint_path else {"chunks": {}}
-    done = {int(k): v for k, v in state["chunks"].items()}
+    # the run's identity, stored inside checkpoints
+    config = {"q": q, "n": n, "family": family, "reduction": reduction, "mode": mode, "d": d,
+              "partitions": partitions}
     ranges = _chunk_ranges(q ** (n // 2), partitions)
+    state = _load_checkpoint(checkpoint_path, config, ranges) if checkpoint_path else {"chunks": {}}
+    done = {int(k): v for k, v in state["chunks"].items()}
     start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
     todo = {
         cid: (q, n, family, reduction, mode, start, lo, hi)

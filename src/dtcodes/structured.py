@@ -10,6 +10,9 @@ upper band ``a`` and lower band ``b``:
 
 Double circulant C(r) and double negacirculant N(r) codes are the
 special cases where T is the (nega)circulant matrix with first row r.
+Each matrix is read off its band sequence S = (b_{m-1}, ..., b_1, t,
+a_1, ..., a_{m-1}), whose sliding windows are its rows; a (nega)circulant
+matrix with first row r and sign mu has S = (mu r_2, ..., mu r_m, r).
 
 The triple space for length n carries a fixed enumeration order: t
 varies slowest, then the digits of a, then the digits of b, each vector
@@ -19,6 +22,7 @@ partitioning and checkpointing rely on this order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +118,6 @@ class CirculantSpec:
     def m(self) -> int:
         return len(self.r)
 
-    def mu_code(self) -> int:
-        """The sign as a field element: 1 or -1 = neg(1)."""
-        return 1 if self.mu == 1 else int(self.gf.neg_table[1])
-
     def to_text(self) -> str:
         """Literal ``C:(r)`` or ``N:(r)``."""
         prefix = "C" if self.mu == 1 else "N"
@@ -144,9 +144,30 @@ def parse_circulant(gf: GF, text: str) -> CirculantSpec:
     return CirculantSpec(gf, tuple(r), 1 if s[0] == "C" else -1)
 
 
-def band_sequence(T: ToeplitzTriple) -> np.ndarray:
-    """The length 2m-1 diagonal sequence (b_{m-1},...,b_1, t, a_1,...,a_{m-1})."""
-    return np.array(tuple(reversed(T.b)) + (T.t,) + T.a, dtype=np.int8)
+def triple_bands(t, A, B) -> np.ndarray:
+    """Band sequences (b_{m-1}, ..., b_1, t, a_1, ..., a_{m-1}) of t (...) and A, B (..., m-1)."""
+    A, B = np.asarray(A, dtype=np.int8), np.asarray(B, dtype=np.int8)
+    return np.concatenate((B[..., ::-1], np.asarray(t, dtype=np.int8)[..., None], A), axis=-1)
+
+
+def circulant_bands(gf: GF, R, mu: int) -> np.ndarray:
+    """Band sequences (mu r_2, ..., mu r_m, r) of the first rows R (..., m) with sign mu."""
+    R = np.asarray(R, dtype=np.int8)
+    return np.concatenate((R[..., 1:] if mu == 1 else gf.neg_table[R[..., 1:]], R), axis=-1)
+
+
+def band_sequence(spec: ToeplitzTriple | CirculantSpec) -> np.ndarray:
+    """The band sequence of a triple or of a (nega)circulant first row."""
+    if isinstance(spec, CirculantSpec):
+        return circulant_bands(spec.gf, spec.r, spec.mu)
+    return triple_bands(spec.t, spec.a, spec.b)
+
+
+def split_bands(S) -> tuple[int, list[int], list[int]]:
+    """(t, a, b) of a band sequence as an int and lists: the inverse of :func:`triple_bands`."""
+    s = np.asarray(S).tolist()
+    m = (len(s) + 1) // 2
+    return s[m - 1], s[m:], s[: m - 1][::-1]
 
 
 def toeplitz_windows(S: np.ndarray) -> np.ndarray:
@@ -163,8 +184,8 @@ def toeplitz_matrix(T: ToeplitzTriple) -> np.ndarray:
 def circulant_matrix(spec: CirculantSpec) -> np.ndarray:
     """The (nega)circulant matrix with first row r, built directly.
 
-    Entry (i, j) is r[(j - i) mod m], scaled by mu whenever the index
-    wraps (j < i).
+    Entry (i, j) is r[(j - i) mod m], scaled by mu (the field's 1 or
+    -1) whenever the index wraps (j < i).
     """
     m = spec.m
     gf = spec.gf
@@ -172,35 +193,24 @@ def circulant_matrix(spec: CirculantSpec) -> np.ndarray:
     i, j = np.indices((m, m))
     A = r[(j - i) % m]
     wrapped = j < i
-    A[wrapped] = gf.mul_table[spec.mu_code(), A[wrapped]]
+    A[wrapped] = gf.mul_table[1 if spec.mu == 1 else gf.neg_table[1], A[wrapped]]
     return A
 
 
 def triple_of_circulant(spec: CirculantSpec) -> ToeplitzTriple:
-    """The (t, a, b) whose Toeplitz matrix equals the circulant matrix.
-
-    t = r_1, a = (r_2, ..., r_m), b_i = mu * r_{m-i+1}.
-    """
-    gf = spec.gf
-    r = spec.r
-    m = spec.m
-    mu = spec.mu_code()
-    t = r[0]
-    a = r[1:]
-    b = tuple(int(gf.mul_table[mu, r[m - i]]) for i in range(1, m))
-    return ToeplitzTriple(gf, t, a, b)
+    """The (t, a, b) whose Toeplitz matrix equals the circulant matrix, split off its bands."""
+    return ToeplitzTriple(spec.gf, *split_bands(band_sequence(spec)))
 
 
 def classify_triple(T: ToeplitzTriple) -> str:
     """Which circulant family the triple's matrix belongs to.
 
-    Returns "circulant", "negacirculant", "both" or "neither", testing
-    a_i = b_{m-i} and a_i = -b_{m-i}.  Over F2 the two coincide.
+    Returns "circulant", "negacirculant", "both" or "neither", comparing
+    a with reversed(b) and with -reversed(b).  Over F2 the two coincide.
     """
-    gf = T.gf
-    m = T.m
-    circ = all(T.a[i - 1] == T.b[m - i - 1] for i in range(1, m))
-    nega = all(T.a[i - 1] == gf.neg_table[T.b[m - i - 1]] for i in range(1, m))
+    rb = T.b[::-1]
+    circ = T.a == rb
+    nega = T.a == tuple(T.gf.neg(x) for x in rb)
     if circ and nega:
         return "both"
     if circ:
@@ -235,10 +245,7 @@ def contains_vector(T: ToeplitzTriple, u, v) -> bool:
     (u, v) lies in the code exactly when u A = v for A = T(t,a,b),
     since the codeword with message u is (u, uA).
     """
-    u = np.asarray(u, dtype=np.int8)
-    v = np.asarray(v, dtype=np.int8)
-    if u.shape != (T.m,) or v.shape != (T.m,):
-        raise ValueError(f"u and v must both have length m = {T.m}")
+    u, v = _check_halves(T.gf, T.n, u, v)
     return bool(np.array_equal(gf_matmul(T.gf, u, toeplitz_matrix(T)), v))
 
 
@@ -254,6 +261,16 @@ def _check_halves(gf: GF, n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
     if u.shape != (n // 2,) or v.shape != (n // 2,):
         raise ValueError(f"u and v must both have length n/2 = {n // 2}")
     return u, v
+
+
+def _brute_force_triples(gf: GF, n: int, what: str):
+    """All triples of length n for a brute-force ``what``, within ``BRUTE_FORCE_N``."""
+    limit = BRUTE_FORCE_N[gf.q]
+    if n > limit:
+        raise BudgetExceededError(
+            f"brute-force {what} over q^(n-1) codes needs n <= {limit} for F{gf.q}"
+        )
+    return enumerate_triples(gf, n // 2)
 
 
 def count_codes_containing(gf: GF, n: int, u, v) -> int:
@@ -272,12 +289,7 @@ def count_codes_containing(gf: GF, n: int, u, v) -> int:
 def count_codes_containing_bruteforce(gf: GF, n: int, u, v) -> int:
     """The same count by iterating every triple and testing membership."""
     u, v = _check_halves(gf, n, u, v)
-    limit = BRUTE_FORCE_N[gf.q]
-    if n > limit:
-        raise BudgetExceededError(
-            f"brute-force count over q^(n-1) codes needs n <= {limit} for F{gf.q}"
-        )
-    return sum(1 for T in enumerate_triples(gf, n // 2) if contains_vector(T, u, v))
+    return sum(1 for T in _brute_force_triples(gf, n, "count") if contains_vector(T, u, v))
 
 
 def triple_count(gf: GF, m: int) -> int:
@@ -307,10 +319,6 @@ def enumerate_triples(gf: GF, m: int):
     t slowest, then a, then b; within a and b the first entry is the
     least significant digit.
     """
-    q = gf.q
-    L = m - 1
-    for t in range(q):
-        for ia in range(q**L):
-            a = digits_of_index(ia, q, L)
-            for ib in range(q**L):
-                yield ToeplitzTriple(gf, t, a, digits_of_index(ib, q, L))
+    bands = [digits_of_index(i, gf.q, m - 1) for i in range(gf.q ** (m - 1))]
+    for t, a, b in itertools.product(range(gf.q), bands, bands):
+        yield ToeplitzTriple(gf, t, a, b)

@@ -270,6 +270,56 @@ def test_circulant_checkpoint_payload_exits_2(capsys, tmp_path, payload):
     assert json.loads(out) == {"r": "(1,1,1,0)", "mu": 1, "min_weight": 4}
 
 
+# the F2 n=8 search with two chunks, chunk 0's attainer first
+_F2_N8 = ("search", "--q", "2", "--n", "8", "--partitions", "2")
+_F2_N8_ATTAINER = [0, [1, 1, 1], [1, 1, 1], 4]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 1]]]}),
+    lambda c: c["1"][1].append(_F2_N8_ATTAINER),
+    lambda c: c["0"][1].append([0, [0, 0, 1], [1, 1, 1], 4]),
+], ids=["weight-1-as-optimum", "attainer-in-another-chunk", "filtered-out-triple"])
+def test_checkpoint_record_its_chunk_cannot_write_exits_2(capsys, tmp_path, edit):
+    path = tmp_path / "ck.json"
+    assert run(capsys, *_F2_N8, "--checkpoint", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    assert data["chunks"]["0"] == [4, [_F2_N8_ATTAINER]]
+    edit(data["chunks"])
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *_F2_N8, "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "checkpoint rejected" in err
+
+
+_RUN_OPTIONS = ("--q", "--n", "--reduction", "--workers", "--partitions", "--checkpoint", "--budget")
+
+
+def _help_entries(capsys, command: str) -> dict:
+    """Each option entry of ``dtcodes COMMAND --help``: its first flag and its text."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    entries = {}
+    for line in capsys.readouterr().out.split("options:")[1].splitlines():
+        if line.startswith("  -"):
+            flag = line.split()[0].rstrip(",")
+            entries[flag] = line
+        elif line.startswith("    ") and entries:
+            entries[flag] += line
+    return {flag: " ".join(text.split()) for flag, text in entries.items()}
+
+
+def test_search_and_classify_list_the_same_run_options(capsys):
+    search_help, classify_help = _help_entries(capsys, "search"), _help_entries(capsys, "classify")
+    for opt in _RUN_OPTIONS:
+        assert search_help[opt] == classify_help[opt], opt
+    assert "symmetry filter for dt searches" in classify_help["--reduction"]
+    assert "largest candidate space the search will accept" in classify_help["--budget"]
+    # the other options are each subcommand's own
+    assert set(search_help) - set(_RUN_OPTIONS) == {"-h", "--family", "--mode", "--d"}
+    assert set(classify_help) - set(_RUN_OPTIONS) == {"-h", "--semimonomial"}
+
+
 @pytest.mark.parametrize("command", ["search", "classify"])
 def test_negative_workers_exit_2(capsys, command):
     code, out, err = run(capsys, command, "--q", "2", "--n", "6", "--workers", "-3")

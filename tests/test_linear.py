@@ -22,7 +22,7 @@ from dtcodes import (
     weight,
     weight_enumerator,
 )
-from dtcodes import linear
+from dtcodes import linear, signature
 from dtcodes.reference_data import build_code
 
 
@@ -290,6 +290,42 @@ def test_weight_layer_is_read_only():
         supports[0, 0] = 4
     with pytest.raises(ValueError):
         values[0, 0] = 2
+
+
+def _odometer_words(gf: GF, B: np.ndarray) -> np.ndarray:
+    """Every codeword of (I | B) for a stack of right blocks B, messages by
+    itertools.product with digit 0 fastest."""
+    k = B.shape[-2]
+    msgs = np.array([m[::-1] for m in itertools.product(range(gf.q), repeat=k)], dtype=np.int8)
+    right = gf_matmul(gf, msgs, B)
+    return np.concatenate([np.broadcast_to(msgs, right.shape[:-1] + (k,)), right], axis=-1)
+
+
+def test_message_digits_are_built_once_per_small_space(monkeypatch):
+    calls = []
+    index_digits = linear._index_digits
+    monkeypatch.setattr(
+        linear, "_index_digits", lambda idx, q, k: calls.append((q, k)) or index_digits(idx, q, k)
+    )
+    linear._message_table.cache_clear()
+    gf = GF(4)
+    B = np.random.default_rng(4).integers(0, 4, size=(3, 6, 5), dtype=np.int8)
+    # repeated keying of one (q, k): stacks, single blocks and whole codes
+    for _ in range(3):
+        for X in (B, B[0], B[1:]):
+            words = np.concatenate(list(linear._codeword_blocks(gf, X)), axis=-2)
+            assert np.array_equal(words, _odometer_words(gf, X))
+        signature(LinearCode.systematic(gf, B[2]))
+    assert calls == [(4, 6)]
+    with pytest.raises(ValueError):
+        linear._message_table(4, 6)[0, 0] = 1
+    # a space of more than one block builds each block's digits, every time
+    calls.clear()
+    gf2, Z = GF(2), np.eye(15, 2, dtype=np.int8)
+    for _ in range(2):
+        words = np.concatenate(list(linear._codeword_blocks(gf2, Z)))
+        assert np.array_equal(words, _odometer_words(gf2, Z))
+    assert calls == [(2, 15)] * 4
 
 
 def test_minimum_weight_builds_each_layer_once():

@@ -21,6 +21,7 @@ from dtcodes import (
     LinearCode,
     ToeplitzTriple,
     are_equivalent,
+    circulant_matrix,
     classify,
     classify_triple,
     double_circulant_code,
@@ -39,7 +40,6 @@ from dtcodes import (
 from dtcodes import equivalence, linear, search
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
-    SearchConfig,
     _batch_min_weight_capped,
     _candidate_bands,
     _chunk_ranges,
@@ -143,6 +143,15 @@ def test_filter_keeps_a_circulant_triple_of_each_circulant_code(q, max_m):
                 ]
                 assert kept, (q, r, mu)
                 assert are_equivalent(double_toeplitz_code(kept[0]), double_toeplitz_code(T))
+
+
+@pytest.mark.parametrize("q,max_m", [(2, 4), (3, 3), (4, 3)])
+def test_auto_filter_is_the_resolved_filter(q, max_m):
+    gf = GF(q)
+    resolved = "C2" if q == 2 else "C3"
+    for m in range(1, max_m + 1):
+        for T in enumerate_triples(gf, m):
+            assert passes_reduction(T, "auto") == passes_reduction(T, resolved), T
 
 
 def test_unknown_reduction_rejected():
@@ -270,6 +279,8 @@ def test_circulant_bands_match_first_row_order(q, max_n, family, mu, budget, mon
         specs = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
         got = _bands(gf, n, family, "none", range(q**m), None)
         assert got.tolist() == [band_sequence(triple_of_circulant(c)).tolist() for c in specs]
+        # the windows against the directly built (nega)circulant matrices
+        assert np.array_equal(toeplitz_windows(got), np.stack([circulant_matrix(c) for c in specs]))
         assert [_payload_to_triple(gf, _payload(family, S, 5), family) for S in got] == [
             (c, 5) for c in specs
         ]
@@ -682,7 +693,8 @@ def test_ordered_records_match_recorded_digest(cell):
     assert (best, len(records), digest) == _RECORD_DIGESTS[cell]
 
 
-_C2_CONFIG = SearchConfig(2, 6, "DT", "C2", "find-optimal", None, 1).to_dict()
+_C2_CONFIG = {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-optimal",
+              "d": None, "partitions": 1}
 
 
 def _chunks(chunks) -> str:
@@ -690,7 +702,8 @@ def _chunks(chunks) -> str:
 
 
 def _family_chunks(family: str, q: int, n: int, chunks) -> str:
-    config = SearchConfig(q, n, family, "none", "find-optimal", None, 1).to_dict()
+    config = {"q": q, "n": n, "family": family, "reduction": "none", "mode": "find-optimal",
+              "d": None, "partitions": 1}
     return json.dumps({"version": 2, "config": config, "chunks": chunks})
 
 
@@ -757,6 +770,79 @@ def test_checkpoint_version_guard(tmp_path):
         d, records = search_family(GF(q), n, family, checkpoint_path=str(path))
         assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (good[-1], [(text, good[-1])])
 
+
+
+# search runs with two chunks: (label, search call)
+_TWO_CHUNK_RUNS = {
+    "DT-C2": lambda path: search_dt(GF(2), 8, partitions=2, checkpoint_path=path),
+    "DT-C2-collect-at": lambda path: search_dt(
+        GF(2), 8, mode="collect-at", d=4, partitions=2, checkpoint_path=path
+    ),
+    "DT-C2-at-least": lambda path: search_dt(
+        GF(2), 8, mode="at-least", d=3, partitions=2, checkpoint_path=path
+    ),
+    "DT-C3": lambda path: search_dt(GF(3), 6, partitions=2, checkpoint_path=path),
+    "DC": lambda path: search_family(GF(2), 8, "DC", partitions=2, checkpoint_path=path),
+    "NC-collect-at": lambda path: search_family(
+        GF(3), 8, "NC", mode="collect-at", d=4, partitions=2, checkpoint_path=path
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(_TWO_CHUNK_RUNS))
+def test_written_checkpoints_resume_unchanged(tmp_path, monkeypatch, run):
+    path = str(tmp_path / "run.json")
+    fresh = _TWO_CHUNK_RUNS[run](path)
+    written = open(path).read()
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
+    assert _TWO_CHUNK_RUNS[run](path) == fresh
+    assert open(path).read() == written
+
+
+# (run, edit of the written chunks, the rule it breaks); the written chunks are
+# DT-C2: "0" [4, [A]] and "1" [4, [B, C]], each payload [t, a, b, mw]
+_TAMPERED_CHUNKS = {
+    # a weight-1 triple recorded as the optimum
+    "weight-below-best": ("DT-C2", lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 1]]]}),
+                          "does not fit the chunk best 4"),
+    "collect-at-weight": ("DT-C2-collect-at", lambda c: c["1"][1][0].__setitem__(3, 5),
+                          "does not fit the chunk best 4"),
+    "at-least-weight-below-d": ("DT-C2-at-least", lambda c: c["0"][1][0].__setitem__(3, 2),
+                                "does not fit the chunk best 3"),
+    "collect-at-best-not-d": ("DT-C2-collect-at",
+                              lambda c: c.update({"0": [5, [[0, [1, 1, 1], [1, 1, 1], 5]]]}),
+                              "best 5 is not the target weight 4"),
+    "at-least-best-not-d": ("DT-C2-at-least", lambda c: c["1"].__setitem__(0, 2),
+                            "best 2 is not the target weight 3"),
+    # chunk 0's attainer, whose prefix 7 lies in chunk 0's range [0, 8)
+    "outside-range": ("DT-C2", lambda c: c["1"][1].append(c["0"][1][0]),
+                      "outside \\[8, 16\\)"),
+    "duplicate": ("DT-C2", lambda c: c["1"][1].append(c["1"][1][-1]),
+                  "out of scan order"),
+    "out-of-order": ("DT-C2", lambda c: c["1"][1].reverse(), "out of scan order"),
+    # f(a) = 4 < f(b) = 7, weight 2
+    "fails-C2": ("DT-C2", lambda c: c.update({"0": [4, [[0, [0, 0, 1], [1, 1, 1], 4]]]}),
+                 "fails the C2 filter"),
+    # (t, a) = (0, 2, 0) starts with 2
+    "fails-C3": ("DT-C3", lambda c: c.update({"0": [3, [[0, [2, 0], [0, 0], 3]]]}),
+                 "fails the C3 filter"),
+    # chunk 1's first row (1,1,0,1), index 11, moved into chunk 0's range [0, 8)
+    "circulant-outside-range": ("DC", lambda c: c["0"][1].append(c["1"][1].pop(0)),
+                                "outside \\[0, 8\\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAMPERED_CHUNKS))
+def test_checkpoint_chunk_its_scan_cannot_write_is_rejected(tmp_path, monkeypatch, case):
+    run, edit, rule = _TAMPERED_CHUNKS[case]
+    path = tmp_path / "run.json"
+    _TWO_CHUNK_RUNS[run](str(path))
+    data = json.loads(path.read_text())
+    edit(data["chunks"])
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a chunk"))
+    with pytest.raises(CheckpointError, match=rule):
+        _TWO_CHUNK_RUNS[run](str(path))
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -4,11 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtcodes import (
     GF,
+    BudgetExceededError,
     CirculantSpec,
     ToeplitzTriple,
+    average_weight_enumerator_bruteforce,
     circulant_matrix,
     classify_triple,
     contains_vector,
@@ -26,7 +30,13 @@ from dtcodes import (
     triple_of_circulant,
 )
 from dtcodes.linear import _index_digits
-from dtcodes.structured import band_sequence, digits_of_index, index_of_digits
+from dtcodes.structured import (
+    band_sequence,
+    digits_of_index,
+    index_of_digits,
+    split_bands,
+    toeplitz_windows,
+)
 
 
 def test_toeplitz_matrix_hand_example():
@@ -108,6 +118,41 @@ def test_classify_triple_families():
     assert classify_triple(f2) == "both"
 
 
+@st.composite
+def _triples(draw):
+    """(gf, T, r): a triple over F2-F4 with 1 <= m <= 8, drawn as a random
+    triple or read off the diagonals of a (nega)circulant matrix, and a first row r."""
+    gf = GF(draw(st.sampled_from([2, 3, 4])))
+    m = draw(st.integers(1, 8))
+    r = tuple(draw(st.lists(st.integers(0, gf.q - 1), min_size=m, max_size=m)))
+    kind = draw(st.sampled_from(["random", "circulant", "negacirculant"]))
+    if kind == "random":
+        rest = draw(st.lists(st.integers(0, gf.q - 1), min_size=m - 1, max_size=m - 1))
+        return gf, ToeplitzTriple(gf, r[0], r[1:], tuple(rest)), r
+    M = circulant_matrix(CirculantSpec(gf, r, 1 if kind == "circulant" else -1))
+    # the Toeplitz definition: t = M[0, 0], a_j = M[0, j], b_i = M[i, 0]
+    return gf, ToeplitzTriple(gf, int(M[0, 0]), tuple(M[0, 1:]), tuple(M[1:, 0])), r
+
+
+@settings(deadline=None, max_examples=200)
+@given(drawn=_triples())
+def test_band_sequences_against_the_matrices(drawn):
+    gf, T, r = drawn
+    # splitting a triple's band sequence gives the triple back
+    assert ToeplitzTriple(gf, *split_bands(band_sequence(T))) == T
+    # a first row's band sequence has the (nega)circulant matrix as its windows
+    for mu in (1, -1):
+        spec = CirculantSpec(gf, r, mu)
+        assert np.array_equal(toeplitz_windows(band_sequence(spec)), circulant_matrix(spec))
+    # classify_triple against circulant_matrix of the first row of the triple's matrix
+    A = toeplitz_matrix(T)
+    circ, nega = (
+        np.array_equal(A, circulant_matrix(CirculantSpec(gf, tuple(A[0]), mu))) for mu in (1, -1)
+    )
+    names = {(True, True): "both", (True, False): "circulant", (False, True): "negacirculant"}
+    assert classify_triple(T) == names.get((circ, nega), "neither")
+
+
 def test_code_builders():
     gf = GF(2)
     C = double_circulant_code(CirculantSpec(gf, (1, 1, 0), 1))
@@ -154,6 +199,18 @@ def test_counting_lemma_closed_form(q, n):
             assert count_codes_containing(gf, n, u, v) == count_codes_containing_bruteforce(
                 gf, n, u, v
             )
+
+
+def test_brute_force_oracles_share_one_guard():
+    zero = (0,) * 4
+    with pytest.raises(BudgetExceededError) as info:
+        count_codes_containing_bruteforce(GF(4), 8, zero, zero)
+    assert str(info.value) == "brute-force count over q^(n-1) codes needs n <= 6 for F4"
+    with pytest.raises(BudgetExceededError) as info:
+        average_weight_enumerator_bruteforce(GF(2), 14)
+    assert str(info.value) == "brute-force average over q^(n-1) codes needs n <= 12 for F2"
+    # at the limit both run
+    assert count_codes_containing_bruteforce(GF(4), 6, (1, 0, 0), (0, 0, 0)) == 4**2
 
 
 def test_counting_lemma_split_by_case():
