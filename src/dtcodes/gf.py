@@ -169,9 +169,7 @@ def parse_vector(gf: GF, text: str) -> np.ndarray:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"vector literal must be parenthesised: {text!r}")
     inner = s[1:-1].strip()
-    if not inner:
-        return np.zeros(0, dtype=np.int8)
-    codes = [parse_element(gf, tok) for tok in inner.split(",")]
+    codes = [parse_element(gf, tok) for tok in inner.split(",")] if inner else []
     return np.array(codes, dtype=np.int8)
 
 

@@ -185,13 +185,8 @@ class LinearCode:
 
     @classmethod
     def from_text(cls, gf: GF, text: str) -> "LinearCode":
-        rows = []
-        for line in text.strip().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([parse_element(gf, tok) for tok in line.split(",")])
-        return cls(gf, rows)
+        rows = [line.strip() for line in text.strip().splitlines()]
+        return cls(gf, [[parse_element(gf, tok) for tok in row.split(",")] for row in rows if row])
 
     def __repr__(self) -> str:
         return f"LinearCode(F{self.gf.q}, n={self.n}, k={self.k})"

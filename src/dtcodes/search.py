@@ -14,24 +14,28 @@ equivalence classes:
                    one representative per scalar orbit suffices.
 
 Every search is one pass over blocks of filtered candidates.  A candidate
-of any family is its band sequence (see :mod:`structured`), whose
+of any family is its band sequence S (see :mod:`structured`), whose
 sliding windows are the rows of its Toeplitz matrix.  Blocks run across
-prefixes and are sized to a byte budget.  Each is packed once into uint64
-bit-planes of the scalar multiples of its rows; a projective message's
-right half is then an XOR of packed rows (a bitsliced adder over F3) and
-its weight a popcount, which gives the block's minimum weights capped at
-a threshold.  The messages are the layers of
-:func:`linear._weight_layer`, built once per (q, m, w) and shared with
-``minimum_weight``.  A "find-optimal" pass keeps the attainers of its
-running best minimum weight and drops them when the best rises;
-"collect-at" and "at-least" passes keep the candidates at or above a
-fixed target.  The prefix space (t, a), or the first rows of a circulant
-family, is split into contiguous chunks which can run on worker
-processes.  Each chunk returns its best and its attainers; the search
-keeps the attainers of the chunks whose best is the maximum, in chunk
-order, so output is identical for any worker or partition count.  Each
-chunk can be checkpointed to JSON as it completes, and a resumed chunk
-must hold only what its scan writes.
+prefixes and are sized to a byte budget.  Each nonzero multiple of S is
+packed once into a uint64 word, one bit-plane per field coordinate, and
+each row is a shift of that word; a projective message's right half is
+then an XOR of row words (a bitsliced adder over F3) and its weight a
+popcount, which gives the block's minimum weights capped at a
+threshold.  S must fit a plane, 2m-1 <= 64 over F2 and 2m-1 <= 32 over F3
+and F4, but the default budget of 2^26 candidates binds first: it allows
+m <= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and
+NC (q^m first rows) over F2, F3, F4.  The messages are the layers of
+:func:`linear._weight_layer`, shared with ``minimum_weight``.  A
+"find-optimal" pass keeps the attainers of its running best minimum
+weight and drops them when the best rises; "collect-at" and "at-least"
+passes keep the candidates at or above a fixed target.  The prefix space
+(t, a), or the first rows of a circulant family, is split into
+contiguous chunks which can run on worker processes.  Each chunk returns
+its best and its attainers; the search keeps the attainers of the chunks
+whose best is the maximum, in chunk order, so output is identical for
+any worker or partition count.  Each chunk can be checkpointed to JSON as
+it completes; a resumed chunk must hold only what its scan writes, and
+each record's weight is recomputed.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -62,7 +66,6 @@ from .structured import (
     band_sequence,
     circulant_bands,
     classify_triple,
-    digits_of_index,
     double_toeplitz_code,
     index_of_digits,
     split_bands,
@@ -96,10 +99,9 @@ class CheckpointError(RuntimeError):
 
 def vector_rank(a) -> int:
     """Odometer rank f(a) = sum_i 2^(i-1) a_i of a binary vector."""
-    a = np.asarray(a)
-    if a.size and (a.min() < 0 or a.max() > 1):
+    if any(x not in (0, 1) for x in a):
         raise ValueError("vector_rank is defined for binary vectors only")
-    return int(sum(int(x) << i for i, x in enumerate(a)))
+    return index_of_digits(a, 2)
 
 
 def _resolve_reduction(q: int, reduction: str) -> str:
@@ -115,18 +117,19 @@ def _resolve_reduction(q: int, reduction: str) -> str:
     return reduction
 
 
-def _kept_b_count(q: int, reduction: str, t: int, a) -> int:
-    """How many b survive the filter after the prefix (t, a).
+def _kept_b_counts(q: int, reduction: str, t, A) -> np.ndarray:
+    """How many b survive the filter after each prefix (t, a), for t (...) and A (..., L).
 
     The survivors are always the b indices 0 .. count-1: C2 keeps
-    f(b) <= f(a), and the index of a binary b is f(b); C3 keeps all b
-    or none, depending on the first nonzero entry of (t, a).
+    f(b) <= f(a), and the index of a binary b is f(b); C3 keeps all q^L
+    b or none, by the first nonzero entry of (t, a); "none" keeps all.
     """
+    t, A = np.asarray(t, dtype=np.int64), np.asarray(A, dtype=np.int64)
     if reduction == "C2":
-        return vector_rank(a) + 1
-    if reduction == "C3" and next((x for x in (t, *a) if x), 1) != 1:
-        return 0
-    return q ** len(a)
+        return A @ (1 << np.arange(A.shape[-1])) + 1
+    D = np.concatenate((t[..., None], A), axis=-1)
+    lead = np.take_along_axis(D, (D != 0).argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((lead <= 1) | (reduction == "none"), q ** A.shape[-1], 0)
 
 
 def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
@@ -138,7 +141,7 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
     """
     q = T.gf.q
     reduction = _resolve_reduction(q, reduction)
-    return index_of_digits(T.b, q) < _kept_b_count(q, reduction, T.t, T.a)
+    return bool(index_of_digits(T.b, q) < _kept_b_counts(q, reduction, T.t, T.a))
 
 
 # ---------------------------------------------------------------------------
@@ -151,28 +154,27 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
 _ENTRY_WORD = {2: (0, 1), 3: (0, 1, 1 << 32), 4: (0, 1, 1 << 32, 1 | 1 << 32)}
 
 
-def _pack_rows(gf: GF, A: np.ndarray) -> np.ndarray:
-    """The nonzero scalar multiples of the rows of each block, as uint64 words.
+def _pack_rows(gf: GF, S: np.ndarray) -> np.ndarray:
+    """The nonzero scalar multiples of the Toeplitz rows of band sequences S, as uint64 words.
 
     Returns a (blocks, m (q-1)) array whose column r (q-1) + s - 1 packs
-    s A[:, r], entry j at bit j of each plane: F2 has one plane; F4 has
-    its two GF(2) coordinates and F3 the one-hot planes [x == 1] and
-    [x == 2], in bits 0-31 and 32-63.  A sum over F2 or F4 is then an
-    XOR of words.  A negation over F3 swaps the two halves, and columns
-    c and c ^ 1 hold the two multiples of one row, negatives of each
-    other.  Raises ValueError when a row is wider than a plane.
+    s S[:, m-1-r : 2m-1-r], entry j at bit j of each plane: F2 has one
+    plane; F4 has its two GF(2) coordinates and F3 the one-hot planes
+    [x == 1] and [x == 2], in bits 0-31 and 32-63.  The word of s S, entry
+    l at bit l, shifted down by m-1-r and cut to m bits a plane is row r.
+    A sum over F2 or F4 is then an XOR of words.  A negation over F3 swaps
+    the two halves, and columns c and c ^ 1 hold the two multiples of one
+    row.  Raises ValueError when a band is longer than a plane.
     """
-    q = gf.q
-    blocks, rows, m = A.shape
+    q, m = gf.q, (S.shape[-1] + 1) // 2
     width = 64 if q == 2 else 32
-    if m > width:
-        raise ValueError(f"block width m={m} exceeds the {width} entries of a packed F{q} plane")
-    # table[s-1, x, j]: the word of s x at entry j
-    entry_word = np.array(_ENTRY_WORD[q], dtype=np.uint64)
-    table = entry_word[gf.mul_table[1:]][:, :, None] << np.arange(m, dtype=np.uint64)
-    scalars = np.arange(q - 1)[:, None, None, None]
-    words = table[scalars, A[None], np.arange(m)].sum(axis=-1)  # distinct bits: sum is OR
-    return words.transpose(1, 2, 0).reshape(blocks, rows * (q - 1))
+    if 2 * m - 1 > width:
+        raise ValueError(f"band of block width m={m} exceeds the {width} entries of an F{q} plane")
+    table = np.array(_ENTRY_WORD[q], dtype=np.uint64)[gf.mul_table[1:]]  # [s-1, x]: word of s x
+    words = table[:, S] @ (np.uint64(1) << np.arange(2 * m - 1, dtype=np.uint64))  # distinct bits
+    mask = np.uint64(((1 << m) - 1) * (1 if q == 2 else 1 | 1 << 32))  # m entries a plane
+    rows = (words[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint64)) & mask
+    return rows.transpose(1, 2, 0).reshape(len(S), m * (q - 1))
 
 
 def _f3_add(x, xn, y, yn):
@@ -214,6 +216,16 @@ def _message_weights(q: int, PT: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return np.bitwise_count(halves[:, 0::2] | halves[:, 1::2])
 
 
+@cache
+def _layer_columns(q: int, m: int, w: int) -> np.ndarray:
+    """Packed-word columns ``support (q-1) + value - 1`` of the terms of the messages of
+    :func:`linear._weight_layer`, support-major, built once per (q, m, w) (read-only)."""
+    supports, values = _weight_layer(q, m, w)
+    cols = (supports[:, None].astype(np.int64) * (q - 1) + values - 1).reshape(-1, w)
+    cols.flags.writeable = False
+    return cols
+
+
 def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
     """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i) over F_q.
 
@@ -221,19 +233,15 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
     A codeword of weight below T comes from a message of weight below
     T, so the projective messages of weight 1..T-1 give d_i exactly
     when d_i < T, and a value of T proves d_i >= T.  They are scanned by
-    ascending weight w, each layer read from :func:`linear._weight_layer`
-    as the packed-word columns ``support (q-1) + value - 1`` of its
-    terms; messages of weight above w give codewords of weight above w,
-    so a code whose lowest weight so far is at most w + 1 is settled
-    and leaves the scan.
+    ascending weight w, each layer read from :func:`_layer_columns`;
+    messages of weight above w give codewords of weight above w, so a
+    code whose lowest weight so far is at most w + 1 leaves the scan.
     """
     m = P.shape[1] // (q - 1)
     out = np.full(len(P), T, dtype=np.int64)
     alive = np.arange(len(P))
     for w in range(1, min(T, m + 1)):
-        supports, values = _weight_layer(q, m, w)
-        terms = np.repeat(supports.astype(np.int64) * (q - 1), len(values), axis=0)
-        cols = terms + np.tile(values - 1, (len(supports), 1))
+        cols = _layer_columns(q, m, w)
         step = max(1, _PACKED_BYTE_BUDGET // (8 * len(cols)))
         for lo in range(0, len(alive), step):
             idx = alive[lo : lo + step]
@@ -251,9 +259,8 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
 
 
 def _spread(total: int, count: int) -> np.ndarray:
-    if total <= count:
-        return np.arange(total)
-    return np.unique(np.linspace(0, total - 1, count).astype(np.int64))
+    """At most ``count`` indices spread evenly over range(total), both ends included."""
+    return np.unique(np.linspace(0, total - 1, min(total, count)).astype(np.int64))
 
 
 def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
@@ -262,28 +269,32 @@ def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept
     ``prefixes`` (a range or an int64 array) holds (t, a) prefix indices
     for DT and first-row indices for DC/NC.  For DT, ``kept_b(count)``
     gives the b indices to visit among the ``count`` that survive the
-    filter after a prefix.  Blocks run across prefixes, with as many rows
-    as keep the (rows, q-1, m, m) words of :func:`_pack_rows` within
-    ``_PACKED_BYTE_BUDGET``.
+    filter after a prefix; ``np.arange`` (all) expands a batch of
+    prefixes in one pass.  Blocks run across prefixes, with as many rows
+    as keep (rows, q-1, m, m) packed words within ``_PACKED_BYTE_BUDGET``.
     """
-    q, m = gf.q, n // 2
+    q, m, L = gf.q, n // 2, n // 2 - 1
     rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
-    if family != "DT":
-        for lo in range(0, len(prefixes), rows):
-            R = _index_digits(np.asarray(prefixes[lo : lo + rows], dtype=np.int64), q, m)
-            yield circulant_bands(gf, R, 1 if family == "DC" else -1)
-        return
-    L = m - 1
+    per = max(1, rows // q**L) if family == "DT" else rows  # a batch: <= max(rows, q^L) candidates
 
-    def pairs():  # (prefix, b index) rows, one prefix at a time
-        for p in prefixes:
-            t, ia = divmod(int(p), q**L)
-            ib = kept_b(_kept_b_count(q, reduction, t, digits_of_index(ia, q, L)))
-            yield np.column_stack((np.full(len(ib), p), ib))
+    def batches():  # the band sequences of each batch of prefixes
+        for lo in range(0, len(prefixes), per):
+            p = np.asarray(prefixes[lo : lo + per], dtype=np.int64)
+            if family != "DT":
+                yield circulant_bands(gf, _index_digits(p, q, m), 1 if family == "DC" else -1)
+                continue
+            t, A = p // q**L, _index_digits(p % q**L, q, L)
+            counts = _kept_b_counts(q, reduction, t, A)
+            if kept_b is np.arange:  # b = 0 .. count-1 after each prefix
+                own = np.repeat(np.arange(len(p)), counts)
+                ib = np.arange(len(own)) - (counts.cumsum() - counts)[own]
+            else:
+                samples = [kept_b(int(c)) for c in counts]
+                own = np.repeat(np.arange(len(p)), [len(x) for x in samples])
+                ib = np.concatenate(samples)
+            yield triple_bands(t[own], A[own], _index_digits(ib, q, L))
 
-    for block in _rebatch(pairs(), rows):
-        (t, ia), ib = np.divmod(block[:, 0], q**L), block[:, 1]
-        yield triple_bands(t, _index_digits(ia, q, L), _index_digits(ib, q, L))
+    return _rebatch(batches(), rows)
 
 
 def _rebatch(pieces, rows: int):
@@ -335,22 +346,21 @@ def _scan_chunk(args) -> tuple[int, list]:
     gf = GF(q)
     best, found = d, []
     for S in _candidate_bands(gf, n, family, reduction, range(lo, hi), np.arange):
-        A = toeplitz_windows(S)
-        P = _pack_rows(gf, A)
+        P = _pack_rows(gf, S)
         if mode == "at-least":
             for off in np.flatnonzero(_batch_min_weight_capped(P, d, q) >= d):
-                mw = minimum_weight(LinearCode.systematic(gf, A[off]))
+                mw = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(S[off])))
                 found.append(_payload(family, S[off], mw))
             continue
         # candidates of the block that may still attain or raise the best
-        pending = np.arange(len(A))
+        pending = np.arange(len(S))
         while len(pending):
             capped = _batch_min_weight_capped(P[pending], best + 1, q)
             above = pending[capped > best] if mode == "find-optimal" else pending[:0]
             if not len(above):
                 found += [_payload(family, S[i], best) for i in pending[capped == best]]
                 break
-            best = minimum_weight(LinearCode.systematic(gf, A[above[0]]))
+            best = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(S[above[0]])))
             found = [_payload(family, S[above[0]], best)]
             pending = above[1:]
     return best, found
@@ -395,6 +405,9 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
             raise ValueError(f"payload {payload} fails the {config['reduction']} filter")
         if mw < best if mode == "at-least" else mw != best:
             raise ValueError(f"payload weight {mw} does not fit the chunk best {best}")
+        d = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(band_sequence(spec))))
+        if d != mw:
+            raise ValueError(f"payload weight {mw} is not {spec.to_text()}'s minimum weight {d}")
         last = index
 
 

@@ -299,18 +299,12 @@ def triple_count(gf: GF, m: int) -> int:
 
 def digits_of_index(idx: int, q: int, length: int) -> tuple[int, ...]:
     """Odometer digits of an index, first digit least significant."""
-    out = []
-    for _ in range(length):
-        idx, d = divmod(idx, q)
-        out.append(d)
-    return tuple(out)
+    return tuple(idx // q**i % q for i in range(length))
 
 
 def index_of_digits(digits, q: int) -> int:
-    idx = 0
-    for d in reversed(tuple(digits)):
-        idx = idx * q + int(d)
-    return idx
+    """The index of odometer digits, sum_i d_i q^i: the inverse of :func:`digits_of_index`."""
+    return sum(int(d) * q**i for i, d in enumerate(digits))
 
 
 def enumerate_triples(gf: GF, m: int):

@@ -292,6 +292,19 @@ def test_checkpoint_record_its_chunk_cannot_write_exits_2(capsys, tmp_path, edit
     assert "checkpoint rejected" in err
 
 
+def test_checkpoint_weight_its_code_does_not_have_exits_2(capsys, tmp_path):
+    # the triple 0;(1,0,0);(0,0,0) spans a code of minimum weight 1, recorded as 4
+    path = tmp_path / "ck.json"
+    assert run(capsys, *_F2_N8, "--checkpoint", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    data["chunks"]["0"] = [4, [[0, [1, 0, 0], [0, 0, 0], 4]]]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *_F2_N8, "--checkpoint", str(path))
+    assert (code, out) == (2, "")
+    assert "checkpoint rejected" in err
+    assert "payload weight 4 is not 0;(1,0,0);(0,0,0)'s minimum weight 1" in err
+
+
 _RUN_OPTIONS = ("--q", "--n", "--reduction", "--workers", "--partitions", "--checkpoint", "--budget")
 
 

@@ -38,6 +38,7 @@ from dtcodes import (
     verify_reduction_soundness,
 )
 from dtcodes import equivalence, linear, search
+from dtcodes.linear import _index_digits
 from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
 from dtcodes.search import (
     _batch_min_weight_capped,
@@ -152,6 +153,37 @@ def test_auto_filter_is_the_resolved_filter(q, max_m):
     for m in range(1, max_m + 1):
         for T in enumerate_triples(gf, m):
             assert passes_reduction(T, "auto") == passes_reduction(T, resolved), T
+
+
+def _filter_rule(T: ToeplitzTriple, reduction: str) -> bool:
+    """The filters as the module docstring states them, triple by triple."""
+    if reduction == "C2":
+        return vector_rank(T.a) >= vector_rank(T.b)
+    if reduction == "C3":
+        return next((x for x in (T.t, *T.a) if x), 1) == 1
+    return True
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kept_b_counts_match_the_filtered_triples(q):
+    # one batched call over every prefix against the b each filter keeps;
+    # F4 stops at m = 4, since m = 5 has 4^9 triples per filter (about 10 s)
+    gf = GF(q)
+    for m in range(1, 6 if q < 4 else 5):
+        L = m - 1
+        t, ia = np.divmod(np.arange(q**m), q**L)
+        A = _index_digits(ia, q, L)
+        for reduction in _VALID_REDUCTIONS[q]:
+            counts = search._kept_b_counts(q, reduction, t, A)
+            assert counts.shape == (q**m,)
+            for p in range(q**m):
+                triples = [
+                    ToeplitzTriple(gf, int(t[p]), A[p], digits_of_index(ib, q, L))
+                    for ib in range(q**L)
+                ]
+                kept = [passes_reduction(T, reduction) for T in triples]
+                assert kept == [_filter_rule(T, reduction) for T in triples], (m, p, reduction)
+                assert kept == [ib < counts[p] for ib in range(q**L)], (m, p, reduction)
 
 
 def test_unknown_reduction_rejected():
@@ -413,10 +445,10 @@ def test_capped_batch_matches_minimum_weight(q):
     gf = GF(q)
     rng = np.random.default_rng(q)
     for m in range(2, 6):
-        A = rng.integers(0, q, size=(12, m, m), dtype=np.int8)
-        exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in A]
+        S = rng.integers(0, q, size=(12, 2 * m - 1), dtype=np.int8)
+        exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in toeplitz_windows(S)]
         for T in range(1, m + 2):
-            got = _batch_min_weight_capped(_pack_rows(gf, A), T, q)
+            got = _batch_min_weight_capped(_pack_rows(gf, S), T, q)
             assert got.tolist() == [min(d, T) for d in exact], (m, T)
 
 
@@ -439,8 +471,8 @@ def test_packed_columns_match_the_dense_derivation(q, monkeypatch):
             return np.full((len(cols), PT.shape[1]), m + 1)
 
         monkeypatch.setattr(search, "_message_weights", unsettled)
-        A = np.zeros((3, m, m), dtype=np.int8)
-        _batch_min_weight_capped(_pack_rows(GF(q), A), m + 2, q)
+        S = np.zeros((3, 2 * m - 1), dtype=np.int8)
+        _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q)
         assert len(seen) == m
         for w, cols in enumerate(seen, start=1):
             assert cols.dtype == np.int64, (m, w)
@@ -484,46 +516,88 @@ def _capped_oracle(gf: GF, A: np.ndarray, T: int, product) -> int:
 _ORACLE_MESSAGES = 1 << 15
 
 
+# Entries in a packed plane: F2 has one 64-bit plane, F3 and F4 two of 32.
+_PLANE = {2: 64, 3: 32, 4: 32}
+
+
+def _gather_pack(gf: GF, A: np.ndarray) -> np.ndarray:
+    """The packed words of :func:`search._pack_rows` from Toeplitz blocks A
+    (blocks, m, m), gathered entry by entry from one word table per
+    scalar: the former packer, kept as its slow oracle."""
+    q = gf.q
+    blocks, rows, m = A.shape
+    # table[s-1, x, j]: the word of s x at entry j
+    entry_word = np.array(search._ENTRY_WORD[q], dtype=np.uint64)
+    table = entry_word[gf.mul_table[1:]][:, :, None] << np.arange(m, dtype=np.uint64)
+    scalars = np.arange(q - 1)[:, None, None, None]
+    words = table[scalars, A[None], np.arange(m)].sum(axis=-1)  # distinct bits: sum is OR
+    return words.transpose(1, 2, 0).reshape(blocks, rows * (q - 1))
+
+
+def _draw_band(draw, q: int, m: int, kind: str) -> np.ndarray:
+    """A band sequence of length 2m-1: zero, constant (every Toeplitz row
+    the same), one-hot (a shifted identity; the identity at entry m-1) or random."""
+    S = np.zeros(2 * m - 1, dtype=np.int8)
+    if kind == "constant":
+        S[:] = draw(st.integers(1, q - 1))
+    elif kind == "one-hot":
+        S[draw(st.integers(0, 2 * m - 2))] = draw(st.integers(1, q - 1))
+    elif kind == "random":
+        S[:] = draw(st.lists(st.integers(0, q - 1), min_size=2 * m - 1, max_size=2 * m - 1))
+    return S
+
+
+@st.composite
+def _band_blocks(draw):
+    """(q, bands): zero, constant, one-hot and random bands of one length up to the plane limit."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.integers(1, (_PLANE[q] + 1) // 2))
+    kinds = draw(
+        st.lists(st.sampled_from(["zero", "constant", "one-hot", "random"]), min_size=1, max_size=4)
+    )
+    return q, np.stack([_draw_band(draw, q, m, kind) for kind in kinds])
+
+
+@settings(deadline=None, max_examples=150)
+@given(drawn=_band_blocks())
+@example(drawn=(2, np.ones((1, 63), np.int8)))
+@example(drawn=(3, np.full((2, 31), 2, np.int8)))
+@example(drawn=(4, np.eye(31, dtype=np.int8)[[0, 15, 30]] * 3))
+def test_shift_packer_matches_the_gather_oracle(drawn):
+    q, S = drawn
+    gf = GF(q)
+    got = _pack_rows(gf, S)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _gather_pack(gf, toeplitz_windows(S)))
+
+
 @st.composite
 def _capped_batches(draw):
-    """(q, blocks, T): zero, identity, repeated-row and random m x m blocks."""
+    """(q, bands, T): zero, constant, one-hot and random band sequences."""
     q = draw(st.sampled_from([2, 3, 4]))
     m = draw(st.integers(1, 12))
     kinds = draw(
-        st.lists(st.sampled_from(["zero", "identity", "repeated", "random"]), min_size=1, max_size=4)
+        st.lists(st.sampled_from(["zero", "constant", "one-hot", "random"]), min_size=1, max_size=4)
     )
-    blocks = []
-    for kind in kinds:
-        if kind == "zero":
-            A = np.zeros((m, m), dtype=np.int8)
-        elif kind == "identity":
-            A = np.eye(m, dtype=np.int8)
-        else:
-            flat = draw(st.lists(st.integers(0, q - 1), min_size=m * m, max_size=m * m))
-            A = np.array(flat, dtype=np.int8).reshape(m, m)
-            if kind == "repeated" and m > 1:
-                i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
-                A[j] = GF(q).mul_table[draw(st.integers(1, q - 1)), A[i]]
-        blocks.append(A)
     top = m + 2
     if "random" in kinds:
         # a random block can have a large minimum weight: bound the oracle's scan
         scanned = itertools.accumulate(math.comb(m, w) * (q - 1) ** w for w in range(1, m + 1))
         top = min(top, 1 + sum(1 for c in scanned if c <= _ORACLE_MESSAGES))
-    return q, np.stack(blocks), draw(st.integers(1, top))
+    return q, np.stack([_draw_band(draw, q, m, kind) for kind in kinds]), draw(st.integers(1, top))
 
 
 @settings(deadline=None, max_examples=120)
 @given(drawn=_capped_batches())
-@example(drawn=(4, np.stack([np.zeros((12, 12), np.int8), np.eye(12, dtype=np.int8)]), 14))
-@example(drawn=(3, np.ones((1, 12, 12), np.int8), 14))
-@example(drawn=(2, np.ones((1, 1, 1), np.int8), 3))
+@example(drawn=(4, np.stack([np.zeros(23, np.int8), np.eye(23, dtype=np.int8)[11]]), 14))
+@example(drawn=(3, np.ones((1, 23), np.int8), 14))
+@example(drawn=(2, np.ones((1, 1), np.int8), 3))
 def test_packed_capped_batch_matches_product_oracles(drawn):
-    q, A, T = drawn
+    q, S, T = drawn
     gf = GF(q)
-    got = _batch_min_weight_capped(_pack_rows(gf, A), T, q)
-    assert got.tolist() == [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in A]
-    assert got.tolist() == [_capped_oracle(gf, Ai, T, _table_product) for Ai in A]
+    got = _batch_min_weight_capped(_pack_rows(gf, S), T, q)
+    assert got.tolist() == [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in toeplitz_windows(S)]
+    assert got.tolist() == [_capped_oracle(gf, Ai, T, _table_product) for Ai in toeplitz_windows(S)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -531,15 +605,18 @@ def test_packed_multiples_match_mul_table(q):
     # plane p holds entry j at bit 32 p + j, and the element code is
     # plane0 + 2 plane1 for every field: F3 one-hot, F4 coordinates
     gf = GF(q)
-    A = np.random.default_rng(q).integers(0, q, size=(5, 4, 7), dtype=np.int8)
-    P = _pack_rows(gf, A)
-    assert P.shape == (5, 4 * (q - 1)) and P.dtype == np.uint64
+    S = np.random.default_rng(q).integers(0, q, size=(5, 13), dtype=np.int8)
+    A = toeplitz_windows(S)
+    P = _pack_rows(gf, S)
+    assert P.shape == (5, 7 * (q - 1)) and P.dtype == np.uint64
     j = np.arange(7, dtype=np.uint64)
     plane0 = (P[..., None] >> j) & np.uint64(1)
     plane1 = (P[..., None] >> (j + np.uint64(32))) & np.uint64(1)
     if q == 3:
         assert not (plane0 & plane1).any()
-    decoded = (plane0 + 2 * plane1).reshape(5, 4, q - 1, 7)
+    # no bit outside the 7 entries of each plane
+    assert not (P & ~np.uint64(0x7F | 0x7F << 32)).any()
+    decoded = (plane0 + 2 * plane1).reshape(5, 7, q - 1, 7)
     for s in range(1, q):
         assert (decoded[:, :, s - 1] == gf.mul_table[s, A]).all(), s
 
@@ -547,18 +624,20 @@ def test_packed_multiples_match_mul_table(q):
 def test_f3_adder_matches_the_field_table():
     gf = GF(3)
     word = [np.uint64(0), np.uint64(1), np.uint64(1 << 32)]  # one-hot: bit 0 for 1, bit 32 for 2
-    assert [_pack_rows(gf, np.full((1, 1, 1), x, np.int8))[0, 0] for x in range(3)] == word
+    assert [_pack_rows(gf, np.full((1, 1), x, np.int8))[0, 0] for x in range(3)] == word
     for x, y in itertools.product(range(3), repeat=2):
         z = gf.add(x, y)
         got = _f3_add(word[x], word[gf.neg(x)], word[y], word[gf.neg(y)])
         assert got == (word[z], word[gf.neg(z)]), (x, y)
 
 
-@pytest.mark.parametrize("q, m", [(2, 65), (3, 33), (4, 33)])
+@pytest.mark.parametrize("q, m", [(2, 33), (3, 17), (4, 17)])
 def test_packer_rejects_a_block_wider_than_its_planes(q, m):
+    # the band of a block, 2m-1 entries, must fit a plane
     with pytest.raises(ValueError, match=f"m={m}"):
-        _pack_rows(GF(q), np.zeros((1, m, m), dtype=np.int8))
-    assert _pack_rows(GF(q), np.eye(m - 1, dtype=np.int8)[None]).shape == (1, (m - 1) * (q - 1))
+        _pack_rows(GF(q), np.zeros((1, 2 * m - 1), dtype=np.int8))
+    identity = np.eye(2 * m - 3, dtype=np.int8)[m - 2][None]
+    assert _pack_rows(GF(q), identity).shape == (1, (m - 1) * (q - 1))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -826,6 +905,17 @@ _TAMPERED_CHUNKS = {
     # (t, a) = (0, 2, 0) starts with 2
     "fails-C3": ("DT-C3", lambda c: c.update({"0": [3, [[0, [2, 0], [0, 0], 3]]]}),
                  "fails the C3 filter"),
+    # codes recorded at the best but of lower minimum weight: the triple
+    # has weight 1, and the first row (1,0,0,0) spans (I | I), of weight 2
+    "weight-not-its-code's": (
+        "DT-C2", lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 4]]]}),
+        "payload weight 4 is not 0;\\(1,0,0\\);\\(0,0,0\\)'s minimum weight 1"),
+    "circulant-weight-not-its-code's": (
+        "DC", lambda c: c.update({"0": [4, [[[1, 0, 0, 0], 1, 4]]]}),
+        "is not C:\\(1,0,0,0\\)'s minimum weight 2"),
+    "negacirculant-weight-not-its-code's": (
+        "NC-collect-at", lambda c: c.update({"0": [4, [[[1, 0, 0, 0], -1, 4]]]}),
+        "is not N:\\(1,0,0,0\\)'s minimum weight 2"),
     # chunk 1's first row (1,1,0,1), index 11, moved into chunk 0's range [0, 8)
     "circulant-outside-range": ("DC", lambda c: c["0"][1].append(c["1"][1].pop(0)),
                                 "outside \\[0, 8\\)"),
@@ -1008,9 +1098,9 @@ def test_reduction_soundness_catches_a_filter_that_drops_a_kept_b(monkeypatch):
     # loses its last kept b, the one with b = a; at n = 4 that loses
     # every filtered member of a class
     assert verify_reduction_soundness(GF(2), 4)
-    kept_b_count = search._kept_b_count
+    kept_b_counts = search._kept_b_counts
     monkeypatch.setattr(
-        search, "_kept_b_count", lambda q, reduction, t, a: kept_b_count(q, reduction, t, a) - 1
+        search, "_kept_b_counts", lambda q, reduction, t, A: kept_b_counts(q, reduction, t, A) - 1
     )
     assert not verify_reduction_soundness(GF(2), 4)
 
