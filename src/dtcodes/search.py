@@ -25,17 +25,20 @@ threshold.  S must fit a plane, 2m-1 <= 64 over F2 and 2m-1 <= 32 over F3
 and F4, but the default budget of 2^26 candidates binds first: it allows
 m <= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and
 NC (q^m first rows) over F2, F3, F4.  The messages are the layers of
-:func:`linear._weight_layer`, shared with ``minimum_weight``.  A
-"find-optimal" pass keeps the attainers of its running best minimum
-weight and drops them when the best rises; "collect-at" and "at-least"
-passes keep the candidates at or above a fixed target.  The prefix space
-(t, a), or the first rows of a circulant family, is split into
-contiguous chunks which can run on worker processes.  Each chunk returns
-its best and its attainers; the search keeps the attainers of the chunks
-whose best is the maximum, in chunk order, so output is identical for
-any worker or partition count.  Each chunk can be checkpointed to JSON as
-it completes; a resumed chunk must hold only what its scan writes, and
-each record's weight is recomputed.
+:func:`linear._weight_layer`, shared with ``minimum_weight``.  Every mode
+caps a block's weights at best + 1, for best the target d or a
+"find-optimal" pass's running best; outside "collect-at" those above the
+best are made exact by the cap m + 2 (d <= m + 1), and a "find-optimal"
+block with any above raises the best to their maximum and drops the
+attainers so far.  Those at the best ("at-least": at or above) are kept,
+in block order.  The prefix space (t, a), or the first rows of a circulant
+family, is split into contiguous chunks which can run on worker
+processes.  Each chunk returns its best and its attainers; the search
+keeps the attainers of the chunks whose best is the maximum, in chunk
+order, so output is identical for any worker or partition count.  Each
+chunk can be checkpointed to JSON as it completes; a resumed chunk must
+hold only what its scan writes, and one packed call per chunk recomputes
+its records' weights.
 """
 
 from __future__ import annotations
@@ -347,22 +350,14 @@ def _scan_chunk(args) -> tuple[int, list]:
     best, found = d, []
     for S in _candidate_bands(gf, n, family, reduction, range(lo, hi), np.arange):
         P = _pack_rows(gf, S)
-        if mode == "at-least":
-            for off in np.flatnonzero(_batch_min_weight_capped(P, d, q) >= d):
-                mw = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(S[off])))
-                found.append(_payload(family, S[off], mw))
-            continue
-        # candidates of the block that may still attain or raise the best
-        pending = np.arange(len(S))
-        while len(pending):
-            capped = _batch_min_weight_capped(P[pending], best + 1, q)
-            above = pending[capped > best] if mode == "find-optimal" else pending[:0]
-            if not len(above):
-                found += [_payload(family, S[i], best) for i in pending[capped == best]]
-                break
-            best = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(S[above[0]])))
-            found = [_payload(family, S[above[0]], best)]
-            pending = above[1:]
+        mw = _batch_min_weight_capped(P, best + 1, q)
+        above = (mw > best) & (mode != "collect-at")
+        if above.any():
+            mw[above] = _batch_min_weight_capped(P[above], n // 2 + 2, q)
+            if mode == "find-optimal":
+                best, found = int(mw.max()), []
+        keep = mw >= best if mode == "at-least" else mw == best
+        found += [_payload(family, S[i], int(mw[i])) for i in np.flatnonzero(keep)]
     return best, found
 
 
@@ -390,6 +385,7 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
         raise ValueError(f"best {best} is not the target weight {config['d']}")
     span = gf.q ** (n // 2 - 1) if family == "DT" else 1  # candidates per prefix
     last = lo * span - 1
+    labelled = []  # (spec, weight label) of each payload
     for payload in payloads:
         spec, mw = _payload_to_triple(gf, payload, family)
         # only what a scan writes for this spec: int entries (no bool,
@@ -405,10 +401,14 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
             raise ValueError(f"payload {payload} fails the {config['reduction']} filter")
         if mw < best if mode == "at-least" else mw != best:
             raise ValueError(f"payload weight {mw} does not fit the chunk best {best}")
-        d = minimum_weight(LinearCode.systematic(gf, toeplitz_windows(band_sequence(spec))))
+        last = index
+        labelled.append((spec, mw))
+    # every record's exact weight in one packed call, with the scan's exact cap m + 2
+    S = np.array([band_sequence(spec) for spec, _ in labelled], dtype=np.int8).reshape(-1, n - 1)
+    exact = _batch_min_weight_capped(_pack_rows(gf, S), n // 2 + 2, gf.q)
+    for (spec, mw), d in zip(labelled, exact.tolist()):
         if d != mw:
             raise ValueError(f"payload weight {mw} is not {spec.to_text()}'s minimum weight {d}")
-        last = index
 
 
 def _load_checkpoint(path: str, config: dict, ranges: list[tuple[int, int]]) -> dict:

@@ -1,5 +1,6 @@
 """Command line entry points, output formats and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -182,6 +183,21 @@ def test_search_collect_at(capsys):
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert recs and all(rec["min_weight"] == 3 for rec in recs)
+
+
+# at-least runs: (extra options, records, records of weight 4, sha256 prefix of stdout),
+# recorded when each at-least attainer's weight came from its own minimum_weight call
+@pytest.mark.parametrize("argv,count,above,digest", [
+    (("--q", "4", "--n", "6"), 216, 6, "30f95118158dbd6e"),
+    (("--family", "nc", "--q", "3", "--n", "8"), 72, 16, "1afbfb61d4a2c2a6"),
+])
+def test_search_at_least_output_is_pinned(capsys, argv, count, above, digest):
+    code, out, err = run(capsys, "search", *argv, "--mode", "at-least", "--d", "3")
+    assert code == 0
+    assert err == f"floor d=3: {count} codes\n"
+    weights = [json.loads(line)["min_weight"] for line in out.splitlines()]
+    assert (len(weights), weights.count(4), set(weights)) == (count, above, {3, 4})
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_search_budget_exit(capsys):

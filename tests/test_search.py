@@ -220,6 +220,52 @@ def test_targeted_modes_match_naive_enumeration(mode, cmp):
         search_dt(gf, 4, mode="maximize")
 
 
+# the differential cells: F2 n <= 10, F3 and F4 n <= 6, for every family
+_DIFFERENTIAL_CELLS = [
+    (family, q, n)
+    for q, max_n in ((2, 10), (3, 6), (4, 6))
+    for n in range(2, max_n + 1, 2)
+    for family in ("DT", "DC", "NC")
+]
+
+
+def _brute_force_records(family: str, q: int, n: int) -> list:
+    """(spec, minimum weight) of every candidate of a cell in scan order, one
+    ``minimum_weight`` each: all triples for DT, all first rows for DC and NC."""
+    gf, m = GF(q), n // 2
+    if family == "DT":
+        return _naive_dt_scan(gf, n)
+    mu = 1 if family == "DC" else -1
+    specs = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
+    return [(c, minimum_weight(LinearCode.systematic(gf, circulant_matrix(c)))) for c in specs]
+
+
+@pytest.mark.parametrize("family,q,n", _DIFFERENTIAL_CELLS)
+def test_every_mode_matches_brute_force(family, q, n):
+    # every valid reduction, and each target d from 1 to one past the optimum
+    brute = _brute_force_records(family, q, n)
+    gf = GF(q)
+    for reduction in ("auto", *_VALID_REDUCTIONS[q]) if family == "DT" else ("none",):
+        kept = [
+            (spec.to_text(), mw)
+            for spec, mw in brute
+            if family != "DT" or _filter_rule(spec, search._resolve_reduction(q, reduction))
+        ]
+        opt = max(mw for _, mw in kept)
+
+        def run(mode, d=None):
+            if family == "DT":
+                best, records = search_dt(gf, n, reduction, mode=mode, d=d)
+            else:
+                best, records = search_family(gf, n, family, mode=mode, d=d)
+            return best, [(spec.to_text(), mw) for spec, mw in records]
+
+        assert run("find-optimal") == (opt, [r for r in kept if r[1] == opt]), reduction
+        for d in range(1, opt + 2):
+            assert run("collect-at", d) == (d, [r for r in kept if r[1] == d]), (reduction, d)
+            assert run("at-least", d) == (d, [r for r in kept if r[1] >= d]), (reduction, d)
+
+
 def test_filtered_search_reaches_the_same_optimum():
     for q, n in ((2, 8), (3, 6), (4, 6)):
         gf = GF(q)
@@ -440,14 +486,23 @@ def test_triple_budget():
         search_dt(gf, 12, triple_budget=100)
 
 
+# MDS band sequences, of minimum weight m + 1: the F3 [4, 2, 3] and the F4
+# [4, 2, 3] and [6, 3, 4] (hexacode) double Toeplitz codes
+_MDS_BANDS = {3: [(2, 1, 1)], 4: [(2, 1, 1), (2, 1, 1, 2, 1)]}
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_capped_batch_matches_minimum_weight(q):
+    # caps up to m + 2, the exact cap of the scan and the resume check
     gf = GF(q)
     rng = np.random.default_rng(q)
     for m in range(2, 6):
         S = rng.integers(0, q, size=(12, 2 * m - 1), dtype=np.int8)
+        mds = [band for band in _MDS_BANDS.get(q, []) if len(band) == 2 * m - 1]
+        S = np.vstack([S, np.array(mds, dtype=np.int8).reshape(-1, 2 * m - 1)])
         exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in toeplitz_windows(S)]
-        for T in range(1, m + 2):
+        assert exact[12:] == [m + 1] * len(mds)
+        for T in range(1, m + 3):
             got = _batch_min_weight_capped(_pack_rows(gf, S), T, q)
             assert got.tolist() == [min(d, T) for d in exact], (m, T)
 
@@ -919,6 +974,11 @@ _TAMPERED_CHUNKS = {
     # chunk 1's first row (1,1,0,1), index 11, moved into chunk 0's range [0, 8)
     "circulant-outside-range": ("DC", lambda c: c["0"][1].append(c["1"][1].pop(0)),
                                 "outside \\[0, 8\\)"),
+    # the 13th of chunk 1's 17 records, of weight 4, labelled 3: a label the
+    # target allows, which only the weight batch, aligned with the records, catches
+    "later-record-weight-not-its-code's": (
+        "DT-C2-at-least", lambda c: c["1"][1][12].__setitem__(3, 3),
+        "payload weight 3 is not 1;\\(0,1,1\\);\\(1,1,0\\)'s minimum weight 4"),
 }
 
 
@@ -933,6 +993,23 @@ def test_checkpoint_chunk_its_scan_cannot_write_is_rejected(tmp_path, monkeypatc
     monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a chunk"))
     with pytest.raises(CheckpointError, match=rule):
         _TWO_CHUNK_RUNS[run](str(path))
+
+
+@pytest.mark.parametrize("run", ["DT-C2-at-least", "NC-collect-at"])
+def test_resume_checks_each_chunk_in_one_packed_call(tmp_path, monkeypatch, run):
+    # 6 + 17 and 8 + 8 records, checked with no minimum_weight call
+    path = str(tmp_path / "run.json")
+    fresh = _TWO_CHUNK_RUNS[run](path)
+    calls = []
+    batch = search._batch_min_weight_capped
+    monkeypatch.setattr(
+        search, "_batch_min_weight_capped", lambda P, T, q: calls.append(len(P)) or batch(P, T, q)
+    )
+    monkeypatch.setattr(search, "minimum_weight", lambda code: pytest.fail("one call per record"))
+    monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
+    assert _TWO_CHUNK_RUNS[run](path) == fresh
+    chunks = json.loads(open(path).read())["chunks"]
+    assert calls == [len(chunks[cid][1]) for cid in ("0", "1")]
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])
