@@ -8,8 +8,14 @@ other.
 The decision procedure here anchors on low-weight codewords:
 
 1. one stacked enumeration of a block of codes that share (q, n, k)
-   gives each its signature and its anchor words: its lowest weight
-   layers, until every nonzero column is touched;
+   gives each its signature and its anchor words: its lightest whole
+   weight layers, until every nonzero column is touched and they hold
+   at least n words, or all the nonzero words when the code has fewer.
+   Both stops read only the weight layers, so a monomial map carries
+   the anchors of a code onto those of its image.  The n-word floor
+   lets the search of step 3 cut a branch before it reaches a leaf;
+   with fewer words than columns many leaves pass every anchor test
+   and fail only the check of step 4;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
    enumerator it holds the hull dimension (Hermitian over F4) and the
    sorted support co-occurrence profile of the minimum-weight words.
@@ -167,12 +173,15 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     layer = wts[:, None, :] == np.arange(n + 1)[:, None]  # [code, weight, word]
     enum = layer.sum(axis=2)
     # the anchors: the words up to the largest, over the nonzero columns, of the lightest
-    # weight that touches the column; by weight, then message, in the code's column order
+    # weight that touches the column, and on by whole layers until they hold n words or
+    # the whole code; by weight, then message, in the code's column order
     touching = sum(  # [code, weight, column], in slices that bound the float32 copies
         _int_matmul(layer[:, :, lo : lo + _BLOCK_ROWS], S[:, lo : lo + _BLOCK_ROWS])
         for lo in range(0, S.shape[1], _BLOCK_ROWS)
     )
-    N = enum.cumsum(axis=1)[at, (touching > 0).argmax(axis=1).max(axis=1)] - 1
+    upto = enum.cumsum(axis=1)  # [code, weight]: the words of at most that weight, zero included
+    floor = np.where(upto[:, n] > n, (upto > n).argmax(axis=1), n)
+    N = upto[at, np.maximum((touching > 0).argmax(axis=1).max(axis=1), floor)] - 1
     # the zero word is message 0, the only one of weight 0
     ranked = np.argsort(wts, axis=1, kind="stable")[:, 1 : N.max() + 1]
     inv = np.argsort(np.stack([C.systematic_right_block()[1] for C in codes]), axis=1)

@@ -71,6 +71,7 @@ from .structured import (
     classify_triple,
     double_toeplitz_code,
     index_of_digits,
+    orbit_keys,
     split_bands,
     toeplitz_windows,
     triple_bands,
@@ -528,12 +529,10 @@ def _search(
     ranges = _chunk_ranges(q ** (n // 2), partitions)
     state = _load_checkpoint(checkpoint_path, config, ranges) if checkpoint_path else {"chunks": {}}
     done = {int(k): v for k, v in state["chunks"].items()}
-    start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" else d
-    todo = {
-        cid: (q, n, family, reduction, mode, start, lo, hi)
-        for cid, (lo, hi) in enumerate(ranges)
-        if cid not in done
-    }
+    left = {cid: r for cid, r in enumerate(ranges) if cid not in done}
+    # a resume with every chunk done scans nothing, so it needs no floor
+    start = _probe_floor(gf, n, family, reduction) if mode == "find-optimal" and left else d
+    todo = {cid: (q, n, family, reduction, mode, start, lo, hi) for cid, (lo, hi) in left.items()}
     for cid, result in _run_chunks(_scan_chunk, todo, workers):
         done[cid] = result
         if checkpoint_path:
@@ -653,6 +652,20 @@ class ClassificationReport:
         }
 
 
+def _orbit_classes(gf: GF, triples: list[ToeplitzTriple], semimonomial: bool) -> list[list[int]]:
+    """The equivalence classes of the triples' codes, as ascending index groups in the
+    order of their least index, with only the first triple of each orbit of
+    :func:`structured.orbit_keys` keyed and pair-tested (see :func:`classify`)."""
+    keys = orbit_keys(gf, triple_bands(*zip(*[(T.t, T.a, T.b) for T in triples])))
+    by_key: dict[int, list[int]] = {}
+    for i, key in enumerate(keys.tolist()):
+        by_key.setdefault(key, []).append(i)
+    orbits = list(by_key.values())  # ascending, in the order of their leaders
+    codes = [double_toeplitz_code(triples[orbit[0]]) for orbit in orbits]
+    groups = dedupe_into_classes(codes, semimonomial=semimonomial)
+    return [sorted(i for leader in group for i in orbits[leader]) for group in groups]
+
+
 def classify(
     gf: GF,
     n: int,
@@ -672,6 +685,17 @@ def classify(
     one is negacirculant, else "DT-only".  Over F2 and F4 negation is
     the identity, so a circulant triple is negacirculant too and "NC"
     only occurs over F3.
+
+    Three maps of triples are known to keep the code's monomial class
+    (:func:`structured.band_images`): scaling T by c; the twist
+    D⁻¹TD for D = diag(α^i), which sends a_k -> α^k a_k and
+    b_k -> α^-k b_k; and the swap a <-> b.  Only the first attainer of
+    each orbit under them, in enumeration order, is keyed and
+    pair-tested, and each class then takes in every member of its
+    leaders' orbits.  A class's least index is always a leader, and the
+    pair tests decide equivalence exactly, so the classes, their order,
+    members, labels and lex-minimal representatives are those of a
+    dedupe over every attainer.
 
     The labels need no search of the circulant families: a double
     (nega)circulant code is the double Toeplitz code of its triple, and
@@ -696,10 +720,9 @@ def classify(
         triple_budget=triple_budget,
     )
     triples = [T for T, _ in records]
-    codes = [double_toeplitz_code(T) for T in triples]
     report = ClassificationReport(gf.q, n, d_opt)
-    for class_id, group in enumerate(dedupe_into_classes(codes, semimonomial=semimonomial)):
-        if minimum_weight(codes[group[0]]) != d_opt:
+    for class_id, group in enumerate(_orbit_classes(gf, triples, semimonomial)):
+        if minimum_weight(double_toeplitz_code(triples[group[0]])) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
         members = [triples[i] for i in group]
         kinds = {classify_triple(T) for T in members}

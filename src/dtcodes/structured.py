@@ -170,6 +170,43 @@ def split_bands(S) -> tuple[int, list[int], list[int]]:
     return s[m - 1], s[m:], s[: m - 1][::-1]
 
 
+def band_images(gf: GF, S) -> np.ndarray:
+    """The images (..., 2(q-1)^2, 2m-1) of band sequences S (..., 2m-1) under the
+    scalings, twists and swap, each of which spans a monomially equivalent code.
+
+    Image (s (q-1) + e) (q-1) + c - 1 multiplies S_l by c α^(e (l-m+1)),
+    for α the generator 1, 2, w of F2, F3, F4, and reverses the result
+    when s = 1.  With A = T(t, a, b):
+
+    - scaling: (I | cA) is (I | A) with its right half scaled by c;
+    - twist: D⁻¹AD for D = diag(α^i) sends a_k -> α^k a_k and
+      b_k -> α^-k b_k, and (I | D⁻¹AD) spans (I | A) diag(D, D);
+    - swap: JAJ for the reversal J swaps a and b, and (I | JAJ) spans
+      (I | A) diag(J, J), each half's columns reversed.
+    """
+    S = np.asarray(S, dtype=np.int8)
+    q, m = gf.q, (S.shape[-1] + 1) // 2
+    mul = gf.mul_table
+    powers = [1]  # α^0 .. α^(q-2), for α = 2 over F3 and F4 (the loop skips F2)
+    while len(powers) < q - 1:
+        powers.append(int(mul[powers[-1], 2]))
+    exponents = np.outer(np.arange(q - 1), np.arange(1 - m, m)) % (q - 1)  # [e, l]: e (l-m+1)
+    twist = np.array(powers, dtype=np.int8)[exponents]
+    factor = mul[twist[:, None], np.arange(1, q)[:, None]]  # [e, c-1, l]
+    images = mul[factor, S[..., None, None, :]].reshape(*S.shape[:-1], (q - 1) ** 2, S.shape[-1])
+    return np.concatenate((images, images[..., ::-1]), axis=-2)
+
+
+def orbit_keys(gf: GF, S) -> np.ndarray:
+    """The least image of each band sequence of S (..., 2m-1) under :func:`band_images`,
+    read as a base-q integer with S_0 most significant: equal keys, equivalent codes."""
+    S = np.asarray(S, dtype=np.int8)
+    if gf.q ** S.shape[-1] > 1 << 62:
+        raise ValueError(f"an F{gf.q} band sequence of length {S.shape[-1]} overflows an orbit key")
+    weights = gf.q ** np.arange(S.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return (band_images(gf, S) @ weights).min(axis=-1)
+
+
 def toeplitz_windows(S: np.ndarray) -> np.ndarray:
     """Toeplitz matrix views (..., m, m) of band sequences S (..., 2m-1): row i is S[m-1-i : 2m-1-i]."""
     m = (S.shape[-1] + 1) // 2

@@ -468,10 +468,13 @@ def _keyed(C: LinearCode) -> _Keyed:
     coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
     cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
     sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
-    # the anchors: the layers up to the first that completes the nonzero columns
+    # the anchors: the layers up to the first that completes the nonzero columns and
+    # brings the anchors to n words, or all layers when the code has fewer words
     nonzero_cols = np.asarray(C.G != 0).any(axis=0)
     touched = np.logical_or.accumulate([(L != 0).any(axis=0) for L in layers.values()])
-    stop = next(i for i, cols in enumerate(touched) if np.array_equal(cols, nonzero_cols))
+    held = np.cumsum([len(L) for L in layers.values()])
+    enough = [np.array_equal(cols, nonzero_cols) and h >= C.n for cols, h in zip(touched, held)]
+    stop = enough.index(True) if any(enough) else len(layers) - 1
     W = np.vstack(list(layers.values())[: stop + 1])
     bits = np.packbits(W.T[:, None] == np.arange(C.gf.q)[:, None], axis=-1, bitorder="little")
     masks = [[int.from_bytes(b.tobytes(), "little") for b in row] for row in bits]
@@ -534,6 +537,29 @@ def _splits(items: list):
                 block = []
             block.append(item)
         yield blocks + [block]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_anchors_are_the_fewest_lightest_layers_touching_every_column_with_n_words(q):
+    # read off each code's codeword set, not the copied keyer below
+    rng = random.Random(97 + q)
+    gf = GF(q)
+    shapes = [(4, 1), (6, 2), (6, 3), (8, 4)]
+    codes = [C for n, k in shapes for C in _differential_codes(rng, gf, n, k, 6)]
+    # optimal codes; at F2 n=14 their 4-9 minimum-weight words are fewer than n
+    codes += [double_toeplitz_code(T) for T, _ in search_dt(gf, {2: 14, 3: 8, 4: 8}[q])[1][:12]]
+    for C, record in zip(codes, equivalence._keyed_codes(codes)):
+        words = np.array(sorted(_codeword_set(C) - {(0,) * C.n}))
+        weights = np.count_nonzero(words, axis=1)
+
+        def sufficient(W) -> bool:  # touches every nonzero column; n words or the whole code
+            touches = np.array_equal(W.any(axis=0), C.G.any(axis=0))
+            return touches and (len(W) >= C.n or len(W) == len(words))
+
+        top = np.count_nonzero(record.anchors, axis=1).max()
+        assert sorted(record.anchors.tolist()) == words[weights <= top].tolist()
+        assert sufficient(record.anchors)
+        assert not sufficient(words[weights < top])  # without its heaviest layer
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -24,6 +24,7 @@ from dtcodes import (
     circulant_matrix,
     classify,
     classify_triple,
+    dedupe_into_classes,
     double_circulant_code,
     double_negacirculant_code,
     double_toeplitz_code,
@@ -39,7 +40,12 @@ from dtcodes import (
 )
 from dtcodes import equivalence, linear, search
 from dtcodes.linear import _index_digits
-from dtcodes.reference_data import CLASS_COUNTS, OPTIMAL_MIN_WEIGHT
+from dtcodes.reference_data import (
+    CLASS_COUNTS,
+    CLASSIFY_GRID,
+    CLASSIFY_SMALL_GRID,
+    OPTIMAL_MIN_WEIGHT,
+)
 from dtcodes.search import (
     _batch_min_weight_capped,
     _candidate_bands,
@@ -55,6 +61,7 @@ from dtcodes.structured import (
     CirculantSpec,
     band_sequence,
     digits_of_index,
+    orbit_keys,
     toeplitz_matrix,
     toeplitz_windows,
 )
@@ -933,6 +940,25 @@ def test_written_checkpoints_resume_unchanged(tmp_path, monkeypatch, run):
     assert open(path).read() == written
 
 
+@pytest.mark.parametrize("kept,probes", [(4, 0), (2, 1), (0, 1)])
+def test_probe_floor_runs_only_when_a_chunk_is_left(tmp_path, monkeypatch, kept, probes):
+    # resuming a 4-chunk F4 n=10 checkpoint with all its chunks scans
+    # nothing and needs no floor; a partial resume or a fresh run probes
+    # once, and every run returns and writes the same
+    gf, path = GF(4), tmp_path / "run.json"
+    fresh = search_dt(gf, 10, partitions=4, checkpoint_path=str(path))
+    written = path.read_text()
+    state = json.loads(written)
+    state["chunks"] = {cid: chunk for cid, chunk in state["chunks"].items() if int(cid) < kept}
+    path.write_text(json.dumps(state))
+    calls = []
+    probe = search._probe_floor
+    monkeypatch.setattr(search, "_probe_floor", lambda *args: calls.append(args) or probe(*args))
+    assert search_dt(gf, 10, partitions=4, checkpoint_path=str(path)) == fresh
+    assert len(calls) == probes
+    assert path.read_text() == written
+
+
 # (run, edit of the written chunks, the rule it breaks); the written chunks are
 # DT-C2: "0" [4, [A]] and "1" [4, [B, C]], each payload [t, a, b, mw]
 _TAMPERED_CHUNKS = {
@@ -1142,15 +1168,28 @@ def _counting_enumeration(monkeypatch) -> list:
     return calls
 
 
+def _orbit_leaders(gf: GF, n: int, reduction: str = "auto") -> tuple[int, list]:
+    """(how many optimal triples, the first of each scalar/twist/swap orbit among them)."""
+    _, optimal = search_dt(gf, n, reduction=reduction)
+    keys = orbit_keys(gf, [band_sequence(T) for T, _ in optimal]).tolist()
+    return len(optimal), [T for i, (T, _) in enumerate(optimal) if keys.index(keys[i]) == i]
+
+
+def _same_codes(keyed: list, triples: list) -> bool:
+    return [C.G.tolist() for C in keyed] == [double_toeplitz_code(T).G.tolist() for T in triples]
+
+
 def test_classify_enumerates_each_code_once(monkeypatch):
-    # every optimal triple is enumerated once, and the DC/NC labels
-    # need no other code
+    # the first optimal triple of each orbit is enumerated once, in order;
+    # the other members and the DC/NC labels need no code
     gf, n = GF(3), 6
-    _, optimal = search_dt(gf, n)
+    optimal, leaders = _orbit_leaders(gf, n)
     calls = _counting_enumeration(monkeypatch)
     report = classify(gf, n)
     assert report.n_dc + report.n_nc > 0
-    assert len(calls) == len(optimal)
+    assert (optimal, len(leaders)) == (56, 18)
+    assert _same_codes(calls, leaders)
+    assert sum(r.members for r in report.records) == optimal
 
 
 def test_classify_pair_tests_all_find_a_map(monkeypatch):
@@ -1191,11 +1230,14 @@ def test_reduction_soundness_checks_semimonomial_before_searching(monkeypatch):
 
 
 def test_reduction_soundness_enumerates_each_code_once(monkeypatch):
+    # C2 keeps 3 optimal triples, each alone in its swap orbit; without
+    # the filter the 4 optimal triples form 3 swap orbits
     gf, n = GF(2), 8
-    expected = len(search_dt(gf, n)[1]) + len(search_dt(gf, n, reduction="none")[1])
+    filtered, unfiltered = _orbit_leaders(gf, n), _orbit_leaders(gf, n, "none")
     calls = _counting_enumeration(monkeypatch)
     assert verify_reduction_soundness(gf, n)
-    assert len(calls) == expected
+    assert (filtered[0], len(filtered[1]), unfiltered[0], len(unfiltered[1])) == (3, 3, 4, 3)
+    assert _same_codes(calls, filtered[1] + unfiltered[1])
 
 
 def test_classify_report_serialization():
@@ -1224,3 +1266,48 @@ def test_classify_semimonomial_diagnostic_merges_f4_classes():
     assert (plain.n_dt, plain.n_dc) == (7, 6)
     merged = classify(GF(4), 8, semimonomial=True)
     assert (merged.n_dt, merged.n_dc) == (5, 6)
+
+
+@pytest.mark.parametrize(
+    "q,n,semimonomial",
+    [(q, n, False) for q, n in CLASSIFY_SMALL_GRID + ((3, 10), (4, 8))] + [(4, 8, True)],
+)
+def test_orbit_classes_match_a_dedupe_of_every_code(q, n, semimonomial):
+    # the dedupe over every optimal code, which orbit merging replaced, is the oracle
+    gf = GF(q)
+    triples = [T for T, _ in search_dt(gf, n)[1]]
+    codes = [double_toeplitz_code(T) for T in triples]
+    every = dedupe_into_classes(codes, semimonomial=semimonomial)
+    assert search._orbit_classes(gf, triples, semimonomial) == every
+
+
+# sha256 of the sorted-key JSON of classify's report per (q, n, semimonomial),
+# recorded from the dedupe over every optimal code that orbit merging replaced
+_CLASSIFY_REPORT_DIGESTS = {
+    (2, 4, False): "97550d5d49de63c28e80198274886d4842777a722e809df01f0113b23f988521",
+    (2, 6, False): "5c7033c45a848a974705aea1aa24d4b7a293e7c84e082dddd3dbdb82d7f6b0f9",
+    (2, 8, False): "3f608c7adc3bc500684394f424f1bd4af5d1f6d66aac1d155a3373d43c211d28",
+    (2, 10, False): "37d26033477dc8b6cbb6c84c3fed07b5dfe4c00ea28e3744d47ca2e391d53583",
+    (2, 12, False): "1071ee0523a0d774e4bb82a237bdcbd4e561c0ec91efb9af9d067815380ccc36",
+    (2, 14, False): "09fa39db967b5351d6e6e2a7026e39dc5db5a8abcd7d43e36f1045f978012772",
+    (2, 16, False): "452ae45b2589674826652b19ca4b5ec1bb000e429f0882d02df4c661a62fd842",
+    (2, 18, False): "c76880fd7382b530b2f39610795f740f304ffce2152fce94da31e6a5b29ddca2",
+    (3, 4, False): "85d99ef84337418901cbfae05ceb14f8cc0cac8b2624fb41cf42c908b0cdc519",
+    (3, 6, False): "4a6e65ef7fbed76d1cbfece16c3ed70a85ec80442d2a4b3aa345db0074577a25",
+    (3, 8, False): "67fc294ed2e201a41446479c4246e4abd34692c7c5c6ce22c620b0fbbb270efc",
+    (3, 10, False): "a2ad98930fc68a4286a61c7e68a0258f8d977e6b130057b1a3692eefe6a21e45",
+    (4, 4, False): "46871eccc0ac2093f064cf4f0927780c65fba076711b623c715292ba94c0611a",
+    (4, 6, False): "a13a3958bdf7a19dac33e87fb78b555a6b67cd76030646fcc204f7a7c2b0de6a",
+    (4, 8, False): "bc92e12ed768a72aabfecc613f8dfe0803fc89e097dc72046a5836f9d5798d1b",
+    (4, 10, False): "187b6f896dd2d96095be1b2be821ac051c8ec7145ae1986fb209a43ee5324eae",
+    (4, 8, True): "a1e4a4f735e9adf06aa8b2be383f591bd43d644bccc7fec88266c2c1cc0e0b2d",
+}
+
+
+@pytest.mark.parametrize(
+    "q,n,semimonomial", [(q, n, False) for q, n in CLASSIFY_GRID] + [(4, 8, True)]
+)
+def test_classify_reports_match_recorded_digests(q, n, semimonomial):
+    report = classify(GF(q), n, semimonomial=semimonomial).to_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == _CLASSIFY_REPORT_DIGESTS[(q, n, semimonomial)]

@@ -11,7 +11,9 @@ from dtcodes import (
     GF,
     BudgetExceededError,
     CirculantSpec,
+    MonomialMap,
     ToeplitzTriple,
+    apply_monomial,
     average_weight_enumerator_bruteforce,
     circulant_matrix,
     classify_triple,
@@ -22,6 +24,7 @@ from dtcodes import (
     double_negacirculant_code,
     double_toeplitz_code,
     enumerate_triples,
+    gf_matmul,
     minimum_weight,
     parse_circulant,
     parse_triple,
@@ -31,9 +34,11 @@ from dtcodes import (
 )
 from dtcodes.linear import _index_digits
 from dtcodes.structured import (
+    band_images,
     band_sequence,
     digits_of_index,
     index_of_digits,
+    orbit_keys,
     split_bands,
     toeplitz_windows,
 )
@@ -255,3 +260,46 @@ def test_small_known_minimum_weights():
     assert minimum_weight(golay) == 6
     gf4 = GF(4)
     assert minimum_weight(double_circulant_code(CirculantSpec(gf4, (1, 2), 1))) == 3
+
+
+
+def _codewords(C) -> np.ndarray:
+    """All q^k codewords of C, sorted as rows: equal arrays, equal codes."""
+    msgs = _index_digits(np.arange(C.gf.q**C.k), C.gf.q, C.k)
+    return np.unique(gf_matmul(C.gf, msgs, C.G), axis=0)
+
+
+def _power(gf: GF, x: int, e: int) -> int:
+    out = 1
+    for _ in range(e):
+        out = gf.mul(out, x)
+    return out
+
+
+@settings(deadline=None, max_examples=50)
+@given(q=st.sampled_from([2, 3, 4]), m=st.integers(1, 6), data=st.data())
+def test_band_images_are_the_codes_of_explicit_monomial_maps(q, m, data):
+    # image (s (q-1) + e) (q-1) + c - 1 of band_images is reverse^s(c twist^e(S)),
+    # and its code is the code of T carried by the scaling, e twists and s swaps
+    gf = GF(q)
+    digits = st.lists(st.integers(0, q - 1), min_size=m - 1, max_size=m - 1)
+    T = ToeplitzTriple(gf, data.draw(st.integers(0, q - 1)), data.draw(digits), data.draw(digits))
+    alpha = next(x for x in range(1, q) if len({_power(gf, x, e) for e in range(q - 1)}) == q - 1)
+    powers = tuple(_power(gf, alpha, j) for j in range(m))
+    ident = tuple(range(2 * m))
+    twist = MonomialMap(ident, powers + powers)  # (I | T) diag(D, D) for D = diag(α^j)
+    halves_reversed = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
+    swap = MonomialMap(halves_reversed, (1,) * (2 * m))  # (I | T) diag(J, J)
+    images = band_images(gf, band_sequence(T))
+    assert images.shape == (2 * (q - 1) ** 2, 2 * m - 1)
+    C = double_toeplitz_code(T)
+    for index, (s, e, c) in enumerate(itertools.product(range(2), range(q - 1), range(1, q))):
+        mapped = apply_monomial(C, MonomialMap(ident, (1,) * m + (c,) * m))  # the right half by c
+        for M in [twist] * e + [swap] * s:
+            mapped = apply_monomial(mapped, M)
+        image = double_toeplitz_code(ToeplitzTriple(gf, *split_bands(images[index])))
+        assert np.array_equal(_codewords(mapped), _codewords(image)), (index, T)
+    # the key is the least image, read with S_0 most significant, on every member
+    least = min(index_of_digits(image[::-1], q) for image in images.tolist())
+    assert orbit_keys(gf, images).tolist() == [least] * len(images)
+    assert int(orbit_keys(gf, band_sequence(T))) == least
