@@ -4,9 +4,11 @@ Field elements are stored as integer codes ``0 .. q-1``.  For F4 the
 codes are ``0 -> 0``, ``1 -> 1``, ``2 -> w``, ``3 -> v`` where ``w`` is
 a root of ``x^2 + x + 1`` and ``v = w^2 = w + 1``.
 
-All arithmetic is table driven.  The tables are tiny (at most 4x4) and
-a ``GF`` instance is immutable after construction, so one object can be
-shared freely across threads and worker processes.
+Scalar arithmetic is table driven.  The tables are tiny (at most 4x4)
+and a ``GF`` instance is immutable after construction, so one object
+can be shared freely across threads and worker processes.  Matrix
+products go through exact float32 BLAS (:func:`gf_matmul`), and sums of
+bitsliced F3 vectors through the one F3 adder, :func:`_f3_add`.
 """
 
 from __future__ import annotations
@@ -181,15 +183,35 @@ def render_vector(gf: GF, vec) -> str:
 # Exact integer matrix products are computed through float32 BLAS: every
 # per-entry product is at most (q-1)^2 <= 9 and float32 represents
 # integer sums exactly below 2^24, so the inner dimension may reach
-# 2^24 / 9 before exactness is at risk.
+# 2^24 / 9 before exactness is at risk.  The result is cast to int16
+# while the inner dimension times 9 fits it (below 3,641 terms), so the
+# reductions that follow touch a quarter of the bytes of int64.
 _MATMUL_SAFE_INNER = (1 << 24) // 9
+_INT16_SAFE_INNER = np.iinfo(np.int16).max // 9
 
 
 def _int_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape[-1] > _MATMUL_SAFE_INNER:
+    inner = x.shape[-1]
+    if inner > _MATMUL_SAFE_INNER:
         return np.matmul(x.astype(np.int64), y.astype(np.int64))
     prod = np.matmul(x.astype(np.float32), y.astype(np.float32))
-    return prod.astype(np.int64)
+    return prod.astype(np.int16 if inner <= _INT16_SAFE_INNER else np.int64)
+
+
+def _f3_add(x, xn, y, yn):
+    """(x + y, -(x + y)) of bitsliced F3 words x and y, given with their negations.
+
+    The bitsliced one-hot sum (Boothby and Bradshaw, arXiv:0901.1413):
+    with t = (x1 | y2) ^ (x2 | y1), the sum has planes (x2 | y2) ^ t and
+    (x1 | y1) ^ t, where plane 1 marks the entries equal to 1 and plane 2
+    those equal to 2.  Called on plane ints as ``_f3_add(x1, x2, y1, y2)``
+    it returns the sum's two planes.  Called on packed words that hold
+    plane 1 and plane 2 in their two halves, a negation swaps the halves,
+    so the pair of words holds both halves of each formula and the result
+    is the sum's word and its negation.
+    """
+    t = (x | yn) ^ (xn | y)
+    return (xn | yn) ^ t, (x | y) ^ t
 
 
 def gf_matmul(gf: GF, x, y) -> np.ndarray:
@@ -205,7 +227,9 @@ def gf_matmul(gf: GF, x, y) -> np.ndarray:
         z0 = x0 y0 + x1 y1                                      (mod 2)
         z1 = x0 y1 + x1 y0 + x1 y1 = (x0 + x1)(y0 + y1) + x0 y0  (mod 2)
 
-    in three integer products, with terms of at most 4.
+    in three integer products, with terms of at most 4.  Every partial
+    sum is at most 5 times the inner dimension, within the 9 times that
+    :func:`_int_matmul`'s result type is chosen to hold.
 
     Returns an int8 array of element codes.
     """

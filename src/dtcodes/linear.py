@@ -4,6 +4,15 @@ Provides encoding, exact weight enumerators, exact minimum weights over
 two information sets (Brouwer-Zimmermann), dual codes, and a MacWilliams
 transform used as an independent cross-check.
 
+Systematic forms come from one Gauss-Jordan elimination on rows packed
+into Python ints, two bit planes a row (:func:`_rref`).  Minimum weights
+scan projective message layers; a layer of at most ``_BLOCK_ROWS``
+messages is expanded into dense rows once per (q, k, w) and held
+read-only, at most 361 layers and 9.5 MB over every dimension the
+budgets allow, and each layer's product with a right block is one
+:func:`gf.gf_matmul`, whose integer partial sums are int16 while the
+inner dimension allows.
+
 Enumeration budgets
 -------------------
 Everything message-space sized is guarded by ``ENUM_BUDGET``: the
@@ -20,7 +29,7 @@ import math
 
 import numpy as np
 
-from .gf import GF, gf_matmul, parse_element, render_element
+from .gf import GF, _f3_add, gf_matmul, parse_element, render_element
 
 __all__ = [
     "ENUM_BUDGET",
@@ -141,11 +150,7 @@ class LinearCode:
             # (I_k | B) has rank k by construction: no elimination needed
             B, perm = G[:, k:], np.arange(n)
         else:
-            R, pivots = _rref(gf, G)
-            if len(pivots) != k:
-                raise ValueError(f"generator rows are dependent: rank {len(pivots)} < k = {k}")
-            nonpivots = [j for j in range(n) if j not in set(pivots)]
-            B, perm = R[:, nonpivots], np.array(list(pivots) + nonpivots)
+            B, perm = _systematic_form(gf, G)
         B = np.ascontiguousarray(B)
         B.flags.writeable = False
         self._sys = (B, perm)
@@ -193,29 +198,76 @@ class LinearCode:
 
 
 def _rref(gf: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over the field; returns (R, pivot columns)."""
-    R = np.array(M, dtype=np.int8)
-    rows, cols = R.shape
+    """Reduced row echelon form over the field; returns (R, pivot columns).
+
+    Gauss-Jordan elimination on packed rows: each row is two Python ints,
+    the planes x & 1 and x >> 1 of its entries with column j at bit j.
+    Over F4 these are the GF(2) coordinates of x = x0 + w x1, over F3 the
+    one-hot planes [x == 1] and [x == 2], and over F2 the second plane
+    stays zero.  Scaling a row is a plane swap or XOR, and adding a
+    multiple of the pivot row is an XOR of planes, or over F3 the
+    bitsliced adder :func:`gf._f3_add`.  Columns are taken left to right,
+    each pivot row is the first remaining row with a nonzero entry there,
+    and it is swapped up into place; R is rows x cols, zero rows last.
+    """
+    M = np.asarray(M, dtype=np.int8)
+    rows, cols = M.shape
+    nbytes = -(-cols // 8)
+    raw = np.packbits(np.stack([M & 1, M >> 1]), axis=-1, bitorder="little").tobytes()
+    words = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(2 * rows)]
+    lo, hi = words[:rows], words[rows:]
+    f3 = gf.q == 3
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nonzero = np.flatnonzero(R[r:, c])
-        if not len(nonzero):
+        bit = 1 << c
+        for pivot in range(r, rows):
+            if (lo[pivot] | hi[pivot]) & bit:
+                break
+        else:
             continue
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        scale = gf.inv_table[R[r, c]]
-        R[r] = gf.mul_table[scale, R[r]]
-        # subtract R[i, c] times the pivot row from every other row i at once
-        coef = gf.neg_table[R[:, c]]
-        coef[r] = 0
-        R = gf.add_table[R, gf.mul_table[coef[:, None], R[r]]]
+        lo[r], lo[pivot], hi[r], hi[pivot] = lo[pivot], lo[r], hi[pivot], hi[r]
+        x, y = lo[r], hi[r]
+        if not x & bit:  # leading 2 over F3 (times 2 swaps), w over F4 (times v = w^2)
+            x, y = (y, x) if f3 else (x ^ y, x)
+        elif y & bit:  # leading v over F4: times w
+            x, y = y, x ^ y
+        lo[r], hi[r] = x, y
+        for i in range(rows):
+            a, b = lo[i], hi[i]
+            if i == r or not (a | b) & bit:
+                continue
+            if f3:  # subtract e times the pivot row: add it negated for e = 1, as is for e = 2
+                lo[i], hi[i] = _f3_add(a, b, y, x) if a & bit else _f3_add(a, b, x, y)
+            elif not b & bit:  # entry 1
+                lo[i], hi[i] = a ^ x, b ^ y
+            elif not a & bit:  # entry w: add w (x, y) = (y, x ^ y)
+                lo[i], hi[i] = a ^ y, b ^ x ^ y
+            else:  # entry v: add v (x, y) = (x ^ y, x)
+                lo[i], hi[i] = a ^ x ^ y, b ^ x
         pivots.append(c)
         r += 1
-    return R, pivots
+    raw = b"".join(word.to_bytes(nbytes, "little") for word in lo + hi)
+    planes = np.frombuffer(raw, dtype=np.uint8).reshape(2, rows, nbytes)
+    planes = np.unpackbits(planes, axis=-1, count=cols, bitorder="little")
+    return (planes[0] | planes[1] << 1).view(np.int8), pivots
+
+
+def _systematic_form(gf: GF, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, perm)``: permuting the columns of G by ``perm`` gives a generator
+    (I_k | B) of the same code, from the pivot columns of ``rref(G)``.
+
+    Raises ValueError when the rows of G are dependent.
+    """
+    k, n = G.shape
+    R, pivots = _rref(gf, G)
+    if len(pivots) != k:
+        raise ValueError(f"generator rows are dependent: rank {len(pivots)} < k = {k}")
+    pivoted = set(pivots)
+    nonpivots = [j for j in range(n) if j not in pivoted]
+    return R[:, nonpivots], np.array(pivots + nonpivots)
 
 
 def _index_digits(idx: np.ndarray, q: int, length: int) -> np.ndarray:
@@ -248,16 +300,38 @@ def _weight_layer(q: int, k: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return supports, values
 
 
+def _layer_rows(supports: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """Every support with every value pattern as dense length-k rows, support-major."""
+    msgs = np.zeros((len(supports) * len(values), k), dtype=np.int8)
+    reps = np.repeat(supports, len(values), axis=0)
+    np.put_along_axis(msgs, reps, np.tile(values, (len(supports), 1)), axis=1)
+    return msgs
+
+
+@functools.cache
+def _held_layer(q: int, k: int, w: int) -> np.ndarray:
+    """The messages of a layer that fits one ``_BLOCK_ROWS`` block, as dense rows,
+    expanded once per (q, k, w) (read-only).  Over every (q, k, w) that
+    ``ENUM_BUDGET`` allows, these are at most 361 layers and 9.5 MB."""
+    msgs = _layer_rows(*_weight_layer(q, k, w), k)
+    msgs.flags.writeable = False
+    return msgs
+
+
 def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
-    """The messages of :func:`_weight_layer` as dense rows, in blocks of whole supports."""
+    """The messages of :func:`_weight_layer` as dense rows, in blocks of whole supports.
+
+    A layer that fits one block of at most ``_BLOCK_ROWS`` rows comes
+    whole from :func:`_held_layer`; a larger one is built block by block.
+    """
     supports, values = _weight_layer(q, k, w)
     nv = len(values)
+    if len(supports) * nv <= min(block, _BLOCK_ROWS):
+        yield _held_layer(q, k, w)
+        return
     sup_per_block = max(1, block // nv)
     for lo in range(0, len(supports), sup_per_block):
-        S = supports[lo : lo + sup_per_block]
-        msgs = np.zeros((len(S) * nv, k), dtype=np.int8)
-        np.put_along_axis(msgs, np.repeat(S, nv, axis=0), np.tile(values, (len(S), 1)), axis=1)
-        yield msgs
+        yield _layer_rows(supports[lo : lo + sup_per_block], values, k)
 
 
 @functools.cache
@@ -314,8 +388,11 @@ def _min_weight_clamped(C: LinearCode, lo: int, hi: int) -> int:
     are done, every unseen codeword has weight at least
     w + max(0, w - (k - r)).  The scan stops when that bound reaches
     the best weight found or ``hi``, or at the first block whose best
-    is at most ``lo``.  G2 is built the first time the scan goes past
-    layer 1, so a code settled at layer 1 pays no second elimination.
+    is at most ``lo``.  G2's right block comes from
+    :func:`_systematic_form` the first time the scan goes past layer 1,
+    so a code settled at layer 1 pays no second elimination, and no
+    second ``LinearCode`` is built or validated.  The layers come from
+    :func:`_weight_layer_blocks`, held whole when they fit one block.
     """
     _check_budget(C.gf.q, C.k)
     B, _ = C.systematic_right_block()
@@ -324,8 +401,7 @@ def _min_weight_clamped(C: LinearCode, lo: int, hi: int) -> int:
     while best > lo and w <= C.k and w + max(0, w - overlap) < min(best, hi):
         if len(blocks) == 1:
             # past layer 1: build G2 and scan its layer 1
-            swapped = LinearCode(C.gf, np.hstack([B, np.eye(C.k, dtype=np.int8)]))
-            B2, perm2 = swapped.systematic_right_block()
+            B2, perm2 = _systematic_form(C.gf, np.hstack([B, np.eye(C.k, dtype=np.int8)]))
             overlap = int(np.count_nonzero(perm2[: C.k] >= B.shape[1]))
             blocks.append(B2)
             best = _layer_min(C.gf, C.k, 1, B2, best, lo)

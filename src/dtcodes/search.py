@@ -53,7 +53,7 @@ from functools import cache, partial
 import numpy as np
 
 from .equivalence import _check_semimonomial, dedupe_into_classes
-from .gf import GF
+from .gf import GF, _f3_add
 from .linear import (
     BudgetExceededError,
     LinearCode,
@@ -179,18 +179,6 @@ def _pack_rows(gf: GF, S: np.ndarray) -> np.ndarray:
     mask = np.uint64(((1 << m) - 1) * (1 if q == 2 else 1 | 1 << 32))  # m entries a plane
     rows = (words[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint64)) & mask
     return rows.transpose(1, 2, 0).reshape(len(S), m * (q - 1))
-
-
-def _f3_add(x, xn, y, yn):
-    """(x + y, -(x + y)) of packed F3 words x and y, given with their negations.
-
-    The bitsliced one-hot sum (Boothby and Bradshaw, arXiv:0901.1413):
-    with t = (x1 | y2) ^ (x2 | y1), the sum has planes (x2 | y2) ^ t and
-    (x1 | y1) ^ t.  A negation swaps the two halves of a word, so the
-    pair of words holds both halves of each formula.
-    """
-    t = (x | yn) ^ (xn | y)
-    return (xn | yn) ^ t, (x | y) ^ t
 
 
 def _message_weights(q: int, PT: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -589,6 +589,25 @@ def test_batched_keyer_matches_the_per_code_oracle(q):
         _assert_matches_oracle(record, _keyed(C))
 
 
+def test_touching_sum_adds_a_short_int16_slice_to_int64_slices(monkeypatch):
+    # F3 [12, 9] codes have 19,683 codewords: a slice of _BLOCK_ROWS words,
+    # summed in int64, and a last slice of 3,299, short enough for int16
+    seen = []
+    original = equivalence._int_matmul
+
+    def recording(x, y):
+        out = original(x, y)
+        seen.append((x.shape[-1], out.dtype))
+        return out
+
+    monkeypatch.setattr(equivalence, "_int_matmul", recording)
+    codes = _differential_codes(random.Random(89), GF(3), 12, 9, 3)
+    records = equivalence._key_block(codes)
+    assert seen[:2] == [(_BLOCK_ROWS, np.int64), (3**9 - _BLOCK_ROWS, np.int16)]
+    for record, C in zip(records, codes):
+        _assert_matches_oracle(record, _keyed(C))
+
+
 def test_dedupe_keys_mixed_shapes_in_homogeneous_blocks(monkeypatch):
     rng = random.Random(83)
     codes = []

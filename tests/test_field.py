@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtcodes import GF, gf_matmul, parse_element, parse_vector, render_element, render_vector
+from dtcodes.gf import _int_matmul
 
 FIELDS = [GF(2), GF(3), GF(4)]
 
@@ -159,3 +160,28 @@ def test_matmul_distributes_over_addition(q, data):
     lhs = gf_matmul(gf, x, gf.add_table[y, z])
     rhs = gf.add_table[gf_matmul(gf, x, y), gf_matmul(gf, x, z)]
     assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("value", [True, 2, 3])
+def test_narrow_products_stay_exact_at_the_int16_threshold(value):
+    # every term at its largest, up to 3 * 3 = 9: 3640 * 9 = 32760 fits int16, 3641 * 9 does not
+    for inner, dtype in ((3640, np.int16), (3641, np.int64)):
+        x = np.full((2, 3, inner), value, dtype=bool if value is True else np.int8)
+        y = np.full((inner, 2), value, dtype=x.dtype)
+        got = _int_matmul(x, y)
+        assert got.dtype == dtype, inner
+        assert np.array_equal(got, np.matmul(x.astype(np.int64), y.astype(np.int64))), inner
+
+
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda g: f"F{g.q}")
+def test_field_products_stay_exact_at_the_int16_threshold(gf):
+    top = gf.q - 1
+    term = int(gf.mul_table[top, top])
+    for inner in (3640, 3641):
+        x = np.full((3, inner), top, dtype=np.int8)
+        if gf.q == 4:  # a sum of equal terms in characteristic 2
+            want = term if inner % 2 else 0
+        else:
+            want = term * inner % gf.q
+        assert (gf_matmul(gf, x, x.T) == want).all(), inner
+

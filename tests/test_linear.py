@@ -172,6 +172,81 @@ def _span(gf, M) -> set:
     return {w.tobytes() for w in words}
 
 
+def _table_rref(gf: GF, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over the field; returns (R, pivot columns).
+
+    The table-driven elimination that :func:`linear._rref` replaced,
+    copied verbatim: the oracle for the packed one."""
+    R = np.array(M, dtype=np.int8)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nonzero = np.flatnonzero(R[r:, c])
+        if not len(nonzero):
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            R[[r, pivot]] = R[[pivot, r]]
+        scale = gf.inv_table[R[r, c]]
+        R[r] = gf.mul_table[scale, R[r]]
+        # subtract R[i, c] times the pivot row from every other row i at once
+        coef = gf.neg_table[R[:, c]]
+        coef[r] = 0
+        R = gf.add_table[R, gf.mul_table[coef[:, None], R[r]]]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """(gf, M): a matrix up to 24 x 48, or up to 8 x 72 so that a plane spans
+    more than 64 bits; random, sparse, zero, or rank-deficient (combinations
+    of fewer rows)."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    gf = GF(q)
+    rows, cols = draw(st.sampled_from([(24, 48), (8, 72)]))
+    rows, cols = draw(st.integers(1, rows)), draw(st.integers(1, cols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["full", "zero", "deficient", "sparse"]))
+    if kind == "zero":
+        M = np.zeros((rows, cols), dtype=np.int8)
+    elif kind == "deficient":
+        r = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        mix = rng.integers(0, q, size=(rows, r), dtype=np.int8)
+        M = gf_matmul(gf, mix, rng.integers(0, q, size=(r, cols), dtype=np.int8))
+    else:
+        M = rng.integers(0, q, size=(rows, cols), dtype=np.int8)
+        if kind == "sparse":  # zero columns and late pivots
+            M[rng.random((rows, cols)) < 0.8] = 0
+    return gf, M
+
+
+@settings(deadline=None, max_examples=300)
+@given(drawn=_elimination_inputs())
+def test_packed_elimination_matches_the_table_oracle(drawn):
+    gf, M = drawn
+    R, pivots = linear._rref(gf, M)
+    want_R, want_pivots = _table_rref(gf, M)
+    assert pivots == want_pivots
+    assert R.dtype == np.int8 and R.shape == M.shape
+    assert np.array_equal(R, want_R)
+
+
+def test_packed_elimination_covers_every_leading_scalar():
+    # each nonzero leading entry, and each entry below a pivot, for each field
+    for q in (2, 3, 4):
+        gf = GF(q)
+        for lead, below in itertools.product(range(1, q), range(q)):
+            M = np.array([[0, lead, 1, 2 % q], [0, below, 3 % q, 1], [1, 0, 0, 1]], dtype=np.int8)
+            R, pivots = linear._rref(gf, M)
+            want_R, want_pivots = _table_rref(gf, M)
+            assert pivots == want_pivots and np.array_equal(R, want_R), (q, lead, below)
+
+
 @st.composite
 def _codes(draw):
     """(gf, G, B, r): an [n, k] code drawn with a right block B of rank r.
@@ -290,6 +365,46 @@ def test_weight_layer_is_read_only():
         supports[0, 0] = 4
     with pytest.raises(ValueError):
         values[0, 0] = 2
+
+
+def test_one_block_layers_are_expanded_once(monkeypatch):
+    expanded = []
+    layer_rows = linear._layer_rows
+
+    def counting(supports, values, k):
+        expanded.append((k, supports.shape[1], len(supports)))
+        return layer_rows(supports, values, k)
+
+    monkeypatch.setattr(linear, "_layer_rows", counting)
+    linear._held_layer.cache_clear()
+    # three equivalent [26, 13, 9] codes over F4: every scan reads layers 1-4,
+    # and layer 4, 715 supports of 27 patterns, is larger than one block
+    B, _ = build_code(4, "C:(1,v,w,w,w,w,1,0,1,0,0,0,0)").systematic_right_block()
+    for X in (B, B[:, ::-1], B[::-1]):
+        assert minimum_weight(LinearCode.systematic(GF(4), X)) == 9
+    held = [(13, w, math.comb(13, w)) for w in (1, 2, 3)]
+    assert set(expanded) == {*held, (13, 4, 606), (13, 4, 109)}
+    for layer in held:
+        assert expanded.count(layer) == 1
+    assert expanded.count((13, 4, 606)) == expanded.count((13, 4, 109)) >= 3
+    assert linear._held_layer.cache_info().currsize == 3
+    for w in (1, 2, 3):
+        (msgs,) = linear._weight_layer_blocks(4, 13, w)
+        assert msgs is linear._held_layer(4, 13, w) and not msgs.flags.writeable
+        with pytest.raises(ValueError):
+            msgs[0, 0] = 2
+        (want,) = _islice_layer_blocks(4, 13, w, linear._BLOCK_ROWS)
+        assert np.array_equal(msgs, want)
+    # a layer larger than one block is built afresh on every call, and never held
+    first, second = (list(linear._weight_layer_blocks(4, 13, 4)) for _ in range(2))
+    want = list(_islice_layer_blocks(4, 13, 4, linear._BLOCK_ROWS))
+    assert len(first) == len(want) == 2
+    for a, b, e in zip(first, second, want):
+        assert a is not b and a.flags.writeable and np.array_equal(a, e)
+    # so is one support whose 3^9 value patterns alone are more than a block
+    (whole,) = linear._weight_layer_blocks(4, 10, 10)
+    assert whole.shape == (3**9, 10) and whole.flags.writeable
+    assert linear._held_layer.cache_info().currsize == 3
 
 
 def _odometer_words(gf: GF, B: np.ndarray) -> np.ndarray:

@@ -46,11 +46,11 @@ from dtcodes.reference_data import (
     CLASSIFY_SMALL_GRID,
     OPTIMAL_MIN_WEIGHT,
 )
+from dtcodes.gf import _f3_add
 from dtcodes.search import (
     _batch_min_weight_capped,
     _candidate_bands,
     _chunk_ranges,
-    _f3_add,
     _pack_rows,
     _payload,
     _payload_to_triple,
@@ -691,6 +691,8 @@ def test_f3_adder_matches_the_field_table():
         z = gf.add(x, y)
         got = _f3_add(word[x], word[gf.neg(x)], word[y], word[gf.neg(y)])
         assert got == (word[z], word[gf.neg(z)]), (x, y)
+        # on plane ints: the planes [x == 1], [x == 2] of each term in, the sum's out
+        assert _f3_add(x == 1, x == 2, y == 1, y == 2) == (z == 1, z == 2), (x, y)
 
 
 @pytest.mark.parametrize("q, m", [(2, 33), (3, 17), (4, 17)])
