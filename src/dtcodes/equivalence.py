@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf import GF, _int_matmul, gf_matmul
-from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks
+from .gf import _int_matmul, gf_matmul
+from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks, _rref
 
 __all__ = [
     "UndecidedError",
@@ -138,23 +138,6 @@ class _Keyed(NamedTuple):
     by_row: dict[tuple, list[int]]  # the columns of each co-occurrence row, ascending
 
 
-def _ranks(gf: GF, M: np.ndarray) -> np.ndarray:
-    """The rank of each matrix of a stack, by Gauss-Jordan elimination on all at once."""
-    at = np.arange(len(M))
-    free = np.ones(M.shape[:2], dtype=bool)  # rows that are not yet pivots
-    for col in range(M.shape[2]):
-        cand = (M[:, :, col] != 0) & free
-        piv = cand.argmax(axis=1)
-        has = cand[at, piv]
-        # inv_table[0] = 0: a matrix without a pivot in this column is left alone
-        lead = gf.inv_table[M[at, piv, col] * has]
-        coef = gf.mul_table[gf.neg_table[M[:, :, col]], lead[:, None]]
-        coef[at, piv] = 0
-        M = gf.add_table[M, gf.mul_table[coef[:, :, None], M[at, piv][:, None, :]]]
-        free[at, piv] &= ~has
-    return (~free).sum(axis=1)
-
-
 def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     """The records of codes that share (q, n, k), from one stacked enumeration.
 
@@ -199,7 +182,7 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     flat = [int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)]
     G = np.stack([C.G for C in codes])
     gram = gf_matmul(gf, G, (_FROBENIUS[G] if gf.q == 4 else G).transpose(0, 2, 1))
-    hulls = (k - _ranks(gf, gram)).tolist()
+    hulls = [k - len(_rref(gf, g)[1]) for g in gram]
     out = []
     for i, (C, nz_i, enum_i) in enumerate(zip(codes, nz.tolist(), enum.tolist())):
         rows = list(map(tuple, cooc[i]))
@@ -350,15 +333,8 @@ def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
         return True
     if not (semimonomial and same):
         return False
-    # x -> x^2 keeps weights and supports: the image has y's signature
-    # and y's anchors mapped entrywise, and as x -> x^2 is an involution,
-    # value v of the image is value v^2 of y
-    masks = [[row[v] for v in _FROBENIUS] for row in y.masks]
-    anchors = _FROBENIUS[y.anchors]
-    frob = y._replace(
-        code=frobenius_image(y.code), anchors=anchors, masks=masks, columns=anchors.T.tolist()
-    )
-    return _search_map(x, frob, node_cap) is not None
+    # x -> x^2 keeps every signature entry, so the image has y's signature
+    return _search_map(x, _key_block([frobenius_image(y.code)])[0], node_cap) is not None
 
 
 def find_monomial_map(

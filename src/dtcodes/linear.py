@@ -131,11 +131,14 @@ class LinearCode:
     __slots__ = ("gf", "n", "k", "G", "_sys")
 
     def __init__(self, gf: GF, rows, *, _form=None):
-        G = np.array(rows, dtype=np.int8)
+        G = np.asarray(rows)
         if G.ndim != 2 or G.shape[0] < 1:
             raise ValueError("generator matrix must be a nonempty 2-d array")
-        if G.min(initial=0) < 0 or G.max(initial=0) >= gf.q:
+        # checked before the int8 cast, which would truncate floats and wrap large entries
+        ints = G.dtype.kind in "biu" or not G.size
+        if not ints or G.min(initial=0) < 0 or G.max(initial=0) >= gf.q:
             raise ValueError(f"generator entries must be element codes 0..{gf.q - 1}")
+        G = G.astype(np.int8)
         k, n = G.shape
         if k > n:
             raise ValueError(f"dimension {k} exceeds length {n}")
@@ -318,7 +321,7 @@ def _held_layer(q: int, k: int, w: int) -> np.ndarray:
     return msgs
 
 
-def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
+def _weight_layer_blocks(q: int, k: int, w: int):
     """The messages of :func:`_weight_layer` as dense rows, in blocks of whole supports.
 
     A layer that fits one block of at most ``_BLOCK_ROWS`` rows comes
@@ -326,10 +329,10 @@ def _weight_layer_blocks(q: int, k: int, w: int, block: int = _BLOCK_ROWS):
     """
     supports, values = _weight_layer(q, k, w)
     nv = len(values)
-    if len(supports) * nv <= min(block, _BLOCK_ROWS):
+    if len(supports) * nv <= _BLOCK_ROWS:
         yield _held_layer(q, k, w)
         return
-    sup_per_block = max(1, block // nv)
+    sup_per_block = max(1, _BLOCK_ROWS // nv)
     for lo in range(0, len(supports), sup_per_block):
         yield _layer_rows(supports[lo : lo + sup_per_block], values, k)
 

@@ -255,53 +255,46 @@ def _spread(total: int, count: int) -> np.ndarray:
     return np.unique(np.linspace(0, total - 1, min(total, count)).astype(np.int64))
 
 
-def _candidate_bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b):
-    """Yield int8 blocks of candidate band sequences S, in enumeration order.
+def _candidate_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
+    """Yield int8 blocks of the band sequences of the candidates of prefixes [lo, hi).
 
-    ``prefixes`` (a range or an int64 array) holds (t, a) prefix indices
-    for DT and first-row indices for DC/NC.  For DT, ``kept_b(count)``
-    gives the b indices to visit among the ``count`` that survive the
-    filter after a prefix; ``np.arange`` (all) expands a batch of
-    prefixes in one pass.  Blocks run across prefixes, with as many rows
-    as keep (rows, q-1, m, m) packed words within ``_PACKED_BYTE_BUDGET``.
+    The chunk's candidates are numbered in scan order and each block
+    holds the next ``rows`` numbers (the last may be short), with as many
+    rows as keep (rows, q-1, m, m) packed words within
+    ``_PACKED_BYTE_BUDGET``.  For DC/NC the numbers are the first-row
+    indices.  For DT the (t, a) prefixes [lo, hi) hold the b indices
+    0 .. count-1 of :func:`_kept_b_counts` each, and number i belongs to
+    the last prefix that starts at or before i.
     """
     q, m, L = gf.q, n // 2, n // 2 - 1
     rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
-    per = max(1, rows // q**L) if family == "DT" else rows  # a batch: <= max(rows, q^L) candidates
-
-    def batches():  # the band sequences of each batch of prefixes
-        for lo in range(0, len(prefixes), per):
-            p = np.asarray(prefixes[lo : lo + per], dtype=np.int64)
-            if family != "DT":
-                yield circulant_bands(gf, _index_digits(p, q, m), 1 if family == "DC" else -1)
-                continue
-            t, A = p // q**L, _index_digits(p % q**L, q, L)
-            counts = _kept_b_counts(q, reduction, t, A)
-            if kept_b is np.arange:  # b = 0 .. count-1 after each prefix
-                own = np.repeat(np.arange(len(p)), counts)
-                ib = np.arange(len(own)) - (counts.cumsum() - counts)[own]
-            else:
-                samples = [kept_b(int(c)) for c in counts]
-                own = np.repeat(np.arange(len(p)), [len(x) for x in samples])
-                ib = np.concatenate(samples)
-            yield triple_bands(t[own], A[own], _index_digits(ib, q, L))
-
-    return _rebatch(batches(), rows)
+    if family != "DT":
+        for first in range(lo, hi, rows):
+            R = _index_digits(np.arange(first, min(first + rows, hi)), q, m)
+            yield circulant_bands(gf, R, 1 if family == "DC" else -1)
+        return
+    p = np.arange(lo, hi, dtype=np.int64)
+    t, A = p // q**L, _index_digits(p % q**L, q, L)
+    starts = np.concatenate(([0], _kept_b_counts(q, reduction, t, A).cumsum()))
+    total = int(starts[-1])
+    for first in range(0, total, rows):
+        idx = np.arange(first, min(first + rows, total))
+        own = np.searchsorted(starts, idx, side="right") - 1
+        yield triple_bands(t[own], A[own], _index_digits(idx - starts[own], q, L))
 
 
-def _rebatch(pieces, rows: int):
-    """The rows of consecutive arrays, regrouped into blocks of ``rows`` (the last may be short)."""
-    pending, size = [], 0
-    for piece in pieces:
-        pending.append(piece)
-        size += len(piece)
-        if size >= rows:
-            joined = np.concatenate(pending)
-            cut = size - size % rows
-            yield from (joined[lo : lo + rows] for lo in range(0, cut, rows))
-            pending, size = [joined[cut:]], size - cut
-    if size:
-        yield np.concatenate(pending)
+def _probe_bands(gf: GF, n: int, family: str, reduction: str) -> np.ndarray:
+    """The band sequences of the probe's sample, in scan order: 64 spread first rows
+    (DC/NC), or up to 8 spread kept b after each of 16 spread (t, a) prefixes (DT)."""
+    q, m, L = gf.q, n // 2, n // 2 - 1
+    if family != "DT":
+        R = _index_digits(_spread(q**m, 64), q, m)
+        return circulant_bands(gf, R, 1 if family == "DC" else -1)
+    p = _spread(q**m, 16)
+    t, A = p // q**L, _index_digits(p % q**L, q, L)
+    samples = [_spread(int(c), 8) for c in _kept_b_counts(q, reduction, t, A)]
+    own = np.repeat(np.arange(len(p)), [len(b) for b in samples])
+    return triple_bands(t[own], A[own], _index_digits(np.concatenate(samples), q, L))
 
 
 def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
@@ -314,13 +307,11 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     when it beats the running floor, which ``min_weight_at_least``
     rules out at the first message layer with a low-weight codeword.
     """
-    prefixes = _spread(gf.q ** (n // 2), 16 if family == "DT" else 64)
     floor = 1
-    for S in _candidate_bands(gf, n, family, reduction, prefixes, lambda c: _spread(c, 8)):
-        for Ai in toeplitz_windows(S):
-            code = LinearCode.systematic(gf, Ai)
-            if min_weight_at_least(code, floor + 1):
-                floor = minimum_weight(code)
+    for Ai in toeplitz_windows(_probe_bands(gf, n, family, reduction)):
+        code = LinearCode.systematic(gf, Ai)
+        if min_weight_at_least(code, floor + 1):
+            floor = minimum_weight(code)
     return floor
 
 
@@ -337,7 +328,7 @@ def _scan_chunk(args) -> tuple[int, list]:
     q, n, family, reduction, mode, d, lo, hi = args
     gf = GF(q)
     best, found = d, []
-    for S in _candidate_bands(gf, n, family, reduction, range(lo, hi), np.arange):
+    for S in _candidate_bands(gf, n, family, reduction, lo, hi):
         P = _pack_rows(gf, S)
         mw = _batch_min_weight_capped(P, best + 1, q)
         above = (mw > best) & (mode != "collect-at")

@@ -23,6 +23,7 @@ partitioning and checkpointing rely on this order.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,11 @@ BRUTE_FORCE_N = {2: 12, 3: 8, 4: 6}
 
 
 def _as_codes(gf: GF, vec) -> tuple[int, ...]:
-    out = tuple(int(x) for x in vec)
+    """The entries of ``vec`` as Python ints, each an element code 0..q-1."""
+    try:
+        out = tuple(operator.index(x) for x in vec)
+    except TypeError as exc:
+        raise ValueError(f"element codes must be integers: {exc}") from exc
     for x in out:
         if not 0 <= x < gf.q:
             raise ValueError(f"element code {x} out of range for F{gf.q}")
@@ -74,8 +79,7 @@ class ToeplitzTriple:
     def __post_init__(self):
         object.__setattr__(self, "a", _as_codes(self.gf, self.a))
         object.__setattr__(self, "b", _as_codes(self.gf, self.b))
-        if not 0 <= self.t < self.gf.q:
-            raise ValueError(f"element code {self.t} out of range for F{self.gf.q}")
+        object.__setattr__(self, "t", _as_codes(self.gf, (self.t,))[0])
         if len(self.a) != len(self.b):
             raise ValueError("bands a and b must have equal length m-1")
 

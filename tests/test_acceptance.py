@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Every check here is exact; there are no tolerances.
-The whole module takes a few minutes, dominated by the classification grid
-and the generator-row sweep.
+The whole module takes a few seconds (5-6 s on 2 CPUs), dominated by the
+classification grid and the generator-row sweep.
 """
 
 import random

@@ -308,12 +308,13 @@ def test_minimum_weight_matches_enumerator_oracle(drawn):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_weight_layers_are_projective(q):
+def test_weight_layers_are_projective(q, monkeypatch):
     gf = GF(q)
     k = 5
+    # blocks of 7 rows split every layer with more than one support
+    monkeypatch.setattr(linear, "_BLOCK_ROWS", 7)
     for w in range(1, k + 1):
-        # blocks of 7 rows split every layer with more than one support
-        layer = np.vstack(list(linear._weight_layer_blocks(q, k, w, 7)))
+        layer = np.vstack(list(linear._weight_layer_blocks(q, k, w)))
         assert len(layer) == math.comb(k, w) * (q - 1) ** (w - 1)
         assert (np.count_nonzero(layer, axis=1) == w).all()
         assert (layer[np.arange(len(layer)), np.argmax(layer != 0, axis=1)] == 1).all()
@@ -345,11 +346,12 @@ def _islice_layer_blocks(q: int, k: int, w: int, block: int):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_weight_layer_blocks_match_the_islice_oracle(q):
-    for k in range(1, 8):
-        for w in range(1, k + 1):
-            for block in (4, 7, linear._BLOCK_ROWS):
-                got = list(linear._weight_layer_blocks(q, k, w, block))
+def test_weight_layer_blocks_match_the_islice_oracle(q, monkeypatch):
+    for block in (4, 7, linear._BLOCK_ROWS):
+        monkeypatch.setattr(linear, "_BLOCK_ROWS", block)
+        for k in range(1, 8):
+            for w in range(1, k + 1):
+                got = list(linear._weight_layer_blocks(q, k, w))
                 want = list(_islice_layer_blocks(q, k, w, block))
                 assert len(got) == len(want), (k, w, block)
                 for g, e in zip(got, want):
@@ -470,10 +472,11 @@ def test_layer_scan_stops_at_the_first_light_block(monkeypatch):
     layer_blocks = linear._weight_layer_blocks
 
     def small_blocks(q, k, w):
-        for msgs in layer_blocks(q, k, w, 4):
+        for msgs in layer_blocks(q, k, w):
             consumed.append(w)
             yield msgs
 
+    monkeypatch.setattr(linear, "_BLOCK_ROWS", 4)
     monkeypatch.setattr(linear, "_weight_layer_blocks", small_blocks)
     # a best already at the stop value scans nothing
     assert linear._layer_min(GF(2), 8, 2, B, 2, 2) == 2
@@ -499,9 +502,9 @@ def test_two_information_sets_bound_the_scanned_layers(monkeypatch, q, spec, ran
     requested = []
     layer_blocks = linear._weight_layer_blocks
 
-    def counting(q_, k, w, *args):
+    def counting(q_, k, w):
         requested.append(w)
-        return layer_blocks(q_, k, w, *args)
+        return layer_blocks(q_, k, w)
 
     monkeypatch.setattr(linear, "_weight_layer_blocks", counting)
     assert minimum_weight(C) == 9

@@ -54,6 +54,7 @@ from dtcodes.search import (
     _pack_rows,
     _payload,
     _payload_to_triple,
+    _probe_bands,
     _scan_chunk,
     _spread,
 )
@@ -321,13 +322,14 @@ def _row_bound(q: int, n: int) -> int:
     return max(1, search._PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
 
 
-def _bands(gf: GF, n: int, family: str, reduction: str, prefixes, kept_b) -> np.ndarray:
-    """The concatenated candidate blocks, each checked against the row bound."""
-    blocks = list(_candidate_bands(gf, n, family, reduction, prefixes, kept_b))
+def _bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int) -> np.ndarray:
+    """The concatenated candidate blocks of prefixes [lo, hi), each checked against the row
+    bound: every block full but the last, and none empty."""
+    blocks = list(_candidate_bands(gf, n, family, reduction, lo, hi))
     assert all(b.dtype == np.int8 and b.shape[1] == n - 1 for b in blocks)
-    assert all(len(b) <= _row_bound(gf.q, n) for b in blocks)
+    assert all(0 < len(b) <= _row_bound(gf.q, n) for b in blocks)
     assert all(len(b) == _row_bound(gf.q, n) for b in blocks[:-1])
-    return np.concatenate(blocks)
+    return np.concatenate(blocks) if blocks else np.empty((0, n - 1), dtype=np.int8)
 
 
 _VALID_REDUCTIONS = {2: ("none", "C2"), 3: ("none", "C3"), 4: ("none", "C3")}
@@ -346,7 +348,7 @@ def test_dt_bands_match_the_filtered_triple_order(q, max_n, budget, monkeypatch)
                 for T in enumerate_triples(gf, n // 2)
                 if passes_reduction(T, reduction)
             ]
-            got = _bands(gf, n, "DT", reduction, np.arange(q ** (n // 2)), np.arange)
+            got = _bands(gf, n, "DT", reduction, 0, q ** (n // 2))
             assert got.tolist() == expect, (n, reduction)
             for S in got[:: max(1, len(got) // 7)]:
                 T, _ = _payload_to_triple(gf, _payload("DT", S, 0), "DT")
@@ -362,12 +364,38 @@ def test_circulant_bands_match_first_row_order(q, max_n, family, mu, budget, mon
     for n in range(2, max_n + 1, 2):
         m = n // 2
         specs = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
-        got = _bands(gf, n, family, "none", range(q**m), None)
+        got = _bands(gf, n, family, "none", 0, q**m)
         assert got.tolist() == [band_sequence(triple_of_circulant(c)).tolist() for c in specs]
         # the windows against the directly built (nega)circulant matrices
         assert np.array_equal(toeplitz_windows(got), np.stack([circulant_matrix(c) for c in specs]))
         assert [_payload_to_triple(gf, _payload(family, S, 5), family) for S in got] == [
             (c, 5) for c in specs
+        ]
+
+
+@pytest.mark.parametrize("budget", [search._PACKED_BYTE_BUDGET, 8 * 3 * 9 * 5])
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 6), (4, 6)])
+def test_chunk_blocks_hold_the_candidates_of_their_prefixes(q, n, budget, monkeypatch):
+    # the small budget cuts blocks of 5 to 8 rows, which split prefixes and chunks
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", budget)
+    gf = GF(q)
+    m = n // 2
+    triples = list(enumerate_triples(gf, m))  # q^(m-1) per (t, a) prefix, in prefix order
+    ranges = _chunk_ranges(q**m, 5) + [(3, 3)]
+    for reduction in _VALID_REDUCTIONS[q]:
+        for lo, hi in ranges:
+            expect = [
+                band_sequence(T).tolist()
+                for T in triples[lo * q ** (m - 1) : hi * q ** (m - 1)]
+                if passes_reduction(T, reduction)
+            ]
+            assert _bands(gf, n, "DT", reduction, lo, hi).tolist() == expect, (reduction, lo, hi)
+    if q == 3:  # the last chunk lies wholly in t = 2, where C3 keeps no candidate
+        assert ranges[-2] == (21, 27) and list(_candidate_bands(gf, n, "DT", "C3", 21, 27)) == []
+    for lo, hi in ranges:
+        specs = [CirculantSpec(gf, digits_of_index(i, q, m), 1) for i in range(lo, hi)]
+        assert _bands(gf, n, "DC", "none", lo, hi).tolist() == [
+            band_sequence(c).tolist() for c in specs
         ]
 
 
@@ -389,8 +417,17 @@ def test_probe_sample_is_spread_over_filtered_prefixes(q, n):
             if passes_reduction(T, reduction)
         ]
         expect += [band_sequence(kept[int(i)]).tolist() for i in _spread(len(kept), 8)]
-    got = _bands(gf, n, "DT", reduction, _spread(q ** (n // 2), 16), lambda c: _spread(c, 8))
-    assert got.tolist() == expect
+    got = _probe_bands(gf, n, "DT", reduction)
+    assert got.dtype == np.int8 and got.tolist() == expect
+    # the circulant families visit 64 spread first rows
+    for family, mu in (("DC", 1), ("NC", -1)):
+        specs = [
+            CirculantSpec(gf, digits_of_index(int(i), q, n // 2), mu)
+            for i in _spread(q ** (n // 2), 64)
+        ]
+        assert _probe_bands(gf, n, family, "none").tolist() == [
+            band_sequence(c).tolist() for c in specs
+        ]
 
 
 def test_search_output_does_not_depend_on_block_rows(monkeypatch):

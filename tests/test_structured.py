@@ -11,6 +11,7 @@ from dtcodes import (
     GF,
     BudgetExceededError,
     CirculantSpec,
+    LinearCode,
     MonomialMap,
     ToeplitzTriple,
     apply_monomial,
@@ -87,6 +88,36 @@ def test_triple_validation():
         CirculantSpec(gf, (1, 5), 1)
     with pytest.raises(ValueError):
         CirculantSpec(gf, (1, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ToeplitzTriple(GF(3), 1.9, (1, 0), (0, 2)),
+        lambda: ToeplitzTriple(GF(3), 1, (1.7, 0), (0, 2)),
+        lambda: ToeplitzTriple(GF(3), 1, (1, 0), (0, "2")),
+        lambda: CirculantSpec(GF(2), (0.5, 1)),
+        lambda: CirculantSpec(GF(4), np.array([1.0, 2.0])),
+        lambda: LinearCode(GF(2), [[1.5, 0.2]]),
+        lambda: LinearCode(GF(2), [[300, 0]]),
+        lambda: LinearCode(GF(2), [[1 << 70, 0]]),
+        lambda: LinearCode(GF(4), np.array([[1, 2]], dtype=np.float32)),
+    ],
+)
+def test_element_codes_must_be_integers_in_range(build):
+    # checked before any int8 cast, which would truncate floats and wrap large ints
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_integer_element_codes_are_stored_as_python_ints():
+    gf = GF(3)
+    T = ToeplitzTriple(gf, np.int64(1), (np.int8(2), 0), np.array([0, 2]))
+    assert T == ToeplitzTriple(gf, 1, (2, 0), (0, 2)) and T.to_text() == "1;(2,0);(0,2)"
+    assert all(type(x) is int for x in (T.t, *T.a, *T.b))
+    assert CirculantSpec(gf, np.array([1, 2], dtype=np.uint8)).r == (1, 2)
+    for G in (np.array([[1, 2]], dtype=np.uint8), np.array([[True, False]]), [[np.int64(2), 0]]):
+        assert LinearCode(gf, G).G.dtype == np.int8
 
 
 def test_circulant_matrix_and_triple_agree():
