@@ -60,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import _int_matmul, gf_matmul
-from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks, _rref
+from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks, _row_weights, _rref
 
 __all__ = [
     "UndecidedError",
@@ -111,9 +111,7 @@ def apply_monomial(C: LinearCode, M: MonomialMap) -> LinearCode:
     gf = C.gf
     G = np.zeros_like(C.G)
     for j, (p, s) in enumerate(zip(M.perm, M.scales)):
-        if not 0 < s < gf.q:
-            raise ValueError(f"scale {s} is not a nonzero F{gf.q} element")
-        G[:, p] = gf.mul_table[s, C.G[:, j]]
+        G[:, p] = gf.mul_table[gf._check(s), C.G[:, j]]  # MonomialMap rejects a zero scale
     return LinearCode(gf, G)
 
 
@@ -151,20 +149,22 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     at = np.arange(len(codes))
     B = np.stack([C.systematic_right_block()[0] for C in codes])
     words = np.concatenate(list(_codeword_blocks(gf, B)), axis=1)  # systematic column order
-    S = words != 0
-    wts = S @ np.ones(n, dtype=np.min_scalar_type(n))
-    layer = wts[:, None, :] == np.arange(n + 1)[:, None]  # [code, weight, word]
-    enum = layer.sum(axis=2)
+    wts = _row_weights(words)  # [code, word]
+    enum = np.bincount(  # [code, weight]
+        (wts + (n + 1) * at[:, None]).ravel(), minlength=len(codes) * (n + 1)
+    ).reshape(-1, n + 1)
     # the anchors: the words up to the largest, over the nonzero columns, of the lightest
     # weight that touches the column, and on by whole layers until they hold n words or
     # the whole code; by weight, then message, in the code's column order
-    touching = sum(  # [code, weight, column], in slices that bound the float32 copies
-        _int_matmul(layer[:, :, lo : lo + _BLOCK_ROWS], S[:, lo : lo + _BLOCK_ROWS])
-        for lo in range(0, S.shape[1], _BLOCK_ROWS)
-    )
+    rise = n + 1 - wts.astype(np.min_scalar_type(n + 1))  # [code, word]
+    # [code, column]: the largest rise over the words nonzero in the column, n + 1 less the
+    # lightest weight touching it and 0 at a zero column: a masked minimum, laid out one
+    # row a column so that each maximum runs over contiguous memory
+    reach = np.multiply(words.transpose(0, 2, 1) != 0, rise[:, None, :], order="C").max(axis=2)
+    covering = n + 1 - np.where(reach > 0, reach, n + 1).min(axis=1)  # over nonzero columns
     upto = enum.cumsum(axis=1)  # [code, weight]: the words of at most that weight, zero included
     floor = np.where(upto[:, n] > n, (upto > n).argmax(axis=1), n)
-    N = upto[at, np.maximum((touching > 0).argmax(axis=1).max(axis=1), floor)] - 1
+    N = upto[at, np.maximum(covering, floor)] - 1
     # the zero word is message 0, the only one of weight 0
     ranked = np.argsort(wts, axis=1, kind="stable")[:, 1 : N.max() + 1]
     inv = np.argsort(np.stack([C.systematic_right_block()[1] for C in codes]), axis=1)

@@ -13,6 +13,8 @@ bitsliced F3 vectors through the one F3 adder, :func:`_f3_add`.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -108,25 +110,29 @@ class GF:
     def __hash__(self) -> int:
         return hash(("GF", self.q))
 
-    def _check(self, *codes: int) -> None:
-        for x in codes:
-            if not 0 <= x < self.q:
-                raise ValueError(f"element code {x} out of range for F{self.q}")
+    def _check(self, x) -> int:
+        """``x`` as a Python int, checked to be an element code 0..q-1: the package's
+        one scalar check.  Integers of any kind, bools as 0 and 1, are read with
+        ``operator.index``; floats, strings and other values raise ValueError."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ValueError(f"element code {x!r} is not an integer") from None
+        if not 0 <= x < self.q:
+            raise ValueError(f"element code {x} out of range for F{self.q}")
+        return x
 
     def add(self, x: int, y: int) -> int:
         """Field sum of two element codes."""
-        self._check(x, y)
-        return int(self.add_table[x, y])
+        return int(self.add_table[self._check(x), self._check(y)])
 
     def mul(self, x: int, y: int) -> int:
         """Field product of two element codes."""
-        self._check(x, y)
-        return int(self.mul_table[x, y])
+        return int(self.mul_table[self._check(x), self._check(y)])
 
     def neg(self, x: int) -> int:
         """Additive inverse."""
-        self._check(x)
-        return int(self.neg_table[x])
+        return int(self.neg_table[self._check(x)])
 
     def inv(self, x: int) -> int:
         """Multiplicative inverse of a nonzero element.
@@ -136,7 +142,7 @@ class GF:
         ZeroDivisionError
             If ``x`` is the zero element.
         """
-        self._check(x)
+        x = self._check(x)
         if x == 0:
             raise ZeroDivisionError(f"zero has no multiplicative inverse in F{self.q}")
         return int(self.inv_table[x])
@@ -157,8 +163,7 @@ def parse_element(gf: GF, token: str) -> int:
 
 def render_element(gf: GF, x: int) -> str:
     """Text token of one element code."""
-    gf._check(x)
-    return gf.alphabet[x]
+    return gf.alphabet[gf._check(x)]
 
 
 def parse_vector(gf: GF, text: str) -> np.ndarray:
@@ -177,7 +182,7 @@ def parse_vector(gf: GF, text: str) -> np.ndarray:
 
 def render_vector(gf: GF, vec) -> str:
     """Render a vector of element codes as ``(c1,c2,...)``."""
-    return "(" + ",".join(render_element(gf, int(x)) for x in vec) + ")"
+    return "(" + ",".join(render_element(gf, x) for x in vec) + ")"
 
 
 # Exact integer matrix products are computed through float32 BLAS: every

@@ -152,12 +152,6 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
 # batched minimum-weight evaluation
 
 
-# The packed word of each element code at entry 0, with bit 0 in plane 0
-# and bit 32 in plane 1: F2 x; F3 [x == 1], [x == 2]; F4 the coordinates
-# of x = x0 + w x1.
-_ENTRY_WORD = {2: (0, 1), 3: (0, 1, 1 << 32), 4: (0, 1, 1 << 32, 1 | 1 << 32)}
-
-
 def _pack_rows(gf: GF, S: np.ndarray) -> np.ndarray:
     """The nonzero scalar multiples of the Toeplitz rows of band sequences S, as uint64 words.
 
@@ -174,7 +168,10 @@ def _pack_rows(gf: GF, S: np.ndarray) -> np.ndarray:
     width = 64 if q == 2 else 32
     if 2 * m - 1 > width:
         raise ValueError(f"band of block width m={m} exceeds the {width} entries of an F{q} plane")
-    table = np.array(_ENTRY_WORD[q], dtype=np.uint64)[gf.mul_table[1:]]  # [s-1, x]: word of s x
+    # [s-1, x]: the word of s x at entry 0, its planes s x & 1 and s x >> 1 at bits 0 and 32,
+    # the planes of linear._rref and of the F4 split in gf_matmul
+    M = gf.mul_table[1:].astype(np.uint64)
+    table = (M & 1) | (M >> 1) << 32
     words = table[:, S] @ (np.uint64(1) << np.arange(2 * m - 1, dtype=np.uint64))  # distinct bits
     mask = np.uint64(((1 << m) - 1) * (1 if q == 2 else 1 | 1 << 32))  # m entries a plane
     rows = (words[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint64)) & mask

@@ -23,7 +23,6 @@ partitioning and checkpointing rely on this order.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +54,6 @@ __all__ = [
 BRUTE_FORCE_N = {2: 12, 3: 8, 4: 6}
 
 
-def _as_codes(gf: GF, vec) -> tuple[int, ...]:
-    """The entries of ``vec`` as Python ints, each an element code 0..q-1."""
-    try:
-        out = tuple(operator.index(x) for x in vec)
-    except TypeError as exc:
-        raise ValueError(f"element codes must be integers: {exc}") from exc
-    for x in out:
-        if not 0 <= x < gf.q:
-            raise ValueError(f"element code {x} out of range for F{gf.q}")
-    return out
-
-
 @dataclass(frozen=True)
 class ToeplitzTriple:
     """Defining data (t, a, b) of a double Toeplitz code of length 2m."""
@@ -77,9 +64,10 @@ class ToeplitzTriple:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_codes(self.gf, self.a))
-        object.__setattr__(self, "b", _as_codes(self.gf, self.b))
-        object.__setattr__(self, "t", _as_codes(self.gf, (self.t,))[0])
+        check = self.gf._check
+        object.__setattr__(self, "a", tuple(map(check, self.a)))
+        object.__setattr__(self, "b", tuple(map(check, self.b)))
+        object.__setattr__(self, "t", check(self.t))
         if len(self.a) != len(self.b):
             raise ValueError("bands a and b must have equal length m-1")
 
@@ -112,7 +100,7 @@ class CirculantSpec:
     mu: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _as_codes(self.gf, self.r))
+        object.__setattr__(self, "r", tuple(map(self.gf._check, self.r)))
         if self.mu not in (1, -1):
             raise ValueError("mu must be +1 (circulant) or -1 (negacirculant)")
         if len(self.r) < 1:

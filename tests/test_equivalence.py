@@ -589,23 +589,24 @@ def test_batched_keyer_matches_the_per_code_oracle(q):
         _assert_matches_oracle(record, _keyed(C))
 
 
-def test_touching_sum_adds_a_short_int16_slice_to_int64_slices(monkeypatch):
-    # F3 [12, 9] codes have 19,683 codewords: a slice of _BLOCK_ROWS words,
-    # summed in int64, and a last slice of 3,299, short enough for int16
-    seen = []
-    original = equivalence._int_matmul
-
-    def recording(x, y):
-        out = original(x, y)
-        seen.append((x.shape[-1], out.dtype))
-        return out
-
-    monkeypatch.setattr(equivalence, "_int_matmul", recording)
+def test_keyer_matches_the_oracle_past_one_codeword_block():
+    # F3 [12, 9] codes have 19,683 codewords, more than one _codeword_blocks
+    # block of _BLOCK_ROWS, and are keyed three in one block
     codes = _differential_codes(random.Random(89), GF(3), 12, 9, 3)
-    records = equivalence._key_block(codes)
-    assert seen[:2] == [(_BLOCK_ROWS, np.int64), (3**9 - _BLOCK_ROWS, np.int16)]
-    for record, C in zip(records, codes):
+    assert 3**9 > _BLOCK_ROWS
+    for record, C in zip(equivalence._key_block(codes), codes):
         _assert_matches_oracle(record, _keyed(C))
+
+
+def test_keyer_reads_lengths_past_a_byte():
+    # from n = 255 the n + 1 that marks a zero column in the anchor stop no
+    # longer fits uint8; a repetition code's columns are touched at weight n only
+    for q, n, zeros in ((2, 255, 0), (3, 255, 1), (4, 256, 0), (2, 300, 2)):
+        G = np.ones((1, n), dtype=np.int8)
+        G[0, n - zeros :] = 0
+        C = LinearCode(GF(q), G)
+        for record in equivalence._key_block([C, C]):
+            _assert_matches_oracle(record, _keyed(C))
 
 
 def test_dedupe_keys_mixed_shapes_in_homogeneous_blocks(monkeypatch):

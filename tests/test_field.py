@@ -7,7 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtcodes import GF, gf_matmul, parse_element, parse_vector, render_element, render_vector
+from dtcodes import (
+    GF,
+    CirculantSpec,
+    LinearCode,
+    MonomialMap,
+    ToeplitzTriple,
+    apply_monomial,
+    gf_matmul,
+    parse_element,
+    parse_vector,
+    render_element,
+    render_vector,
+)
 from dtcodes.gf import _int_matmul
 
 FIELDS = [GF(2), GF(3), GF(4)]
@@ -84,6 +96,57 @@ def test_field_axioms_exhaustive(gf):
 def test_zero_has_no_inverse(gf):
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
+
+
+def _triple_entries(gf, t, a, b) -> tuple:
+    T = ToeplitzTriple(gf, t, a, b)
+    return (T.t, *T.a, *T.b)
+
+
+# Every way the package takes one element code x, returning what it keeps of x:
+# each reads x through GF._check
+_TAKES_ELEMENT = {
+    "add": lambda gf, x: (gf.add(x, 1),),
+    "mul": lambda gf, x: (gf.mul(gf.q - 1, x),),
+    "neg": lambda gf, x: (gf.neg(x),),
+    "inv": lambda gf, x: (gf.inv(x),),
+    "render_element": lambda gf, x: (render_element(gf, x),),
+    "ToeplitzTriple.t": lambda gf, x: _triple_entries(gf, x, (1,), (0,)),
+    "ToeplitzTriple.a": lambda gf, x: _triple_entries(gf, 1, (x, 0), (0, 1)),
+    "ToeplitzTriple.b": lambda gf, x: _triple_entries(gf, 0, (1,), (x,)),
+    "CirculantSpec": lambda gf, x: CirculantSpec(gf, (1, x), -1).r,
+    "apply_monomial": lambda gf, x: tuple(
+        apply_monomial(LinearCode(gf, [[1, 1]]), MonomialMap((1, 0), (1, x))).G.ravel().tolist()
+    ),
+}
+
+
+def _outcome(take, gf, x):
+    """What ``take`` gives for x: its values, or the type of the exception it raises."""
+    try:
+        return take(gf, x)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("take", _TAKES_ELEMENT.values(), ids=_TAKES_ELEMENT.keys())
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"F{f.q}")
+def test_every_element_code_goes_through_one_check(take, gf):
+    for x in range(gf.q):
+        plain = _outcome(take, gf, x)
+        # numpy integers are read as Python ints and kept as them
+        for kind in (np.int8, np.uint8, np.int64):
+            got = _outcome(take, gf, kind(x))
+            assert got == plain
+            if isinstance(got, tuple):
+                assert all(type(v) in (int, str) for v in got)
+    # bools count as 0 and 1
+    assert _outcome(take, gf, False) == _outcome(take, gf, 0)
+    assert _outcome(take, gf, True) == _outcome(take, gf, 1)
+    # floats, strings and codes out of range are rejected as values
+    for bad in (1.0, 1.5, np.float64(0.0), "1", None, -1, gf.q, np.int64(gf.q), 1 << 70):
+        with pytest.raises(ValueError):
+            take(gf, bad)
 
 
 def test_unsupported_sizes_rejected():

@@ -32,6 +32,20 @@ def test_weight_counts_nonzeros():
     assert weight(np.array([[1, 0], [0, 1]])) == 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 300])
+def test_row_weights_count_the_nonzeros_of_each_row(n):
+    # from n = 256 the count no longer fits uint8 and takes uint16
+    rng = np.random.default_rng(n)
+    X = rng.integers(0, 4, size=(2, 5, n), dtype=np.int8)
+    X[0, 0] = 3  # an all-nonzero row
+    X[0, 1] = 0
+    for Y in (X[0], X):  # one matrix, and a 3-d stack of them
+        got = linear._row_weights(Y)
+        assert got.shape == Y.shape[:-1]
+        assert got.tolist() == np.count_nonzero(Y, axis=-1).tolist()
+    assert linear._row_weights(X).dtype == (np.uint8 if n < 256 else np.uint16)
+
+
 def test_enumerator_container_validates():
     W = WeightEnumerator(3, [1, 0, 3, 0])
     assert W.total() == 4

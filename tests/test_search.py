@@ -202,32 +202,6 @@ def test_unknown_reduction_rejected():
         search_dt(gf, 4, reduction="C9")
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 4)])
-def test_unfiltered_search_matches_naive_enumeration(q, n):
-    gf = GF(q)
-    naive = _naive_dt_scan(gf, n)
-    d_opt = max(mw for _, mw in naive)
-    expect = {_key(T) for T, mw in naive if mw == d_opt}
-    got_d, records = search_dt(gf, n, reduction="none")
-    assert got_d == d_opt
-    assert {_key(T) for T, _ in records} == expect
-    assert all(mw == d_opt for _, mw in records)
-
-
-@pytest.mark.parametrize("mode,cmp", [("collect-at", int.__eq__), ("at-least", int.__ge__)])
-def test_targeted_modes_match_naive_enumeration(mode, cmp):
-    gf = GF(3)
-    naive = _naive_dt_scan(gf, 4)
-    for d in (1, 2, 3):
-        _, records = search_dt(gf, 4, reduction="none", mode=mode, d=d)
-        assert {_key(T) for T, _ in records} == {_key(T) for T, mw in naive if cmp(mw, d)}
-        assert all(cmp(mw, d) for _, mw in records)
-    with pytest.raises(ValueError):
-        search_dt(gf, 4, mode="collect-at")
-    with pytest.raises(ValueError):
-        search_dt(gf, 4, mode="maximize")
-
-
 # the differential cells: F2 n <= 10, F3 and F4 n <= 6, for every family
 _DIFFERENTIAL_CELLS = [
     (family, q, n)
@@ -522,6 +496,11 @@ def test_search_argument_validation():
         search_dt(gf, 6, d=3)
     with pytest.raises(ValueError, match="no target weight"):
         search_family(gf, 6, "DC", d=3)
+    # a targeted mode needs its weight, and the mode must be a known one
+    with pytest.raises(ValueError):
+        search_dt(GF(3), 4, mode="collect-at")
+    with pytest.raises(ValueError):
+        search_dt(GF(3), 4, mode="maximize")
 
 
 def test_triple_budget():
@@ -625,8 +604,11 @@ def _gather_pack(gf: GF, A: np.ndarray) -> np.ndarray:
     scalar: the former packer, kept as its slow oracle."""
     q = gf.q
     blocks, rows, m = A.shape
+    # the word of each element code at entry 0, bit 0 in plane 0 and bit 32 in
+    # plane 1: F2 x; F3 [x == 1], [x == 2]; F4 the coordinates of x = x0 + w x1
+    entry_word = np.array({2: (0, 1), 3: (0, 1, 1 << 32), 4: (0, 1, 1 << 32, 1 | 1 << 32)}[q],
+                          dtype=np.uint64)
     # table[s-1, x, j]: the word of s x at entry j
-    entry_word = np.array(search._ENTRY_WORD[q], dtype=np.uint64)
     table = entry_word[gf.mul_table[1:]][:, :, None] << np.arange(m, dtype=np.uint64)
     scalars = np.arange(q - 1)[:, None, None, None]
     words = table[scalars, A[None], np.arange(m)].sum(axis=-1)  # distinct bits: sum is OR
