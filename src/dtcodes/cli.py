@@ -154,27 +154,17 @@ def cmd_search(args) -> int:
     common = dict(mode=args.mode, d=args.d, **_run_options(args))
     if args.family == "dt":
         d_ref, records = search_dt(gf, args.n, args.reduction, **common)
-        for T, mw in records:
-            _emit(
-                {
-                    "t": render_element(gf, T.t),
-                    "a": render_vector(gf, T.a),
-                    "b": render_vector(gf, T.b),
-                    "min_weight": mw,
-                }
-            )
+        fields = [
+            {"t": render_element(gf, T.t), "a": render_vector(gf, T.a), "b": render_vector(gf, T.b)}
+            for T, _ in records
+        ]
     else:
         if args.reduction in ("C2", "C3"):
             raise ValueError(f"the {args.reduction} filter applies to dt searches only")
         d_ref, records = search_family(gf, args.n, args.family.upper(), **common)
-        for spec, mw in records:
-            _emit(
-                {
-                    "r": render_vector(gf, spec.r),
-                    "mu": spec.mu,
-                    "min_weight": mw,
-                }
-            )
+        fields = [{"r": render_vector(gf, spec.r), "mu": spec.mu} for spec, _ in records]
+    for record, (_, mw) in zip(fields, records):
+        _emit({**record, "min_weight": mw})
     what = {"find-optimal": "optimum", "at-least": "floor", "collect-at": "target"}
     _note(f"{what[args.mode]} d={d_ref}: {len(records)} codes")
     return EXIT_OK

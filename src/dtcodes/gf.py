@@ -112,15 +112,27 @@ class GF:
 
     def _check(self, x) -> int:
         """``x`` as a Python int, checked to be an element code 0..q-1: the package's
-        one scalar check.  Integers of any kind, bools as 0 and 1, are read with
-        ``operator.index``; floats, strings and other values raise ValueError."""
+        one scalar check.  Integers of any kind, Python and numpy bools as 0 and 1,
+        are read with ``operator.index``; floats, strings and other values raise
+        ValueError."""
         try:
-            x = operator.index(x)
+            x = operator.index(int(x) if isinstance(x, np.bool_) else x)
         except TypeError:
             raise ValueError(f"element code {x!r} is not an integer") from None
         if not 0 <= x < self.q:
             raise ValueError(f"element code {x} out of range for F{self.q}")
         return x
+
+    def _check_array(self, X) -> np.ndarray:
+        """``X`` as an int8 array, checked to hold element codes 0..q-1: the package's
+        one array check.  Integer and bool arrays, and empty ones, pass; floats,
+        strings and objects raise ValueError, checked before the int8 cast, which
+        would truncate floats and wrap large entries."""
+        X = np.asarray(X)
+        ints = X.dtype.kind in "biu" or not X.size
+        if not ints or X.min(initial=0) < 0 or X.max(initial=0) >= self.q:
+            raise ValueError(f"entries must be element codes 0..{self.q - 1}")
+        return X.astype(np.int8)
 
     def add(self, x: int, y: int) -> int:
         """Field sum of two element codes."""

@@ -137,14 +137,9 @@ class LinearCode:
     __slots__ = ("gf", "n", "k", "G", "_sys")
 
     def __init__(self, gf: GF, rows, *, _form=None):
-        G = np.asarray(rows)
+        G = gf._check_array(rows)
         if G.ndim != 2 or G.shape[0] < 1:
             raise ValueError("generator matrix must be a nonempty 2-d array")
-        # checked before the int8 cast, which would truncate floats and wrap large entries
-        ints = G.dtype.kind in "biu" or not G.size
-        if not ints or G.min(initial=0) < 0 or G.max(initial=0) >= gf.q:
-            raise ValueError(f"generator entries must be element codes 0..{gf.q - 1}")
-        G = G.astype(np.int8)
         k, n = G.shape
         if k > n:
             raise ValueError(f"dimension {k} exceeds length {n}")
@@ -172,7 +167,7 @@ class LinearCode:
 
     def encode(self, message) -> np.ndarray:
         """Codeword m G for a length-k message vector."""
-        m = np.asarray(message, dtype=np.int8)
+        m = self.gf._check_array(message)
         if m.shape != (self.k,):
             raise ValueError(f"message length {m.shape} does not match dimension {self.k}")
         return gf_matmul(self.gf, m, self.G)

@@ -66,10 +66,9 @@ from .structured import (
     CirculantSpec,
     ToeplitzTriple,
     _check_even_length,
+    _circulant_flags,
     band_sequence,
     circulant_bands,
-    classify_triple,
-    double_toeplitz_code,
     index_of_digits,
     orbit_keys,
     split_bands,
@@ -247,55 +246,44 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
 # candidate-space iteration
 
 
-def _spread(total: int, count: int) -> np.ndarray:
-    """At most ``count`` indices spread evenly over range(total), both ends included."""
-    return np.unique(np.linspace(0, total - 1, min(total, count)).astype(np.int64))
+def _numbered_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
+    """(total, bands) of the candidates of prefixes [lo, hi), numbered 0 .. total-1 in scan
+    order: ``bands(idx)`` gives the int8 band sequences of the candidate numbers ``idx``.
 
-
-def _candidate_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
-    """Yield int8 blocks of the band sequences of the candidates of prefixes [lo, hi).
-
-    The chunk's candidates are numbered in scan order and each block
-    holds the next ``rows`` numbers (the last may be short), with as many
-    rows as keep (rows, q-1, m, m) packed words within
-    ``_PACKED_BYTE_BUDGET``.  For DC/NC the numbers are the first-row
-    indices.  For DT the (t, a) prefixes [lo, hi) hold the b indices
-    0 .. count-1 of :func:`_kept_b_counts` each, and number i belongs to
-    the last prefix that starts at or before i.
+    For DC/NC the numbers are the first-row indices less ``lo``.  For DT
+    the (t, a) prefixes [lo, hi) hold the b indices 0 .. count-1 of
+    :func:`_kept_b_counts` each, and number i belongs to the last prefix
+    that starts at or before i.
     """
     q, m, L = gf.q, n // 2, n // 2 - 1
-    rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
     if family != "DT":
-        for first in range(lo, hi, rows):
-            R = _index_digits(np.arange(first, min(first + rows, hi)), q, m)
-            yield circulant_bands(gf, R, 1 if family == "DC" else -1)
-        return
+        mu = 1 if family == "DC" else -1
+        return hi - lo, lambda idx: circulant_bands(gf, _index_digits(lo + idx, q, m), mu)
     p = np.arange(lo, hi, dtype=np.int64)
     t, A = p // q**L, _index_digits(p % q**L, q, L)
     starts = np.concatenate(([0], _kept_b_counts(q, reduction, t, A).cumsum()))
-    total = int(starts[-1])
-    for first in range(0, total, rows):
-        idx = np.arange(first, min(first + rows, total))
+
+    def bands(idx):
         own = np.searchsorted(starts, idx, side="right") - 1
-        yield triple_bands(t[own], A[own], _index_digits(idx - starts[own], q, L))
+        return triple_bands(t[own], A[own], _index_digits(idx - starts[own], q, L))
+
+    return int(starts[-1]), bands
 
 
-def _probe_bands(gf: GF, n: int, family: str, reduction: str) -> np.ndarray:
-    """The band sequences of the probe's sample, in scan order: 64 spread first rows
-    (DC/NC), or up to 8 spread kept b after each of 16 spread (t, a) prefixes (DT)."""
-    q, m, L = gf.q, n // 2, n // 2 - 1
-    if family != "DT":
-        R = _index_digits(_spread(q**m, 64), q, m)
-        return circulant_bands(gf, R, 1 if family == "DC" else -1)
-    p = _spread(q**m, 16)
-    t, A = p // q**L, _index_digits(p % q**L, q, L)
-    samples = [_spread(int(c), 8) for c in _kept_b_counts(q, reduction, t, A)]
-    own = np.repeat(np.arange(len(p)), [len(b) for b in samples])
-    return triple_bands(t[own], A[own], _index_digits(np.concatenate(samples), q, L))
+def _candidate_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
+    """Yield the band sequences of the candidates of prefixes [lo, hi) in blocks of the
+    next ``rows`` numbers of :func:`_numbered_bands` (the last may be short), with as many
+    rows as keep (rows, q-1, m, m) packed words within ``_PACKED_BYTE_BUDGET``."""
+    q, m = gf.q, n // 2
+    rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
+    total, bands = _numbered_bands(gf, n, family, reduction, lo, hi)
+    for first in range(0, total, rows):
+        yield bands(np.arange(first, min(first + rows, total)))
 
 
 def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
-    """Best exact minimum weight over a deterministic sample of candidates.
+    """Best exact minimum weight over a deterministic sample of candidates: the
+    :func:`_numbered_bands` of 128 numbers spread evenly over the whole filtered space.
 
     Raises the starting best of a find-optimal pass, so that early
     blocks need fewer raises and rescans at low thresholds; any
@@ -303,9 +291,13 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     the floor is always attained.  A sample is evaluated exactly only
     when it beats the running floor, which ``min_weight_at_least``
     rules out at the first message layer with a low-weight codeword.
+    The sample runs from its last number down: on the benchmark cells
+    the floor rises sooner that way, so fewer samples need deep layers.
     """
+    total, bands = _numbered_bands(gf, n, family, reduction, 0, gf.q ** (n // 2))
+    sample = np.unique(np.linspace(0, total - 1, min(total, 128)).astype(np.int64))
     floor = 1
-    for Ai in toeplitz_windows(_probe_bands(gf, n, family, reduction)):
+    for Ai in toeplitz_windows(bands(sample[::-1])):
         code = LinearCode.systematic(gf, Ai)
         if min_weight_at_least(code, floor + 1):
             floor = minimum_weight(code)
@@ -362,12 +354,13 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
         raise ValueError(f"best {best} is not the target weight {config['d']}")
     span = gf.q ** (n // 2 - 1) if family == "DT" else 1  # candidates per prefix
     last = lo * span - 1
-    labelled = []  # (spec, weight label) of each payload
+    labelled, bands = [], []  # (spec, weight label) and band sequence of each payload
     for payload in payloads:
         spec, mw = _payload_to_triple(gf, payload, family)
+        S = band_sequence(spec)
         # only what a scan writes for this spec: int entries (no bool,
         # float or str), the family's sign and the configured length
-        written = _payload(family, band_sequence(spec), mw)
+        written = _payload(family, S, mw)
         if spec.m != n // 2 or json.dumps(payload) != json.dumps(written):
             raise ValueError(f"payload {payload} is not one a length-{n} scan writes")
         # the candidate's place in the enumeration order: b fastest, then a, then t
@@ -380,8 +373,9 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
             raise ValueError(f"payload weight {mw} does not fit the chunk best {best}")
         last = index
         labelled.append((spec, mw))
+        bands.append(S)
     # every record's exact weight in one packed call, with the scan's exact cap m + 2
-    S = np.array([band_sequence(spec) for spec, _ in labelled], dtype=np.int8).reshape(-1, n - 1)
+    S = np.array(bands, dtype=np.int8).reshape(-1, n - 1)
     exact = _batch_min_weight_capped(_pack_rows(gf, S), n // 2 + 2, gf.q)
     for (spec, mw), d in zip(labelled, exact.tolist()):
         if d != mw:
@@ -628,18 +622,23 @@ class ClassificationReport:
         }
 
 
-def _orbit_classes(gf: GF, triples: list[ToeplitzTriple], semimonomial: bool) -> list[list[int]]:
-    """The equivalence classes of the triples' codes, as ascending index groups in the
-    order of their least index, with only the first triple of each orbit of
-    :func:`structured.orbit_keys` keyed and pair-tested (see :func:`classify`)."""
-    keys = orbit_keys(gf, triple_bands(*zip(*[(T.t, T.a, T.b) for T in triples])))
+def _orbit_classes(
+    gf: GF, S: np.ndarray, semimonomial: bool
+) -> list[tuple[list[int], LinearCode]]:
+    """The equivalence classes of the codes of band sequences S, as ascending index groups
+    in the order of their least index, each with the code of that index: only the first
+    sequence of each orbit of :func:`structured.orbit_keys` is keyed and pair-tested (see
+    :func:`classify`), and a class's least index is such a leader."""
     by_key: dict[int, list[int]] = {}
-    for i, key in enumerate(keys.tolist()):
+    for i, key in enumerate(orbit_keys(gf, S).tolist()):
         by_key.setdefault(key, []).append(i)
     orbits = list(by_key.values())  # ascending, in the order of their leaders
-    codes = [double_toeplitz_code(triples[orbit[0]]) for orbit in orbits]
+    leaders = toeplitz_windows(S[[orbit[0] for orbit in orbits]])
+    codes = [LinearCode.systematic(gf, A) for A in leaders]
     groups = dedupe_into_classes(codes, semimonomial=semimonomial)
-    return [sorted(i for leader in group for i in orbits[leader]) for group in groups]
+    return [
+        (sorted(i for leader in group for i in orbits[leader]), codes[group[0]]) for group in groups
+    ]
 
 
 def classify(
@@ -696,18 +695,13 @@ def classify(
         triple_budget=triple_budget,
     )
     triples = [T for T, _ in records]
+    S = triple_bands(*zip(*[(T.t, T.a, T.b) for T in triples]))
+    circ, nega = _circulant_flags(gf, S)
     report = ClassificationReport(gf.q, n, d_opt)
-    for class_id, group in enumerate(_orbit_classes(gf, triples, semimonomial)):
-        if minimum_weight(double_toeplitz_code(triples[group[0]])) != d_opt:
+    for class_id, (group, code) in enumerate(_orbit_classes(gf, S, semimonomial)):
+        if minimum_weight(code) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
-        members = [triples[i] for i in group]
-        kinds = {classify_triple(T) for T in members}
-        if kinds & {"circulant", "both"}:
-            structure = "DC"
-        elif "negacirculant" in kinds:
-            structure = "NC"
-        else:
-            structure = "DT-only"
-        rep_triple = min(members, key=ToeplitzTriple.lex_key)
+        structure = "DC" if circ[group].any() else "NC" if nega[group].any() else "DT-only"
+        rep_triple = min((triples[i] for i in group), key=ToeplitzTriple.lex_key)
         report.records.append(ClassRecord(class_id, rep_triple, len(group), structure))
     return report

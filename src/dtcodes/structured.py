@@ -231,15 +231,22 @@ def triple_of_circulant(spec: CirculantSpec) -> ToeplitzTriple:
     return ToeplitzTriple(spec.gf, *split_bands(band_sequence(spec)))
 
 
+def _circulant_flags(gf: GF, S) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each band sequence of S (..., 2m-1) is circulant, and whether it is
+    negacirculant: equal to :func:`circulant_bands` of its own first row S[..., m-1:]
+    with sign +1 or -1, that is a == reversed(b) or a == -reversed(b)."""
+    S = np.asarray(S, dtype=np.int8)
+    R = S[..., S.shape[-1] // 2 :]
+    return tuple((circulant_bands(gf, R, mu) == S).all(axis=-1) for mu in (1, -1))
+
+
 def classify_triple(T: ToeplitzTriple) -> str:
     """Which circulant family the triple's matrix belongs to.
 
-    Returns "circulant", "negacirculant", "both" or "neither", comparing
-    a with reversed(b) and with -reversed(b).  Over F2 the two coincide.
+    Returns "circulant", "negacirculant", "both" or "neither", by
+    :func:`_circulant_flags`.  Over F2 the two coincide.
     """
-    rb = T.b[::-1]
-    circ = T.a == rb
-    nega = T.a == tuple(T.gf.neg(x) for x in rb)
+    circ, nega = map(bool, _circulant_flags(T.gf, band_sequence(T)))
     if circ and nega:
         return "both"
     if circ:
@@ -285,8 +292,7 @@ def _check_even_length(n: int) -> None:
 
 def _check_halves(gf: GF, n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
     _check_even_length(n)
-    u = np.asarray(u, dtype=np.int8)
-    v = np.asarray(v, dtype=np.int8)
+    u, v = gf._check_array(u), gf._check_array(v)
     if u.shape != (n // 2,) or v.shape != (n // 2,):
         raise ValueError(f"u and v must both have length n/2 = {n // 2}")
     return u, v

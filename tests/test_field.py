@@ -14,6 +14,9 @@ from dtcodes import (
     MonomialMap,
     ToeplitzTriple,
     apply_monomial,
+    contains_vector,
+    count_codes_containing,
+    count_codes_containing_bruteforce,
     gf_matmul,
     parse_element,
     parse_vector,
@@ -140,13 +143,56 @@ def test_every_element_code_goes_through_one_check(take, gf):
             assert got == plain
             if isinstance(got, tuple):
                 assert all(type(v) in (int, str) for v in got)
-    # bools count as 0 and 1
-    assert _outcome(take, gf, False) == _outcome(take, gf, 0)
-    assert _outcome(take, gf, True) == _outcome(take, gf, 1)
+    # bools, Python and numpy, count as 0 and 1
+    for false, true in ((False, True), (np.False_, np.True_)):
+        assert _outcome(take, gf, false) == _outcome(take, gf, 0)
+        assert _outcome(take, gf, true) == _outcome(take, gf, 1)
     # floats, strings and codes out of range are rejected as values
     for bad in (1.0, 1.5, np.float64(0.0), "1", None, -1, gf.q, np.int64(gf.q), 1 << 70):
         with pytest.raises(ValueError):
             take(gf, bad)
+
+
+# Every way the package takes a vector or matrix of element codes, with x as one
+# of its entries: each reads it through GF._check_array
+_TAKES_ARRAY = {
+    "LinearCode": lambda gf, x: LinearCode(gf, [[1, 0, x, 1]]),
+    "encode": lambda gf, x: LinearCode(gf, [[1, 0], [0, 1]]).encode([1, x]),
+    "contains_vector": (
+        lambda gf, x: contains_vector(ToeplitzTriple(gf, 1, (0,), (1,)), (x, 0), (1, 1))
+    ),
+    "count_codes_containing": lambda gf, x: count_codes_containing(gf, 4, (1, 0), (0, x)),
+    "count_codes_containing_bruteforce": (
+        lambda gf, x: count_codes_containing_bruteforce(gf, 4, (x, 1), (0, 0))
+    ),
+}
+
+
+@pytest.mark.parametrize("take", _TAKES_ARRAY.values(), ids=_TAKES_ARRAY.keys())
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"F{f.q}")
+def test_every_element_array_goes_through_one_check(take, gf):
+    for x in range(gf.q):
+        take(gf, x)
+        take(gf, np.int64(x))
+    take(gf, True)
+    for bad in (gf.q, gf.q + 1, -1, 1.5, "1", 1 << 70):
+        with pytest.raises(ValueError):
+            take(gf, bad)
+
+
+def test_unchecked_vectors_once_read_as_other_codes_are_rejected():
+    # cast to int8 without a check, these read as the codeword of (1, 0) and as True
+    with pytest.raises(ValueError):
+        LinearCode(GF(2), [[1, 0, 0, 1, 1, 0], [0, 1, 0, 0, 1, 1]]).encode([3, 0])
+    with pytest.raises(ValueError):
+        contains_vector(ToeplitzTriple(GF(2), 1, (1,), (0,)), (1.7, 0), (1, 1))
+
+
+@pytest.mark.parametrize("gf", FIELDS, ids=lambda f: f"F{f.q}")
+def test_empty_element_arrays_are_accepted(gf):
+    for empty in ([], (), np.array([], dtype=np.float64), np.zeros((2, 0))):
+        got = gf._check_array(empty)
+        assert got.dtype == np.int8 and got.shape == np.shape(empty)
 
 
 def test_unsupported_sizes_rejected():

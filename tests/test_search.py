@@ -51,14 +51,14 @@ from dtcodes.search import (
     _batch_min_weight_capped,
     _candidate_bands,
     _chunk_ranges,
+    _numbered_bands,
     _pack_rows,
     _payload,
     _payload_to_triple,
-    _probe_bands,
     _scan_chunk,
-    _spread,
 )
 from dtcodes.structured import (
+    BRUTE_FORCE_N,
     CirculantSpec,
     band_sequence,
     digits_of_index,
@@ -373,35 +373,70 @@ def test_chunk_blocks_hold_the_candidates_of_their_prefixes(q, n, budget, monkey
         ]
 
 
+_NUMBERED_CELLS = [
+    (q, n, family, reduction)
+    for q in (2, 3, 4)
+    for n in range(2, BRUTE_FORCE_N[q] + 1, 2)
+    for family, reduction in [("DT", r) for r in _VALID_REDUCTIONS[q]]
+    + [("DC", "none"), ("NC", "none")]
+]
+
+
+@pytest.mark.parametrize("q,n,family,reduction", _NUMBERED_CELLS)
+def test_numbered_bands_are_the_filtered_candidates_in_order(q, n, family, reduction):
+    # every number of every chunk, and of an empty range, against the brute-force candidates
+    gf, m = GF(q), n // 2
+    span = q ** (m - 1) if family == "DT" else 1  # candidates per prefix
+    if family == "DT":
+        candidates = list(enumerate_triples(gf, m))
+    else:
+        mu = 1 if family == "DC" else -1
+        candidates = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
+    for lo, hi in _chunk_ranges(q**m, 5) + [(1, 1)]:
+        expect = [
+            band_sequence(c).tolist()
+            for c in candidates[lo * span : hi * span]
+            if family != "DT" or passes_reduction(c, reduction)
+        ]
+        total, bands = _numbered_bands(gf, n, family, reduction, lo, hi)
+        got = bands(np.arange(total))
+        assert total == len(expect) and got.dtype == np.int8
+        assert got.reshape(total, n - 1).tolist() == expect, (lo, hi)
+
+
 @pytest.mark.parametrize("q,n", [(2, 8), (2, 12), (3, 6), (4, 6), (4, 8)])
-def test_probe_sample_is_spread_over_filtered_prefixes(q, n):
-    # the probe visits 16 spread prefixes and up to 8 spread kept b each
-    gf = GF(q)
+def test_probe_floor_is_the_best_of_a_spread_sample(q, n):
+    # 128 numbers spread over each family's whole filtered space, evaluated by brute force
+    gf, m = GF(q), n // 2
     reduction = "C2" if q == 2 else "C3"
-    L = n // 2 - 1
-    expect = []
-    for p in _spread(q ** (n // 2), 16):
-        t, ia = divmod(int(p), q**L)
-        kept = [
-            T
-            for T in (
-                ToeplitzTriple(gf, t, digits_of_index(ia, q, L), digits_of_index(ib, q, L))
-                for ib in range(q**L)
-            )
-            if passes_reduction(T, reduction)
-        ]
-        expect += [band_sequence(kept[int(i)]).tolist() for i in _spread(len(kept), 8)]
-    got = _probe_bands(gf, n, "DT", reduction)
-    assert got.dtype == np.int8 and got.tolist() == expect
-    # the circulant families visit 64 spread first rows
-    for family, mu in (("DC", 1), ("NC", -1)):
-        specs = [
-            CirculantSpec(gf, digits_of_index(int(i), q, n // 2), mu)
-            for i in _spread(q ** (n // 2), 64)
-        ]
-        assert _probe_bands(gf, n, family, "none").tolist() == [
-            band_sequence(c).tolist() for c in specs
-        ]
+    spaces = {
+        "DT": [T for T in enumerate_triples(gf, m) if passes_reduction(T, reduction)],
+        **{
+            family: [
+                triple_of_circulant(CirculantSpec(gf, digits_of_index(i, q, m), mu))
+                for i in range(q**m)
+            ]
+            for family, mu in (("DC", 1), ("NC", -1))
+        },
+    }
+    for family, candidates in spaces.items():
+        total = len(candidates)
+        sample = np.unique(np.linspace(0, total - 1, min(total, 128)).astype(np.int64))
+        best = max(minimum_weight(double_toeplitz_code(candidates[i])) for i in sample)
+        assert search._probe_floor(gf, n, family, reduction if family == "DT" else "none") == best
+
+
+# the probe floors of the benchmark's search cells and classify cells, each at least
+# the floor of the earlier 16 x 8 (DT) and 64 (DC/NC) samples: 5, 5, 2, 4 and 4
+_PROBE_FLOORS = {(2, 18, "DT"): 5, (3, 12, "DT"): 5, (4, 12, "DC"): 5, (4, 8, "DT"): 4,
+                 (2, 14, "DT"): 4}
+
+
+@pytest.mark.parametrize("cell", list(_PROBE_FLOORS), ids=lambda c: "-".join(map(str, c)))
+def test_probe_floor_keeps_the_benchmark_floors(cell):
+    q, n, family = cell
+    reduction = search._resolve_reduction(q, "auto") if family == "DT" else "none"
+    assert search._probe_floor(GF(q), n, family, reduction) == _PROBE_FLOORS[cell]
 
 
 def test_search_output_does_not_depend_on_block_rows(monkeypatch):
@@ -1299,7 +1334,10 @@ def test_orbit_classes_match_a_dedupe_of_every_code(q, n, semimonomial):
     triples = [T for T, _ in search_dt(gf, n)[1]]
     codes = [double_toeplitz_code(T) for T in triples]
     every = dedupe_into_classes(codes, semimonomial=semimonomial)
-    assert search._orbit_classes(gf, triples, semimonomial) == every
+    classes = search._orbit_classes(gf, np.stack([band_sequence(T) for T in triples]), semimonomial)
+    assert [group for group, _ in classes] == every
+    # each class comes with the code of its least index
+    assert all(np.array_equal(code.G, codes[group[0]].G) for group, code in classes)
 
 
 # sha256 of the sorted-key JSON of classify's report per (q, n, semimonomial),

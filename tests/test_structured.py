@@ -35,6 +35,8 @@ from dtcodes import (
 )
 from dtcodes.linear import _index_digits
 from dtcodes.structured import (
+    BRUTE_FORCE_N,
+    _circulant_flags,
     band_images,
     band_sequence,
     digits_of_index,
@@ -152,6 +154,23 @@ def test_classify_triple_families():
     # F2 has mu = -mu, so the two families coincide
     f2 = triple_of_circulant(CirculantSpec(GF(2), (1, 1, 0), -1))
     assert classify_triple(f2) == "both"
+
+
+def _tuple_circulant_flags(T: ToeplitzTriple) -> tuple[bool, bool]:
+    """The tuple rule classify_triple read before the band rule: a against
+    reversed(b) and against its negation, entry by entry through GF.neg."""
+    rb = T.b[::-1]
+    return T.a == rb, T.a == tuple(T.gf.neg(x) for x in rb)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_circulant_flags_match_the_tuple_rule(q):
+    gf = GF(q)
+    for n in range(2, BRUTE_FORCE_N[q] + 1, 2):
+        triples = list(enumerate_triples(gf, n // 2))
+        circ, nega = _circulant_flags(gf, np.stack([band_sequence(T) for T in triples]))
+        assert circ.dtype == nega.dtype == bool
+        assert list(zip(circ.tolist(), nega.tolist())) == [_tuple_circulant_flags(T) for T in triples]
 
 
 @st.composite
