@@ -162,7 +162,7 @@ class LinearCode:
     @classmethod
     def systematic(cls, gf: GF, A) -> "LinearCode":
         """The code generated by ``(I_k | A)`` for a k-row block ``A``."""
-        A = np.asarray(A, dtype=np.int8)
+        A = gf._check_array(A)
         return cls(gf, np.hstack([np.eye(len(A), dtype=np.int8), A]))
 
     def encode(self, message) -> np.ndarray:

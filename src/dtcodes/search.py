@@ -27,18 +27,21 @@ m <= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and
 NC (q^m first rows) over F2, F3, F4.  The messages are the layers of
 :func:`linear._weight_layer`, shared with ``minimum_weight``.  Every mode
 caps a block's weights at best + 1, for best the target d or a
-"find-optimal" pass's running best; outside "collect-at" those above the
-best are made exact by the cap m + 2 (d <= m + 1), and a "find-optimal"
-block with any above raises the best to their maximum and drops the
-attainers so far.  Those at the best ("at-least": at or above) are kept,
-in block order.  The prefix space (t, a), or the first rows of a circulant
-family, is split into contiguous chunks which can run on worker
-processes.  Each chunk returns its best and its attainers; the search
-keeps the attainers of the chunks whose best is the maximum, in chunk
-order, so output is identical for any worker or partition count.  Each
-chunk can be checkpointed to JSON as it completes; a resumed chunk must
-hold only what its scan writes, and one packed call per chunk recomputes
-its records' weights.
+"find-optimal" pass's running best, and cuts them below at the best: a
+weight is exact at or above the best, and for a code lighter than the
+best it is only some value below the best, read at the first layer that
+shows one, since no mode keeps such a code.  Outside "collect-at"
+those above the best are made exact by the cap m + 2 (d <= m + 1), and
+a "find-optimal" block with any above raises the best to their maximum
+and drops the attainers so far.  Those at the best ("at-least": at or
+above) are kept, in block order.  The prefix space (t, a), or the first
+rows of a circulant family, is split into contiguous chunks which can
+run on worker processes.  Each chunk returns its best and its
+attainers; the search keeps the attainers of the chunks whose best is
+the maximum, in chunk order, so output is identical for any worker or
+partition count.  Each chunk can be checkpointed to JSON as it
+completes; a resumed chunk must hold only what its scan writes, and one
+packed call per chunk recomputes its records' weights.
 """
 
 from __future__ import annotations
@@ -214,8 +217,9 @@ def _layer_columns(q: int, m: int, w: int) -> np.ndarray:
     return cols
 
 
-def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
-    """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i) over F_q.
+def _batch_min_weight_capped(P: np.ndarray, T: int, q: int, least: int) -> np.ndarray:
+    """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i) over F_q with
+    d_i >= ``least``, and some value below ``least`` for every other code.
 
     ``P`` holds the packed rows of the blocks A_i (:func:`_pack_rows`).
     A codeword of weight below T comes from a message of weight below
@@ -223,7 +227,9 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
     when d_i < T, and a value of T proves d_i >= T.  They are scanned by
     ascending weight w, each layer read from :func:`_layer_columns`;
     messages of weight above w give codewords of weight above w, so a
-    code whose lowest weight so far is at most w + 1 leaves the scan.
+    code whose lowest weight so far is at most w + 1 leaves the scan,
+    and so does one whose lowest weight so far is below ``least``
+    (least = 0 keeps every code to its exact value).
     """
     m = P.shape[1] // (q - 1)
     out = np.full(len(P), T, dtype=np.int64)
@@ -236,7 +242,7 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int) -> np.ndarray:
             PT = np.ascontiguousarray(P[idx].T)
             low = w + _message_weights(q, PT, cols).min(axis=0)
             out[idx] = np.minimum(out[idx], low)
-        alive = alive[out[alive] > w + 1]
+        alive = alive[out[alive] > max(w + 1, least - 1)]
         if not len(alive):
             break
     return out
@@ -319,10 +325,10 @@ def _scan_chunk(args) -> tuple[int, list]:
     best, found = d, []
     for S in _candidate_bands(gf, n, family, reduction, lo, hi):
         P = _pack_rows(gf, S)
-        mw = _batch_min_weight_capped(P, best + 1, q)
+        mw = _batch_min_weight_capped(P, best + 1, q, best)
         above = (mw > best) & (mode != "collect-at")
         if above.any():
-            mw[above] = _batch_min_weight_capped(P[above], n // 2 + 2, q)
+            mw[above] = _batch_min_weight_capped(P[above], n // 2 + 2, q, 0)
             if mode == "find-optimal":
                 best, found = int(mw.max()), []
         keep = mw >= best if mode == "at-least" else mw == best
@@ -376,7 +382,7 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
         bands.append(S)
     # every record's exact weight in one packed call, with the scan's exact cap m + 2
     S = np.array(bands, dtype=np.int8).reshape(-1, n - 1)
-    exact = _batch_min_weight_capped(_pack_rows(gf, S), n // 2 + 2, gf.q)
+    exact = _batch_min_weight_capped(_pack_rows(gf, S), n // 2 + 2, gf.q, 0)
     for (spec, mw), d in zip(labelled, exact.tolist()):
         if d != mw:
             raise ValueError(f"payload weight {mw} is not {spec.to_text()}'s minimum weight {d}")

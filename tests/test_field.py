@@ -157,6 +157,7 @@ def test_every_element_code_goes_through_one_check(take, gf):
 # of its entries: each reads it through GF._check_array
 _TAKES_ARRAY = {
     "LinearCode": lambda gf, x: LinearCode(gf, [[1, 0, x, 1]]),
+    "LinearCode.systematic": lambda gf, x: LinearCode.systematic(gf, [[x, 1]]),
     "encode": lambda gf, x: LinearCode(gf, [[1, 0], [0, 1]]).encode([1, x]),
     "contains_vector": (
         lambda gf, x: contains_vector(ToeplitzTriple(gf, 1, (0,), (1,)), (x, 0), (1, 1))

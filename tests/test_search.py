@@ -551,7 +551,8 @@ _MDS_BANDS = {3: [(2, 1, 1)], 4: [(2, 1, 1), (2, 1, 1, 2, 1)]}
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_capped_batch_matches_minimum_weight(q):
-    # caps up to m + 2, the exact cap of the scan and the resume check
+    # caps up to m + 2, the exact cap of the scan and the resume check, and
+    # every lower cut: exact at or above it, below it otherwise
     gf = GF(q)
     rng = np.random.default_rng(q)
     for m in range(2, 6):
@@ -560,9 +561,12 @@ def test_capped_batch_matches_minimum_weight(q):
         S = np.vstack([S, np.array(mds, dtype=np.int8).reshape(-1, 2 * m - 1)])
         exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in toeplitz_windows(S)]
         assert exact[12:] == [m + 1] * len(mds)
+        P = _pack_rows(gf, S)
         for T in range(1, m + 3):
-            got = _batch_min_weight_capped(_pack_rows(gf, S), T, q)
-            assert got.tolist() == [min(d, T) for d in exact], (m, T)
+            for least in range(T + 1):
+                got = _batch_min_weight_capped(P, T, q, least)
+                for g, d in zip(got.tolist(), exact):
+                    assert g == min(d, T) if d >= least else g < least, (m, T, least)
 
 
 def _dense_layer_columns(q: int, m: int, w: int) -> np.ndarray:
@@ -585,7 +589,7 @@ def test_packed_columns_match_the_dense_derivation(q, monkeypatch):
 
         monkeypatch.setattr(search, "_message_weights", unsettled)
         S = np.zeros((3, 2 * m - 1), dtype=np.int8)
-        _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q)
+        _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q, 0)
         assert len(seen) == m
         for w, cols in enumerate(seen, start=1):
             assert cols.dtype == np.int64, (m, w)
@@ -711,9 +715,37 @@ def _capped_batches(draw):
 def test_packed_capped_batch_matches_product_oracles(drawn):
     q, S, T = drawn
     gf = GF(q)
-    got = _batch_min_weight_capped(_pack_rows(gf, S), T, q)
-    assert got.tolist() == [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in toeplitz_windows(S)]
-    assert got.tolist() == [_capped_oracle(gf, Ai, T, _table_product) for Ai in toeplitz_windows(S)]
+    want = [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in toeplitz_windows(S)]
+    assert want == [_capped_oracle(gf, Ai, T, _table_product) for Ai in toeplitz_windows(S)]
+    P = _pack_rows(gf, S)
+    for least in range(T + 1):
+        got = _batch_min_weight_capped(P, T, q, least)
+        # min(d, T) when d >= least, some value below least otherwise
+        for g, d in zip(got.tolist(), want):
+            assert g == d if d >= least else g < least, least
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("row_weight", [1, 2])
+def test_cut_codes_leave_at_the_first_layer(q, row_weight, monkeypatch):
+    # every code has a word of weight 1 + row_weight (2 or 3) in layer 1, below
+    # the cut at 4, so no later layer is read; weight 3 is above w + 1 = 2,
+    # so only the cut stops it there
+    m = 5
+    S = np.random.default_rng(q).integers(0, q, size=(16, 2 * m - 1), dtype=np.int8)
+    S[:, :row_weight] = 1
+    S[:, row_weight:m] = 0  # the last Toeplitz row is S[0 : m]
+    assert (np.count_nonzero(toeplitz_windows(S)[:, -1], axis=1) == row_weight).all()
+    layers = []
+    weights = search._message_weights
+    monkeypatch.setattr(
+        search,
+        "_message_weights",
+        lambda q_, PT, cols: layers.append(cols.shape[1]) or weights(q_, PT, cols),
+    )
+    got = _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q, 4)
+    assert (got < 4).all()
+    assert set(layers) == {1}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -864,7 +896,9 @@ def test_recorded_circulant_checkpoint_resumes_without_scanning(tmp_path, monkey
 
 # (family, q, n, mode, d) -> (d_ref, record count, sha256 prefix of the
 # ordered "spec min_weight" lines), recorded before candidates became
-# band sequences
+# band sequences; the five find-optimal cells after the blank line, the
+# benchmark's search cells and the larger cells that the scan's lower cut
+# speeds up most, were recorded before that cut
 _RECORD_DIGESTS = {
     ("DT", 2, 12, "find-optimal", None): (4, 76, "a6ff43352654715c"),
     ("DT", 3, 8, "collect-at", 4): (4, 120, "d36569284754201a"),
@@ -875,6 +909,12 @@ _RECORD_DIGESTS = {
     ("NC", 3, 8, "find-optimal", None): (4, 16, "a0bc3ba382fa9387"),
     ("NC", 3, 10, "collect-at", 4): (4, 160, "752331ba957adc4b"),
     ("NC", 4, 8, "at-least", 3): (3, 228, "755d3f6d5db810d2"),
+
+    ("DT", 2, 18, "find-optimal", None): (6, 15, "c9bc70b108384fa4"),
+    ("DT", 3, 12, "find-optimal", None): (6, 12, "d305691f6fa7f2ed"),
+    ("DC", 4, 12, "find-optimal", None): (5, 1278, "670d4165455f606f"),
+    ("DT", 3, 14, "find-optimal", None): (6, 42, "446597534de1bf1c"),
+    ("DT", 2, 22, "find-optimal", None): (7, 23, "66f898287e4b20dc"),
 }
 
 
@@ -1085,7 +1125,9 @@ def test_resume_checks_each_chunk_in_one_packed_call(tmp_path, monkeypatch, run)
     calls = []
     batch = search._batch_min_weight_capped
     monkeypatch.setattr(
-        search, "_batch_min_weight_capped", lambda P, T, q: calls.append(len(P)) or batch(P, T, q)
+        search,
+        "_batch_min_weight_capped",
+        lambda P, T, q, least: calls.append(len(P)) or batch(P, T, q, least),
     )
     monkeypatch.setattr(search, "minimum_weight", lambda code: pytest.fail("one call per record"))
     monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
@@ -1360,11 +1402,20 @@ _CLASSIFY_REPORT_DIGESTS = {
     (4, 8, False): "bc92e12ed768a72aabfecc613f8dfe0803fc89e097dc72046a5836f9d5798d1b",
     (4, 10, False): "187b6f896dd2d96095be1b2be821ac051c8ec7145ae1986fb209a43ee5324eae",
     (4, 8, True): "a1e4a4f735e9adf06aa8b2be383f591bd43d644bccc7fec88266c2c1cc0e0b2d",
+    # _CLASSIFY_LARGE_CELLS, recorded before the search's lower cut
+    (3, 12, False): "38ddf96aa7d746e82703bfd0226e3d4209a413062937460be1058d196dcd993b",
+    (3, 14, False): "9d2be2a644ce8fad41f13eba1d43d5637f0453de300728165f0d94b44079fab2",
+    (2, 22, False): "d94638f95e17fb8057a0fdf3d1392ab64fac110ec6c71c0d96e7126b36231450",
 }
 
 
+# cells past CLASSIFY_GRID that the search's lower cut brings under a second each
+_CLASSIFY_LARGE_CELLS = ((3, 12), (3, 14), (2, 22))
+
+
 @pytest.mark.parametrize(
-    "q,n,semimonomial", [(q, n, False) for q, n in CLASSIFY_GRID] + [(4, 8, True)]
+    "q,n,semimonomial",
+    [(q, n, False) for q, n in CLASSIFY_GRID + _CLASSIFY_LARGE_CELLS] + [(4, 8, True)],
 )
 def test_classify_reports_match_recorded_digests(q, n, semimonomial):
     report = classify(GF(q), n, semimonomial=semimonomial).to_dict()

@@ -101,6 +101,8 @@ def test_triple_validation():
         lambda: CirculantSpec(GF(2), (0.5, 1)),
         lambda: CirculantSpec(GF(4), np.array([1.0, 2.0])),
         lambda: LinearCode(GF(2), [[1.5, 0.2]]),
+        lambda: LinearCode.systematic(GF(2), [[1.5, 0.2]]),
+        lambda: LinearCode.systematic(GF(2), [["1"]]),
         lambda: LinearCode(GF(2), [[300, 0]]),
         lambda: LinearCode(GF(2), [[1 << 70, 0]]),
         lambda: LinearCode(GF(4), np.array([[1, 2]], dtype=np.float32)),
