@@ -13,33 +13,32 @@ equivalence classes:
                    by a nonzero constant gives an equivalent code, so
                    one representative per scalar orbit suffices.
 
-Every search is one pass over blocks of filtered candidates.  A candidate
-of any family is its band sequence S (see :mod:`structured`), whose
-sliding windows are the rows of its Toeplitz matrix.  Blocks run across
-prefixes and are sized to a byte budget.  Each nonzero multiple of S is
-packed once into a uint64 word, one bit-plane per field coordinate, and
-each row is a shift of that word; a projective message's right half is
-then an XOR of row words (a bitsliced adder over F3) and its weight a
-popcount, which gives the block's minimum weights capped at a
-threshold.  S must fit a plane, 2m-1 <= 64 over F2 and 2m-1 <= 32 over F3
-and F4, but the default budget of 2^26 candidates binds first: it allows
-m <= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and
-NC (q^m first rows) over F2, F3, F4.  The messages are the layers of
+Every search is one pass over blocks of candidate numbers, sized to a
+byte budget.  A candidate of any family is its band sequence S (see
+:mod:`structured`), whose sliding windows are the rows of its Toeplitz
+matrix.  Each entry of S is one digit of the candidate, so its uint64
+word (a bit-plane per field coordinate) is the OR of two table lookups;
+S itself is built only for kept candidates.  Each row is a shift of the
+word and its multiples are plane operations on it; a projective
+message's right half is then an XOR of row words (a bitsliced adder over
+F3) and its weight a popcount, which gives the block's minimum weights
+capped at a threshold.  S must fit a plane, 2m-1 <= 64 over F2 and 32
+over F3 and F4, but the default budget of 2^26 candidates binds first: m
+<= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and NC
+(q^m first rows) over F2, F3, F4.  The messages are the layers of
 :func:`linear._weight_layer`, shared with ``minimum_weight``.  Every mode
 caps a block's weights at best + 1, for best the target d or a
 "find-optimal" pass's running best, and cuts them below at the best: a
-weight is exact at or above the best, and for a code lighter than the
-best it is only some value below the best, read at the first layer that
-shows one, since no mode keeps such a code.  Outside "collect-at"
-those above the best are made exact by the cap m + 2 (d <= m + 1), and
-a "find-optimal" block with any above raises the best to their maximum
-and drops the attainers so far.  Those at the best ("at-least": at or
-above) are kept, in block order.  The prefix space (t, a), or the first
-rows of a circulant family, is split into contiguous chunks which can
-run on worker processes.  Each chunk returns its best and its
-attainers; the search keeps the attainers of the chunks whose best is
-the maximum, in chunk order, so output is identical for any worker or
-partition count.  Each chunk can be checkpointed to JSON as it
+weight is exact at or above the best, and below it only some lower
+value, since no mode keeps such a code.  Outside "collect-at" those above
+the best are made exact by the cap m + 2 (d <= m + 1), and a
+"find-optimal" block with any above raises the best to their maximum and
+drops the attainers so far.  Those at the best ("at-least": at or above)
+are kept, in block order.  The prefix space (t, a), or the first rows of
+a circulant family, is split into contiguous chunks which can run on
+worker processes; the search keeps the attainers of the chunks whose
+best is the maximum, in chunk order, so output is identical for any
+worker or partition count.  Each chunk can be checkpointed to JSON as it
 completes; a resumed chunk must hold only what its scan writes, and one
 packed call per chunk recomputes its records' weights.
 """
@@ -154,37 +153,38 @@ def passes_reduction(T: ToeplitzTriple, reduction: str) -> bool:
 # batched minimum-weight evaluation
 
 
-def _pack_rows(gf: GF, S: np.ndarray) -> np.ndarray:
-    """The nonzero scalar multiples of the Toeplitz rows of band sequences S, as uint64 words.
-
-    Returns a (blocks, m (q-1)) array whose column r (q-1) + s - 1 packs
-    s S[:, m-1-r : 2m-1-r], entry j at bit j of each plane: F2 has one
-    plane; F4 has its two GF(2) coordinates and F3 the one-hot planes
-    [x == 1] and [x == 2], in bits 0-31 and 32-63.  The word of s S, entry
-    l at bit l, shifted down by m-1-r and cut to m bits a plane is row r.
-    A sum over F2 or F4 is then an XOR of words.  A negation over F3 swaps
-    the two halves, and columns c and c ^ 1 hold the two multiples of one
-    row.  Raises ValueError when a band is longer than a plane.
-    """
-    q, m = gf.q, (S.shape[-1] + 1) // 2
-    width = 64 if q == 2 else 32
-    if 2 * m - 1 > width:
+def _band_words(gf: GF, S: np.ndarray) -> np.ndarray:
+    """The uint64 words of sequences S (..., l), entry j at bit j of each plane: F2 has one
+    plane, F3 and F4 the planes x & 1 and x >> 1 of their element codes in bits 0-31 and 32-63
+    (F3 one-hot, F4 coordinates, as in linear._rref).  Zero packs to zero, so sequences with
+    disjoint supports sum to the OR of their words.  ValueError if S is longer than a plane."""
+    q, l, width = gf.q, S.shape[-1], 64 if gf.q == 2 else 32
+    if l > width:
+        m = (l + 1) // 2
         raise ValueError(f"band of block width m={m} exceeds the {width} entries of an F{q} plane")
-    # [s-1, x]: the word of s x at entry 0, its planes s x & 1 and s x >> 1 at bits 0 and 32,
-    # the planes of linear._rref and of the F4 split in gf_matmul
-    M = gf.mul_table[1:].astype(np.uint64)
-    table = (M & 1) | (M >> 1) << 32
-    words = table[:, S] @ (np.uint64(1) << np.arange(2 * m - 1, dtype=np.uint64))  # distinct bits
+    codes = np.arange(q, dtype=np.uint64)
+    return ((codes & 1) | (codes >> 1) << 32)[S] @ (np.uint64(1) << np.arange(l, dtype=np.uint64))
+
+
+def _row_words(q: int, m: int, W: np.ndarray) -> np.ndarray:
+    """The nonzero multiples of the Toeplitz rows of the band words W (N,), shape (m (q-1), N):
+    row r (q-1) + s - 1 is the word of s S[m-1-r : 2m-1-r], for S the band of its column.
+    Over F3 the negation swaps the planes, so rows c and c ^ 1 hold the two multiples of
+    one row; over F4 w sends the planes (x0, x1) to (x1, x0 ^ x1) and w^2 to (x0 ^ x1, x0).
+    A sum over F2 or F4 is an XOR of words."""
+    if q > 2:
+        s = W >> 32 | W << 32  # (x1, x0)
+        W = np.stack((W, s) if q == 3 else (W, s ^ W >> 32 << 32, s ^ W << 32 >> 32))
     mask = np.uint64(((1 << m) - 1) * (1 if q == 2 else 1 | 1 << 32))  # m entries a plane
-    rows = (words[..., None] >> np.arange(m - 1, -1, -1, dtype=np.uint64)) & mask
-    return rows.transpose(1, 2, 0).reshape(len(S), m * (q - 1))
+    rows = W.reshape(q - 1, -1) >> np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None, None]
+    return np.bitwise_and(rows, mask, out=rows).reshape(m * (q - 1), -1)  # no second block
 
 
 def _message_weights(q: int, PT: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Weights of u A for the messages ``cols``, shape (messages, blocks).
 
-    ``PT`` holds the packed words of the blocks, one row per column of
-    :func:`_pack_rows`.  Over F2 and F4 the right half u A is the XOR of
+    ``PT`` holds the packed words of the blocks, one row per row of
+    :func:`_row_words`.  Over F2 and F4 the right half u A is the XOR of
     the message's terms.  Over F3 the last term is compared instead of
     added: a sum x + y is zero exactly where x equals -y, so u A has the
     weight of x ^ (-y), with x the sum of the other terms.
@@ -221,25 +221,25 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int, least: int) -> np.nd
     """``min(d_i, T)`` for the minimum weight d_i of each code (I | A_i) over F_q with
     d_i >= ``least``, and some value below ``least`` for every other code.
 
-    ``P`` holds the packed rows of the blocks A_i (:func:`_pack_rows`).
-    A codeword of weight below T comes from a message of weight below
-    T, so the projective messages of weight 1..T-1 give d_i exactly
-    when d_i < T, and a value of T proves d_i >= T.  They are scanned by
+    ``P`` holds the packed rows of A_i in column i (:func:`_row_words`).
+    A codeword of weight below T comes from a message of weight below T,
+    so the projective messages of weight 1..T-1 give d_i exactly when
+    d_i < T, and a value of T proves d_i >= T.  They are scanned by
     ascending weight w, each layer read from :func:`_layer_columns`;
     messages of weight above w give codewords of weight above w, so a
     code whose lowest weight so far is at most w + 1 leaves the scan,
     and so does one whose lowest weight so far is below ``least``
     (least = 0 keeps every code to its exact value).
     """
-    m = P.shape[1] // (q - 1)
-    out = np.full(len(P), T, dtype=np.int64)
-    alive = np.arange(len(P))
+    m = len(P) // (q - 1)
+    out = np.full(P.shape[1], T, dtype=np.int64)
+    alive = np.arange(P.shape[1])
     for w in range(1, min(T, m + 1)):
         cols = _layer_columns(q, m, w)
         step = max(1, _PACKED_BYTE_BUDGET // (8 * len(cols)))
         for lo in range(0, len(alive), step):
             idx = alive[lo : lo + step]
-            PT = np.ascontiguousarray(P[idx].T)
+            PT = P[:, lo : lo + step] if len(alive) == P.shape[1] else P[:, idx]
             low = w + _message_weights(q, PT, cols).min(axis=0)
             out[idx] = np.minimum(out[idx], low)
         alive = alive[out[alive] > max(w + 1, least - 1)]
@@ -253,38 +253,33 @@ def _batch_min_weight_capped(P: np.ndarray, T: int, q: int, least: int) -> np.nd
 
 
 def _numbered_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
-    """(total, bands) of the candidates of prefixes [lo, hi), numbered 0 .. total-1 in scan
-    order: ``bands(idx)`` gives the int8 band sequences of the candidate numbers ``idx``.
+    """(total, split, low, high) of the candidates of prefixes [lo, hi), numbered 0 .. total-1
+    in scan order: ``split(idx)`` gives the rows (i, j) of the int8 tables ``low`` and ``high``
+    whose sum low[i] + high[j] is the band sequence of each candidate number of ``idx``.
 
-    For DC/NC the numbers are the first-row indices less ``lo``.  For DT
-    the (t, a) prefixes [lo, hi) hold the b indices 0 .. count-1 of
-    :func:`_kept_b_counts` each, and number i belongs to the last prefix
-    that starts at or before i.
+    Each band entry depends on one digit of the candidate, so the parts have disjoint
+    supports.  DC/NC numbers are first-row indices less ``lo``, split into their low
+    ceil(m/2) and high digits.  DT prefixes [lo, hi), the low parts, hold the b indices
+    0 .. count-1 of :func:`_kept_b_counts` each; number i belongs to the last prefix that
+    starts at or before i.
     """
     q, m, L = gf.q, n // 2, n // 2 - 1
     if family != "DT":
-        mu = 1 if family == "DC" else -1
-        return hi - lo, lambda idx: circulant_bands(gf, _index_digits(lo + idx, q, m), mu)
+        mu, h = 1 if family == "DC" else -1, (m + 1) // 2
+        low, high = (circulant_bands(gf, _index_digits(np.arange(q**k) * q**s, q, m), mu)
+                     for k, s in ((h, 0), (m - h, h)))
+        return hi - lo, lambda idx: ((lo + idx) % q**h, (lo + idx) // q**h), low, high
     p = np.arange(lo, hi, dtype=np.int64)
     t, A = p // q**L, _index_digits(p % q**L, q, L)
     starts = np.concatenate(([0], _kept_b_counts(q, reduction, t, A).cumsum()))
+    B = _index_digits(np.arange(q**L), q, L)
+    high = triple_bands(np.zeros(len(B)), B * 0, B)
 
-    def bands(idx):
+    def split(idx):
         own = np.searchsorted(starts, idx, side="right") - 1
-        return triple_bands(t[own], A[own], _index_digits(idx - starts[own], q, L))
+        return own, idx - starts[own]
 
-    return int(starts[-1]), bands
-
-
-def _candidate_bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
-    """Yield the band sequences of the candidates of prefixes [lo, hi) in blocks of the
-    next ``rows`` numbers of :func:`_numbered_bands` (the last may be short), with as many
-    rows as keep (rows, q-1, m, m) packed words within ``_PACKED_BYTE_BUDGET``."""
-    q, m = gf.q, n // 2
-    rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
-    total, bands = _numbered_bands(gf, n, family, reduction, lo, hi)
-    for first in range(0, total, rows):
-        yield bands(np.arange(first, min(first + rows, total)))
+    return int(starts[-1]), split, triple_bands(t, A, A * 0), high
 
 
 def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
@@ -300,10 +295,11 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     The sample runs from its last number down: on the benchmark cells
     the floor rises sooner that way, so fewer samples need deep layers.
     """
-    total, bands = _numbered_bands(gf, n, family, reduction, 0, gf.q ** (n // 2))
+    total, split, low, high = _numbered_bands(gf, n, family, reduction, 0, gf.q ** (n // 2))
     sample = np.unique(np.linspace(0, total - 1, min(total, 128)).astype(np.int64))
+    i, j = split(sample[::-1])
     floor = 1
-    for Ai in toeplitz_windows(bands(sample[::-1])):
+    for Ai in toeplitz_windows(low[i] + high[j]):
         code = LinearCode.systematic(gf, Ai)
         if min_weight_at_least(code, floor + 1):
             floor = minimum_weight(code)
@@ -322,17 +318,21 @@ def _scan_chunk(args) -> tuple[int, list]:
     """
     q, n, family, reduction, mode, d, lo, hi = args
     gf = GF(q)
+    total, split, low, high = _numbered_bands(gf, n, family, reduction, lo, hi)
+    low_words, high_words = _band_words(gf, low), _band_words(gf, high)
+    rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * (n // 2) ** 2))  # (q-1) m^2 words each
     best, found = d, []
-    for S in _candidate_bands(gf, n, family, reduction, lo, hi):
-        P = _pack_rows(gf, S)
+    for first in range(0, total, rows):
+        i, j = split(np.arange(first, min(first + rows, total)))
+        P = _row_words(q, n // 2, low_words[i] | high_words[j])
         mw = _batch_min_weight_capped(P, best + 1, q, best)
         above = (mw > best) & (mode != "collect-at")
         if above.any():
-            mw[above] = _batch_min_weight_capped(P[above], n // 2 + 2, q, 0)
+            mw[above] = _batch_min_weight_capped(P[:, above], n // 2 + 2, q, 0)
             if mode == "find-optimal":
                 best, found = int(mw.max()), []
-        keep = mw >= best if mode == "at-least" else mw == best
-        found += [_payload(family, S[i], int(mw[i])) for i in np.flatnonzero(keep)]
+        keep = np.flatnonzero(mw >= best if mode == "at-least" else mw == best)
+        found += map(partial(_payload, family), low[i[keep]] + high[j[keep]], mw[keep].tolist())
     return best, found
 
 
@@ -381,8 +381,8 @@ def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> N
         labelled.append((spec, mw))
         bands.append(S)
     # every record's exact weight in one packed call, with the scan's exact cap m + 2
-    S = np.array(bands, dtype=np.int8).reshape(-1, n - 1)
-    exact = _batch_min_weight_capped(_pack_rows(gf, S), n // 2 + 2, gf.q, 0)
+    P = _row_words(gf.q, n // 2, _band_words(gf, np.array(bands, dtype=np.int8).reshape(-1, n - 1)))
+    exact = _batch_min_weight_capped(P, n // 2 + 2, gf.q, 0)
     for (spec, mw), d in zip(labelled, exact.tolist()):
         if d != mw:
             raise ValueError(f"payload weight {mw} is not {spec.to_text()}'s minimum weight {d}")

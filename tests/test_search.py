@@ -8,6 +8,7 @@ import os
 import re
 import time
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
@@ -48,13 +49,13 @@ from dtcodes.reference_data import (
 )
 from dtcodes.gf import _f3_add
 from dtcodes.search import (
+    _band_words,
     _batch_min_weight_capped,
-    _candidate_bands,
     _chunk_ranges,
     _numbered_bands,
-    _pack_rows,
     _payload,
     _payload_to_triple,
+    _row_words,
     _scan_chunk,
 )
 from dtcodes.structured import (
@@ -296,14 +297,39 @@ def _row_bound(q: int, n: int) -> int:
     return max(1, search._PACKED_BYTE_BUDGET // (8 * (q - 1) * m * m))
 
 
+def _numbered(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int):
+    """(total, bands, words) of :func:`search._numbered_bands`: the band sequences and the
+    words of candidate numbers, the sum and the OR of their low and high table rows."""
+    total, split, low, high = _numbered_bands(gf, n, family, reduction, lo, hi)
+    low_words, high_words = _band_words(gf, low), _band_words(gf, high)
+
+    def bands(idx):
+        i, j = split(idx)
+        return low[i] + high[j]
+
+    def words(idx):
+        i, j = split(idx)
+        return low_words[i] | high_words[j]
+
+    return total, bands, words
+
+
 def _bands(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int) -> np.ndarray:
-    """The concatenated candidate blocks of prefixes [lo, hi), each checked against the row
-    bound: every block full but the last, and none empty."""
-    blocks = list(_candidate_bands(gf, n, family, reduction, lo, hi))
-    assert all(b.dtype == np.int8 and b.shape[1] == n - 1 for b in blocks)
-    assert all(0 < len(b) <= _row_bound(gf.q, n) for b in blocks)
-    assert all(len(b) == _row_bound(gf.q, n) for b in blocks[:-1])
-    return np.concatenate(blocks) if blocks else np.empty((0, n - 1), dtype=np.int8)
+    """The band sequences of the candidates of prefixes [lo, hi) in scan order, checked against
+    the number blocks that a scan of the range packs: each within the row bound, every block
+    full but the last, none empty, and together the words of these sequences in order."""
+    total, bands, _ = _numbered(gf, n, family, reduction, lo, hi)
+    S = bands(np.arange(total))
+    blocks, row_words = [], search._row_words
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_row_words", lambda q, m, W: blocks.append(W) or row_words(q, m, W))
+        _scan_chunk((gf.q, n, family, reduction, "collect-at", 1, lo, hi))
+    assert all(0 < len(W) <= _row_bound(gf.q, n) for W in blocks)
+    assert all(len(W) == _row_bound(gf.q, n) for W in blocks[:-1])
+    words = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.uint64)
+    assert S.dtype == np.int8 and S.shape == (total, n - 1)
+    assert np.array_equal(words, _band_words(gf, S))
+    return S
 
 
 _VALID_REDUCTIONS = {2: ("none", "C2"), 3: ("none", "C3"), 4: ("none", "C3")}
@@ -365,7 +391,7 @@ def test_chunk_blocks_hold_the_candidates_of_their_prefixes(q, n, budget, monkey
             ]
             assert _bands(gf, n, "DT", reduction, lo, hi).tolist() == expect, (reduction, lo, hi)
     if q == 3:  # the last chunk lies wholly in t = 2, where C3 keeps no candidate
-        assert ranges[-2] == (21, 27) and list(_candidate_bands(gf, n, "DT", "C3", 21, 27)) == []
+        assert ranges[-2] == (21, 27) and _numbered_bands(gf, n, "DT", "C3", 21, 27)[0] == 0
     for lo, hi in ranges:
         specs = [CirculantSpec(gf, digits_of_index(i, q, m), 1) for i in range(lo, hi)]
         assert _bands(gf, n, "DC", "none", lo, hi).tolist() == [
@@ -398,10 +424,57 @@ def test_numbered_bands_are_the_filtered_candidates_in_order(q, n, family, reduc
             for c in candidates[lo * span : hi * span]
             if family != "DT" or passes_reduction(c, reduction)
         ]
-        total, bands = _numbered_bands(gf, n, family, reduction, lo, hi)
+        total, bands, _ = _numbered(gf, n, family, reduction, lo, hi)
         got = bands(np.arange(total))
         assert total == len(expect) and got.dtype == np.int8
         assert got.reshape(total, n - 1).tolist() == expect, (lo, hi)
+
+
+@pytest.mark.parametrize("q,n,family,reduction", _NUMBERED_CELLS)
+def test_table_words_are_the_words_of_the_numbered_bands(q, n, family, reduction):
+    # the OR of a low and a high table word against each candidate's own band packed whole
+    gf = GF(q)
+    for lo, hi in _chunk_ranges(q ** (n // 2), 5) + [(1, 1)]:
+        total, bands, words = _numbered(gf, n, family, reduction, lo, hi)
+        got, want = words(np.arange(total)), _band_words(gf, bands(np.arange(total)))
+        assert got.dtype == np.uint64 and got.shape == (total,)
+        assert np.array_equal(got, want), (lo, hi)
+
+
+@pytest.mark.parametrize("q,n", [(2, 40), (2, 42), (3, 22)])
+@pytest.mark.parametrize("family,mu", [("DC", 1), ("NC", -1)])
+def test_long_circulant_tables_hold_half_the_digits(q, n, family, mu, monkeypatch):
+    # a short range across a carry into the high digits; each table has at most q^ceil(m/2) rows
+    gf, m = GF(q), n // 2
+    sizes = []
+    build = search.circulant_bands
+    monkeypatch.setattr(
+        search, "circulant_bands", lambda g, R, s: sizes.append(len(R)) or build(g, R, s)
+    )
+    lo = q ** ((m + 1) // 2) - 20
+    total, bands, words = _numbered(gf, n, family, "none", lo, lo + 60)
+    assert len(sizes) == 2 and max(sizes) <= q ** ((m + 1) // 2)
+    want = build(gf, _index_digits(lo + np.arange(60), q, m), mu)
+    assert total == 60 and np.array_equal(bands(np.arange(total)), want)
+    assert np.array_equal(words(np.arange(total)), _band_words(gf, want))
+
+
+@pytest.mark.parametrize(
+    "family,q,n,partitions", [("DT", 2, 14, 1), ("DT", 3, 8, 3), ("NC", 3, 10, 2)]
+)
+def test_find_optimal_builds_bands_only_for_its_tables(family, q, n, partitions, monkeypatch):
+    # blocks of 8 to 30 rows: one band build per table (the probe floor's numbering and each
+    # chunk's), none per block, none per kept number
+    run = search_dt if family == "DT" else partial(search_family, family=family)
+    reference = run(GF(q), n, partitions=partitions)
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", 8 * 3 * 25 * 8)
+    builder = "triple_bands" if family == "DT" else "circulant_bands"
+    build, built, blocks = getattr(search, builder), [], []
+    monkeypatch.setattr(search, builder, lambda *args: built.append(args) or build(*args))
+    rows = search._row_words
+    monkeypatch.setattr(search, "_row_words", lambda *args: blocks.append(args) or rows(*args))
+    assert run(GF(q), n, partitions=partitions) == reference
+    assert len(built) == 2 * (1 + partitions) and len(blocks) > 3 * len(built)
 
 
 @pytest.mark.parametrize("q,n", [(2, 8), (2, 12), (3, 6), (4, 6), (4, 8)])
@@ -561,7 +634,7 @@ def test_capped_batch_matches_minimum_weight(q):
         S = np.vstack([S, np.array(mds, dtype=np.int8).reshape(-1, 2 * m - 1)])
         exact = [minimum_weight(LinearCode.systematic(gf, Ai)) for Ai in toeplitz_windows(S)]
         assert exact[12:] == [m + 1] * len(mds)
-        P = _pack_rows(gf, S)
+        P = _pack(gf, S)
         for T in range(1, m + 3):
             for least in range(T + 1):
                 got = _batch_min_weight_capped(P, T, q, least)
@@ -589,7 +662,7 @@ def test_packed_columns_match_the_dense_derivation(q, monkeypatch):
 
         monkeypatch.setattr(search, "_message_weights", unsettled)
         S = np.zeros((3, 2 * m - 1), dtype=np.int8)
-        _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q, 0)
+        _batch_min_weight_capped(_pack(GF(q), S), m + 2, q, 0)
         assert len(seen) == m
         for w, cols in enumerate(seen, start=1):
             assert cols.dtype == np.int64, (m, w)
@@ -637,10 +710,16 @@ _ORACLE_MESSAGES = 1 << 15
 _PLANE = {2: 64, 3: 32, 4: 32}
 
 
+def _pack(gf: GF, S: np.ndarray) -> np.ndarray:
+    """The packed row words (m (q-1), blocks) of band sequences S (blocks, 2m-1): the scan's
+    and the resume check's one pack path."""
+    return _row_words(gf.q, (S.shape[-1] + 1) // 2, _band_words(gf, S))
+
+
 def _gather_pack(gf: GF, A: np.ndarray) -> np.ndarray:
-    """The packed words of :func:`search._pack_rows` from Toeplitz blocks A
-    (blocks, m, m), gathered entry by entry from one word table per
-    scalar: the former packer, kept as its slow oracle."""
+    """The packed words of :func:`_pack` from Toeplitz blocks A (blocks, m, m), transposed
+    to (blocks, m (q-1)) and gathered entry by entry from one word table per scalar: the
+    first packer, kept as its slow oracle."""
     q = gf.q
     blocks, rows, m = A.shape
     # the word of each element code at entry 0, bit 0 in plane 0 and bit 32 in
@@ -686,9 +765,9 @@ def _band_blocks(draw):
 def test_shift_packer_matches_the_gather_oracle(drawn):
     q, S = drawn
     gf = GF(q)
-    got = _pack_rows(gf, S)
+    got = _pack(gf, S)
     assert got.dtype == np.uint64
-    assert np.array_equal(got, _gather_pack(gf, toeplitz_windows(S)))
+    assert np.array_equal(got.T, _gather_pack(gf, toeplitz_windows(S)))
 
 
 @st.composite
@@ -717,7 +796,7 @@ def test_packed_capped_batch_matches_product_oracles(drawn):
     gf = GF(q)
     want = [_capped_oracle(gf, Ai, T, gf_matmul) for Ai in toeplitz_windows(S)]
     assert want == [_capped_oracle(gf, Ai, T, _table_product) for Ai in toeplitz_windows(S)]
-    P = _pack_rows(gf, S)
+    P = _pack(gf, S)
     for least in range(T + 1):
         got = _batch_min_weight_capped(P, T, q, least)
         # min(d, T) when d >= least, some value below least otherwise
@@ -743,7 +822,7 @@ def test_cut_codes_leave_at_the_first_layer(q, row_weight, monkeypatch):
         "_message_weights",
         lambda q_, PT, cols: layers.append(cols.shape[1]) or weights(q_, PT, cols),
     )
-    got = _batch_min_weight_capped(_pack_rows(GF(q), S), m + 2, q, 4)
+    got = _batch_min_weight_capped(_pack(GF(q), S), m + 2, q, 4)
     assert (got < 4).all()
     assert set(layers) == {1}
 
@@ -755,7 +834,7 @@ def test_packed_multiples_match_mul_table(q):
     gf = GF(q)
     S = np.random.default_rng(q).integers(0, q, size=(5, 13), dtype=np.int8)
     A = toeplitz_windows(S)
-    P = _pack_rows(gf, S)
+    P = _pack(gf, S).T  # one row per code
     assert P.shape == (5, 7 * (q - 1)) and P.dtype == np.uint64
     j = np.arange(7, dtype=np.uint64)
     plane0 = (P[..., None] >> j) & np.uint64(1)
@@ -769,10 +848,26 @@ def test_packed_multiples_match_mul_table(q):
         assert (decoded[:, :, s - 1] == gf.mul_table[s, A]).all(), s
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_row_multiples_are_plane_operations_on_the_band_word(q):
+    # every element, then random bands of every length a plane holds, against the
+    # words of the mul_table gather s A
+    gf = GF(q)
+    x = np.arange(q, dtype=np.int8)[:, None]
+    want = _band_words(gf, gf.mul_table[1:, x])
+    assert np.array_equal(_row_words(q, 1, _band_words(gf, x)), want)
+    rng = np.random.default_rng(q)
+    for m in range(1, (_PLANE[q] + 1) // 2 + 1):
+        S = rng.integers(0, q, size=(9, 2 * m - 1), dtype=np.int8)
+        scaled = gf.mul_table[np.arange(1, q)[:, None, None, None], toeplitz_windows(S)]
+        want = _band_words(gf, scaled).transpose(2, 0, 1).reshape(m * (q - 1), 9)
+        assert np.array_equal(_row_words(q, m, _band_words(gf, S)), want), m
+
+
 def test_f3_adder_matches_the_field_table():
     gf = GF(3)
     word = [np.uint64(0), np.uint64(1), np.uint64(1 << 32)]  # one-hot: bit 0 for 1, bit 32 for 2
-    assert [_pack_rows(gf, np.full((1, 1), x, np.int8))[0, 0] for x in range(3)] == word
+    assert [_pack(gf, np.full((1, 1), x, np.int8))[0, 0] for x in range(3)] == word
     for x, y in itertools.product(range(3), repeat=2):
         z = gf.add(x, y)
         got = _f3_add(word[x], word[gf.neg(x)], word[y], word[gf.neg(y)])
@@ -785,9 +880,9 @@ def test_f3_adder_matches_the_field_table():
 def test_packer_rejects_a_block_wider_than_its_planes(q, m):
     # the band of a block, 2m-1 entries, must fit a plane
     with pytest.raises(ValueError, match=f"m={m}"):
-        _pack_rows(GF(q), np.zeros((1, 2 * m - 1), dtype=np.int8))
+        _band_words(GF(q), np.zeros((1, 2 * m - 1), dtype=np.int8))
     identity = np.eye(2 * m - 3, dtype=np.int8)[m - 2][None]
-    assert _pack_rows(GF(q), identity).shape == (1, (m - 1) * (q - 1))
+    assert _pack(GF(q), identity).shape == ((m - 1) * (q - 1), 1)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -1127,7 +1222,7 @@ def test_resume_checks_each_chunk_in_one_packed_call(tmp_path, monkeypatch, run)
     monkeypatch.setattr(
         search,
         "_batch_min_weight_capped",
-        lambda P, T, q, least: calls.append(len(P)) or batch(P, T, q, least),
+        lambda P, T, q, least: calls.append(P.shape[1]) or batch(P, T, q, least),
     )
     monkeypatch.setattr(search, "minimum_weight", lambda code: pytest.fail("one call per record"))
     monkeypatch.setattr(search, "_scan_chunk", lambda args: pytest.fail("scanned a done chunk"))
