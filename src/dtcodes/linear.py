@@ -117,14 +117,6 @@ class WeightEnumerator:
                 return j
         raise ValueError("no nonzero weight present")
 
-    def to_decimal_strings(self) -> list[str]:
-        """Serialized form: a list of n+1 decimal strings."""
-        return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_decimal_strings(cls, strings) -> "WeightEnumerator":
-        return cls(len(strings) - 1, [int(s) for s in strings])
-
 
 class LinearCode:
     """An [n, k] code over ``gf`` spanned by the rows of ``G``.

@@ -27,20 +27,22 @@ over F3 and F4, but the default budget of 2^26 candidates binds first: m
 <= 13, 8, 7 for DT (q^(2m-1) triples) and m <= 26, 16, 13 for DC and NC
 (q^m first rows) over F2, F3, F4.  The messages are the layers of
 :func:`linear._weight_layer`, shared with ``minimum_weight``.  Every mode
-caps a block's weights at best + 1, for best the target d or a
-"find-optimal" pass's running best, and cuts them below at the best: a
+reads a block by one kernel call, whose weights are cut below at the
+best, for best the target d or a "find-optimal" pass's running best: a
 weight is exact at or above the best, and below it only some lower
-value, since no mode keeps such a code.  Outside "collect-at" those above
-the best are made exact by the cap m + 2 (d <= m + 1), and a
-"find-optimal" block with any above raises the best to their maximum and
-drops the attainers so far.  Those at the best ("at-least": at or above)
-are kept, in block order.  The prefix space (t, a), or the first rows of
-a circulant family, is split into contiguous chunks which can run on
-worker processes; the search keeps the attainers of the chunks whose
-best is the maximum, in chunk order, so output is identical for any
-worker or partition count.  Each chunk can be checkpointed to JSON as it
-completes; a resumed chunk must hold only what its scan writes, and one
-packed call per chunk recomputes its records' weights.
+value, since no mode keeps such a code.  The cap is best + 1 in
+"collect-at" and m + 2 (d <= m + 1) otherwise, so a "find-optimal"
+block with any weight above the best raises the best to their maximum
+and drops the attainers so far.  Those at the best ("at-least": at or
+above) are kept, in block order.  The prefix space (t, a), or the first
+rows of a circulant family, is split into contiguous chunks which can
+run on worker processes.  A chunk's result is its best and the numbers
+and weights of its kept candidates, in the numbering of its prefix
+range; the search keeps the attainers of the chunks whose best is the
+maximum, in chunk order, so output is identical for any worker or
+partition count.  Each chunk can be checkpointed to JSON as it
+completes; a resumed chunk's numbers must increase within its
+numbering, and one packed call per chunk recomputes their weights.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .structured import (
     ToeplitzTriple,
     _check_even_length,
     _circulant_flags,
-    band_sequence,
     circulant_bands,
     index_of_digits,
     orbit_keys,
@@ -89,7 +90,7 @@ __all__ = [
     "classify",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Cap on the raw candidate-space size of one search call.
 DEFAULT_TRIPLE_BUDGET = 1 << 26
@@ -287,7 +288,7 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     :func:`_numbered_bands` of 128 numbers spread evenly over the whole filtered space.
 
     Raises the starting best of a find-optimal pass, so that early
-    blocks need fewer raises and rescans at low thresholds; any
+    blocks need fewer raises and deep layers at low thresholds; any
     sampled candidate is a genuine member of the filtered space, so
     the floor is always attained.  A sample is evaluated exactly only
     when it beats the running floor, which ``min_weight_at_least``
@@ -310,8 +311,9 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
 # chunk scan (top level so worker processes can import it)
 
 
-def _scan_chunk(args) -> tuple[int, list]:
-    """(best, attainer payloads) of the prefixes [lo, hi).
+def _scan_chunk(args) -> tuple[int, list[int], list[int]]:
+    """(best, numbers, weights) of the prefixes [lo, hi): the kept candidates' numbers in
+    the :func:`_numbered_bands` of the range, and their minimum weights.
 
     In find-optimal mode ``d`` is the starting best, which the chunk
     may raise; otherwise it is the fixed target.
@@ -321,71 +323,57 @@ def _scan_chunk(args) -> tuple[int, list]:
     total, split, low, high = _numbered_bands(gf, n, family, reduction, lo, hi)
     low_words, high_words = _band_words(gf, low), _band_words(gf, high)
     rows = max(1, _PACKED_BYTE_BUDGET // (8 * (q - 1) * (n // 2) ** 2))  # (q-1) m^2 words each
-    best, found = d, []
+    cap = d + 1 if mode == "collect-at" else n // 2 + 2
+    best, numbers, weights = d, [], []
     for first in range(0, total, rows):
         i, j = split(np.arange(first, min(first + rows, total)))
         P = _row_words(q, n // 2, low_words[i] | high_words[j])
-        mw = _batch_min_weight_capped(P, best + 1, q, best)
-        above = (mw > best) & (mode != "collect-at")
-        if above.any():
-            mw[above] = _batch_min_weight_capped(P[:, above], n // 2 + 2, q, 0)
-            if mode == "find-optimal":
-                best, found = int(mw.max()), []
+        mw = _batch_min_weight_capped(P, cap, q, best)
+        if mode == "find-optimal" and mw.max() > best:
+            best, numbers, weights = int(mw.max()), [], []
         keep = np.flatnonzero(mw >= best if mode == "at-least" else mw == best)
-        found += map(partial(_payload, family), low[i[keep]] + high[j[keep]], mw[keep].tolist())
-    return best, found
+        numbers += (first + keep).tolist()
+        weights += mw[keep].tolist()
+    return best, numbers, weights
 
 
 # ---------------------------------------------------------------------------
 # checkpointing
 
 
-def _payload(family: str, S: np.ndarray, mw: int) -> list:
-    """Checkpoint payload ``[t, a, b, mw]`` (DT) or ``[r, mu, mw]`` of band sequence S."""
+def _spec_of_band(gf: GF, family: str, S: np.ndarray):
+    """The triple (DT) or the (nega)circulant first row and sign of band sequence S."""
     if family == "DT":
-        return [*split_bands(S), mw]
-    return [S[len(S) // 2 :].tolist(), 1 if family == "DC" else -1, mw]
+        return ToeplitzTriple(gf, *split_bands(S))
+    return CirculantSpec(gf, S[len(S) // 2 :].tolist(), 1 if family == "DC" else -1)
 
 
-def _payload_to_triple(gf: GF, payload, family: str):
-    """(spec, min weight) of a payload: the spec's arguments, then the weight."""
-    *args, mw = payload
-    return (ToeplitzTriple if family == "DT" else CirculantSpec)(gf, *args), int(mw)
-
-
-def _check_chunk(config: dict, lo: int, hi: int, best: int, payloads: list) -> None:
-    """ValueError unless ``[best, payloads]`` is what the scan of prefixes [lo, hi) writes."""
+def _check_chunk(config: dict, lo: int, hi: int, best: int, numbers: list, weights: list) -> None:
+    """ValueError unless ``[best, numbers, weights]`` is what the scan of prefixes [lo, hi)
+    writes.  The numbering holds only the range's filtered candidates, in scan order, so
+    increasing numbers within it name candidates the scan reaches in its order."""
     gf, n, family, mode = GF(config["q"]), config["n"], config["family"], config["mode"]
     if mode != "find-optimal" and best != config["d"]:
         raise ValueError(f"best {best} is not the target weight {config['d']}")
-    span = gf.q ** (n // 2 - 1) if family == "DT" else 1  # candidates per prefix
-    last = lo * span - 1
-    labelled, bands = [], []  # (spec, weight label) and band sequence of each payload
-    for payload in payloads:
-        spec, mw = _payload_to_triple(gf, payload, family)
-        S = band_sequence(spec)
-        # only what a scan writes for this spec: int entries (no bool,
-        # float or str), the family's sign and the configured length
-        written = _payload(family, S, mw)
-        if spec.m != n // 2 or json.dumps(payload) != json.dumps(written):
-            raise ValueError(f"payload {payload} is not one a length-{n} scan writes")
-        # the candidate's place in the enumeration order: b fastest, then a, then t
-        index = index_of_digits(spec.b + spec.a + (spec.t,) if family == "DT" else spec.r, gf.q)
-        if not last < index < hi * span:
-            raise ValueError(f"payload {payload} is out of scan order or outside [{lo}, {hi})")
-        if family == "DT" and not passes_reduction(spec, config["reduction"]):
-            raise ValueError(f"payload {payload} fails the {config['reduction']} filter")
-        if mw < best if mode == "at-least" else mw != best:
-            raise ValueError(f"payload weight {mw} does not fit the chunk best {best}")
-        last = index
-        labelled.append((spec, mw))
-        bands.append(S)
-    # every record's exact weight in one packed call, with the scan's exact cap m + 2
-    P = _row_words(gf.q, n // 2, _band_words(gf, np.array(bands, dtype=np.int8).reshape(-1, n - 1)))
+    if len(numbers) != len(weights) or any(type(x) is not int for x in numbers + weights):
+        raise ValueError("numbers and weights are not integer lists of one length")  # no bool
+    total, split, low, high = _numbered_bands(gf, n, family, config["reduction"], lo, hi)
+    if any(a >= b for a, b in zip(numbers, numbers[1:])):
+        raise ValueError(f"numbers {numbers} are out of scan order")
+    if numbers and not 0 <= numbers[0] <= numbers[-1] < total:
+        raise ValueError(f"numbers {numbers} run outside [0, {total})")
+    for w in weights:
+        if w < best if mode == "at-least" else w != best:
+            raise ValueError(f"weight {w} does not fit the chunk best {best}")
+    # every number's exact weight in one packed call, with the scan's exact cap m + 2
+    i, j = split(np.array(numbers, dtype=np.int64))
+    S = low[i] + high[j]
+    P = _row_words(gf.q, n // 2, _band_words(gf, S))
     exact = _batch_min_weight_capped(P, n // 2 + 2, gf.q, 0)
-    for (spec, mw), d in zip(labelled, exact.tolist()):
-        if d != mw:
-            raise ValueError(f"payload weight {mw} is not {spec.to_text()}'s minimum weight {d}")
+    for number, band, w, d in zip(numbers, S, weights, exact.tolist()):
+        if d != w:
+            spec = _spec_of_band(gf, family, band).to_text()
+            raise ValueError(f"number {number}'s weight {w} is not {spec}'s minimum weight {d}")
 
 
 def _load_checkpoint(path: str, config: dict, ranges: list[tuple[int, int]]) -> dict:
@@ -411,10 +399,10 @@ def _load_checkpoint(path: str, config: dict, ranges: list[tuple[int, int]]) -> 
         raise CheckpointError(f"checkpoint chunk ids are not among 0..{len(ranges) - 1}")
     for cid, chunk in chunks.items():
         try:
-            best, payloads = chunk
-            if type(best) is not int or not isinstance(payloads, list):
-                raise TypeError("best is not an integer or payloads not a list")
-            _check_chunk(config, *ranges[int(cid)], best, payloads)
+            best, numbers, weights = chunk
+            if type(best) is not int or not all(type(x) is list for x in (numbers, weights)):
+                raise TypeError("best is not an integer or numbers and weights not lists")
+            _check_chunk(config, *ranges[int(cid)], best, numbers, weights)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint chunk {cid} is not its scan's output: {exc}") from exc
     try:
@@ -515,13 +503,18 @@ def _search(
             state["chunks"] = {str(k): done[k] for k in sorted(done)}
             _save_checkpoint(checkpoint_path, state)
 
-    best = max(chunk_best for chunk_best, _ in done.values())
-    records = [
-        _payload_to_triple(gf, payload, family)
-        for cid in range(partitions)
-        if done[cid][0] == best
-        for payload in done[cid][1]
-    ]
+    best = max(chunk[0] for chunk in done.values())
+    records = []
+    for cid, (lo, hi) in enumerate(ranges):
+        chunk_best, numbers, weights = done[cid]
+        if chunk_best == best:
+            _, split, low, high = _numbered_bands(gf, n, family, reduction, lo, hi)
+            i, j = split(np.array(numbers, dtype=np.int64))
+            records += zip(map(partial(_spec_of_band, gf, family), low[i] + high[j]), weights)
+    # a scan always keeps an attainer of its best: the probe floor's candidate, or the
+    # candidate that raised it
+    if mode == "find-optimal" and not records:
+        raise CheckpointError(f"no checkpoint chunk at the best {best} holds a record")
     return best, records
 
 

@@ -233,8 +233,8 @@ _CONFIG = {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-opti
 
 @pytest.mark.parametrize("content", [
     "[]",
-    json.dumps({"version": 2, "config": _CONFIG, "chunks": {"0": 5}}),
-    json.dumps({"version": 2, "config": _CONFIG, "chunks": {}})[:-9],
+    json.dumps({"version": 3, "config": _CONFIG, "chunks": {"0": 5}}),
+    json.dumps({"version": 3, "config": _CONFIG, "chunks": {}})[:-9],
 ], ids=["list", "int-chunk", "truncated"])
 def test_malformed_checkpoint_exits_2(capsys, tmp_path, content):
     path = tmp_path / "run.json"
@@ -244,7 +244,7 @@ def test_malformed_checkpoint_exits_2(capsys, tmp_path, content):
     assert out == ""
     assert "checkpoint rejected" in err
     # the well-formed file of the same search resumes
-    path.write_text(json.dumps({"version": 2, "config": _CONFIG, "chunks": {}}))
+    path.write_text(json.dumps({"version": 3, "config": _CONFIG, "chunks": {}}))
     assert run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))[0] == 0
 
 
@@ -255,7 +255,8 @@ def test_unusable_checkpoint_exits_2(capsys, tmp_path, where):
         path = tmp_path / "absent" / "run.json"
     elif where == "boolean-best":
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"version": 2, "config": _CONFIG, "chunks": {"0": [True, []]}}))
+        chunks = {"0": [True, [], []]}
+        path.write_text(json.dumps({"version": 3, "config": _CONFIG, "chunks": chunks}))
     code, out, err = run(capsys, "search", "--q", "2", "--n", "6", "--checkpoint", str(path))
     assert code == 2
     assert out == ""
@@ -265,42 +266,55 @@ def test_unusable_checkpoint_exits_2(capsys, tmp_path, where):
 _DC_CONFIG = dict(_CONFIG, n=8, family="DC", reduction="none")
 
 
-@pytest.mark.parametrize("payload", [
-    [[1.0, True, 1, 0], 1, 4],
-    [[1, 1, 1, 0], -1, 4],
+# a chunk is [best, numbers, weights]; number 7 is the first row (1,1,1,0)
+@pytest.mark.parametrize("chunk", [
+    [4, [7.0], [True]],
+    [4, [[7, -1]], [4]],
 ], ids=["non-integer-entries", "negacirculant-sign"])
-def test_circulant_checkpoint_payload_exits_2(capsys, tmp_path, payload):
+def test_circulant_checkpoint_payload_exits_2(capsys, tmp_path, chunk):
     path = tmp_path / "run.json"
-    rejected = {"version": 2, "config": _DC_CONFIG, "chunks": {"0": [4, [payload]]}}
+    rejected = {"version": 3, "config": _DC_CONFIG, "chunks": {"0": chunk}}
     path.write_text(json.dumps(rejected))
     argv = ("search", "--q", "2", "--n", "8", "--family", "dc", "--checkpoint", str(path))
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "checkpoint rejected" in err
-    # the payload as the scan writes it resumes
-    written = {"version": 2, "config": _DC_CONFIG, "chunks": {"0": [4, [[[1, 1, 1, 0], 1, 4]]]}}
+    # the chunk as the scan writes it resumes
+    written = {"version": 3, "config": _DC_CONFIG, "chunks": {"0": [4, [7], [4]]}}
     path.write_text(json.dumps(written))
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert json.loads(out) == {"r": "(1,1,1,0)", "mu": 1, "min_weight": 4}
 
 
-# the F2 n=8 search with two chunks, chunk 0's attainer first
+# the F2 n=8 search with two chunks of 36 numbers each; chunk 0 holds one attainer,
+# number 35, the triple 0;(1,1,1);(1,1,1)
 _F2_N8 = ("search", "--q", "2", "--n", "8", "--partitions", "2")
-_F2_N8_ATTAINER = [0, [1, 1, 1], [1, 1, 1], 4]
+_F2_N8_CHUNK_0 = [4, [35], [4]]
+
+
+def _append(chunk, number, weight):
+    chunk[1].append(number)
+    chunk[2].append(weight)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 1]]]}),
-    lambda c: c["1"][1].append(_F2_N8_ATTAINER),
-    lambda c: c["0"][1].append([0, [0, 0, 1], [1, 1, 1], 4]),
-], ids=["weight-1-as-optimum", "attainer-in-another-chunk", "filtered-out-triple"])
+    # number 1, the triple 0;(1,0,0);(0,0,0) of weight 1
+    lambda c: c.update({"0": [4, [1], [1]]}),
+    # chunk 0's attainer number in chunk 1 names 1;(1,1,1);(1,1,1), of weight below 4
+    lambda c: _append(c["1"], 35, 4),
+    # 0;(0,0,1);(1,1,1), number 39 in the unfiltered order, past the 36 that C2 keeps
+    lambda c: _append(c["0"], 39, 4),
+    # a raised best whose attainers are gone
+    lambda c: c.update({"1": [99, [], []]}),
+], ids=["weight-1-as-optimum", "attainer-in-another-chunk", "filtered-out-triple",
+        "best-without-records"])
 def test_checkpoint_record_its_chunk_cannot_write_exits_2(capsys, tmp_path, edit):
     path = tmp_path / "ck.json"
     assert run(capsys, *_F2_N8, "--checkpoint", str(path))[0] == 0
     data = json.loads(path.read_text())
-    assert data["chunks"]["0"] == [4, [_F2_N8_ATTAINER]]
+    assert data["chunks"]["0"] == _F2_N8_CHUNK_0
     edit(data["chunks"])
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *_F2_N8, "--checkpoint", str(path))
@@ -313,12 +327,12 @@ def test_checkpoint_weight_its_code_does_not_have_exits_2(capsys, tmp_path):
     path = tmp_path / "ck.json"
     assert run(capsys, *_F2_N8, "--checkpoint", str(path))[0] == 0
     data = json.loads(path.read_text())
-    data["chunks"]["0"] = [4, [[0, [1, 0, 0], [0, 0, 0], 4]]]
+    data["chunks"]["0"] = [4, [1], [4]]
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, *_F2_N8, "--checkpoint", str(path))
     assert (code, out) == (2, "")
     assert "checkpoint rejected" in err
-    assert "payload weight 4 is not 0;(1,0,0);(0,0,0)'s minimum weight 1" in err
+    assert "number 1's weight 4 is not 0;(1,0,0);(0,0,0)'s minimum weight 1" in err
 
 
 _RUN_OPTIONS = ("--q", "--n", "--reduction", "--workers", "--partitions", "--checkpoint", "--budget")

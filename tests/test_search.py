@@ -53,10 +53,9 @@ from dtcodes.search import (
     _batch_min_weight_capped,
     _chunk_ranges,
     _numbered_bands,
-    _payload,
-    _payload_to_triple,
     _row_words,
     _scan_chunk,
+    _spec_of_band,
 )
 from dtcodes.structured import (
     BRUTE_FORCE_N,
@@ -72,6 +71,18 @@ from dtcodes.structured import (
 def _naive_dt_scan(gf: GF, n: int):
     """All (triple, min weight) pairs, unfiltered, by direct enumeration."""
     return [(T, minimum_weight(double_toeplitz_code(T))) for T in enumerate_triples(gf, n // 2)]
+
+
+def _candidates(gf: GF, n: int, family: str, reduction: str, lo: int, hi: int) -> list:
+    """The filtered candidates of prefixes [lo, hi) in scan order, by direct enumeration:
+    the specs that a chunk's numbers index."""
+    m = n // 2
+    if family == "DT":
+        span = gf.q ** (m - 1)  # triples per (t, a) prefix
+        triples = itertools.islice(enumerate_triples(gf, m), lo * span, hi * span)
+        return [T for T in triples if passes_reduction(T, reduction)]
+    mu = 1 if family == "DC" else -1
+    return [CirculantSpec(gf, digits_of_index(i, gf.q, m), mu) for i in range(lo, hi)]
 
 
 def _key(T: ToeplitzTriple) -> tuple:
@@ -281,13 +292,18 @@ def test_search_is_deterministic_across_workers_and_partitions(family, q, n, red
 
     # chunks started below the sampled floor reach different local bests;
     # those at the maximum hold exactly the optimal records, in order
+    ranges = _chunk_ranges(q ** (n // 2), 300)
     chunks = [
-        _scan_chunk((q, n, family, reduction, "find-optimal", 1, lo, hi))
-        for lo, hi in _chunk_ranges(q ** (n // 2), 300)
+        _scan_chunk((q, n, family, reduction, "find-optimal", 1, lo, hi)) for lo, hi in ranges
     ]
-    best = max(b for b, _ in chunks)
-    assert best == reference[0] > min(b for b, _ in chunks)
-    merged = [_payload_to_triple(gf, p, family) for b, ps in chunks if b == best for p in ps]
+    best = max(b for b, _, _ in chunks)
+    assert best == reference[0] > min(b for b, _, _ in chunks)
+    merged = [
+        (_candidates(gf, n, family, reduction, lo, hi)[number], mw)
+        for (lo, hi), (b, numbers, weights) in zip(ranges, chunks)
+        if b == best
+        for number, mw in zip(numbers, weights)
+    ]
     assert merged == reference[1]
 
 
@@ -351,7 +367,7 @@ def test_dt_bands_match_the_filtered_triple_order(q, max_n, budget, monkeypatch)
             got = _bands(gf, n, "DT", reduction, 0, q ** (n // 2))
             assert got.tolist() == expect, (n, reduction)
             for S in got[:: max(1, len(got) // 7)]:
-                T, _ = _payload_to_triple(gf, _payload("DT", S, 0), "DT")
+                T = _spec_of_band(gf, "DT", S)
                 assert (toeplitz_windows(S) == toeplitz_matrix(T)).all()
 
 
@@ -368,9 +384,7 @@ def test_circulant_bands_match_first_row_order(q, max_n, family, mu, budget, mon
         assert got.tolist() == [band_sequence(triple_of_circulant(c)).tolist() for c in specs]
         # the windows against the directly built (nega)circulant matrices
         assert np.array_equal(toeplitz_windows(got), np.stack([circulant_matrix(c) for c in specs]))
-        assert [_payload_to_triple(gf, _payload(family, S, 5), family) for S in got] == [
-            (c, 5) for c in specs
-        ]
+        assert [_spec_of_band(gf, family, S) for S in got] == specs
 
 
 @pytest.mark.parametrize("budget", [search._PACKED_BYTE_BUDGET, 8 * 3 * 9 * 5])
@@ -411,19 +425,9 @@ _NUMBERED_CELLS = [
 @pytest.mark.parametrize("q,n,family,reduction", _NUMBERED_CELLS)
 def test_numbered_bands_are_the_filtered_candidates_in_order(q, n, family, reduction):
     # every number of every chunk, and of an empty range, against the brute-force candidates
-    gf, m = GF(q), n // 2
-    span = q ** (m - 1) if family == "DT" else 1  # candidates per prefix
-    if family == "DT":
-        candidates = list(enumerate_triples(gf, m))
-    else:
-        mu = 1 if family == "DC" else -1
-        candidates = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
-    for lo, hi in _chunk_ranges(q**m, 5) + [(1, 1)]:
-        expect = [
-            band_sequence(c).tolist()
-            for c in candidates[lo * span : hi * span]
-            if family != "DT" or passes_reduction(c, reduction)
-        ]
+    gf = GF(q)
+    for lo, hi in _chunk_ranges(q ** (n // 2), 5) + [(1, 1)]:
+        expect = [band_sequence(c).tolist() for c in _candidates(gf, n, family, reduction, lo, hi)]
         total, bands, _ = _numbered(gf, n, family, reduction, lo, hi)
         got = bands(np.arange(total))
         assert total == len(expect) and got.dtype == np.int8
@@ -462,11 +466,17 @@ def test_long_circulant_tables_hold_half_the_digits(q, n, family, mu, monkeypatc
 @pytest.mark.parametrize(
     "family,q,n,partitions", [("DT", 2, 14, 1), ("DT", 3, 8, 3), ("NC", 3, 10, 2)]
 )
-def test_find_optimal_builds_bands_only_for_its_tables(family, q, n, partitions, monkeypatch):
-    # blocks of 8 to 30 rows: one band build per table (the probe floor's numbering and each
-    # chunk's), none per block, none per kept number
+def test_find_optimal_builds_bands_only_for_its_tables(
+    family, q, n, partitions, monkeypatch, tmp_path
+):
+    # blocks of 8 to 30 rows: one band build per table (the probe floor's numbering, each
+    # chunk's, and each chunk's at the best once more, to name its records), none per block,
+    # none per kept number
     run = search_dt if family == "DT" else partial(search_family, family=family)
-    reference = run(GF(q), n, partitions=partitions)
+    path = tmp_path / "run.json"
+    reference = run(GF(q), n, partitions=partitions, checkpoint_path=str(path))
+    chunks = json.loads(path.read_text())["chunks"].values()
+    at_best = sum(best == reference[0] for best, _, _ in chunks)
     monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", 8 * 3 * 25 * 8)
     builder = "triple_bands" if family == "DT" else "circulant_bands"
     build, built, blocks = getattr(search, builder), [], []
@@ -474,7 +484,35 @@ def test_find_optimal_builds_bands_only_for_its_tables(family, q, n, partitions,
     rows = search._row_words
     monkeypatch.setattr(search, "_row_words", lambda *args: blocks.append(args) or rows(*args))
     assert run(GF(q), n, partitions=partitions) == reference
-    assert len(built) == 2 * (1 + partitions) and len(blocks) > 3 * len(built)
+    scans = 2 * (1 + partitions)  # the builds of the probe and of the chunk scans
+    assert len(built) == scans + 2 * at_best and len(blocks) > 3 * scans
+
+
+@pytest.mark.parametrize("family,q,n,reduction", [
+    ("DT", 2, 12, "C2"), ("DT", 3, 8, "C3"), ("DC", 4, 8, "none"), ("NC", 3, 8, "none"),
+])
+def test_scan_makes_one_kernel_call_per_block(family, q, n, reduction, monkeypatch):
+    # a whole-space chunk from floor 1, in blocks of 8 to 25 rows: its best rises to the
+    # optimum, and each block's weights come from one call, capped at m + 2 and cut at the
+    # running best, with the records of the search
+    run = search_dt if family == "DT" else partial(search_family, family=family)
+    reference = run(GF(q), n)
+    monkeypatch.setattr(search, "_PACKED_BYTE_BUDGET", 8 * 3 * 25 * 8)
+    calls, blocks = [], []
+    batch, rows = search._batch_min_weight_capped, search._row_words
+    monkeypatch.setattr(
+        search,
+        "_batch_min_weight_capped",
+        lambda P, T, q, least: calls.append((T, least)) or batch(P, T, q, least),
+    )
+    monkeypatch.setattr(search, "_row_words", lambda *args: blocks.append(args) or rows(*args))
+    space = q ** (n // 2)
+    best, numbers, weights = _scan_chunk((q, n, family, reduction, "find-optimal", 1, 0, space))
+    assert len(calls) == len(blocks) > 3
+    assert {T for T, _ in calls} == {n // 2 + 2}
+    assert calls[0][1] == 1 < best == reference[0]
+    candidates = _candidates(GF(q), n, family, reduction, 0, space)
+    assert [(candidates[i], mw) for i, mw in zip(numbers, weights)] == reference[1]
 
 
 @pytest.mark.parametrize("q,n", [(2, 8), (2, 12), (3, 6), (4, 6), (4, 8)])
@@ -895,7 +933,7 @@ def test_checkpoint_round_trip(tmp_path):
         [(_key(T), mw) for T, mw in reference[1]],
     )
     data = json.loads(open(path).read())
-    assert data["version"] == 2
+    assert data["version"] == 3
     assert set(data["chunks"]) == {"0", "1", "2", "3"}
 
     # drop some finished chunks to simulate an interrupted run
@@ -917,15 +955,13 @@ def test_checkpoint_config_mismatch(tmp_path):
         search_dt(gf, 6, reduction="C2", partitions=3, checkpoint_path=path)
 
 
-# search_dt(GF(2), 6, reduction="C2", partitions=2) with both chunks done
+# search_dt(GF(2), 6, reduction="C2", partitions=2) with both chunks done: each chunk is
+# [best, numbers, weights], the numbers counting the C2 survivors of its prefix range
 _RECORDED_CHECKPOINT = {
-    "version": 2,
+    "version": 3,
     "config": {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-optimal",
                "d": None, "partitions": 2},
-    "chunks": {
-        "0": [3, [[0, [1, 1], [1, 1], 3]]],
-        "1": [3, [[1, [1, 0], [1, 0], 3], [1, [0, 1], [1, 0], 3], [1, [1, 1], [0, 1], 3]]],
-    },
+    "chunks": {"0": [3, [9], [3]], "1": [3, [2, 4, 8], [3, 3, 3]]},
 }
 
 
@@ -943,26 +979,21 @@ def test_recorded_checkpoint_resumes_without_scanning(tmp_path, monkeypatch):
     ]
 
 
-# search_family(GF(2), 8, "DC", partitions=2) with both chunks done
+# search_family(GF(2), 8, "DC", partitions=2) with both chunks done: a number is the
+# first-row index less its chunk's first, 8 in chunk 1
 _RECORDED_DC_CHECKPOINT = {
-    "version": 2,
+    "version": 3,
     "config": {"q": 2, "n": 8, "family": "DC", "reduction": "none", "mode": "find-optimal",
                "d": None, "partitions": 2},
-    "chunks": {
-        "0": [4, [[[1, 1, 1, 0], 1, 4]]],
-        "1": [4, [[[1, 1, 0, 1], 1, 4], [[1, 0, 1, 1], 1, 4], [[0, 1, 1, 1], 1, 4]]],
-    },
+    "chunks": {"0": [4, [7], [4]], "1": [4, [3, 5, 6], [4, 4, 4]]},
 }
 
-# search_family(GF(3), 4, "NC", partitions=2) with both chunks done
+# search_family(GF(3), 4, "NC", partitions=2) with both chunks done (chunk 1 from index 4)
 _RECORDED_NC_CHECKPOINT = {
-    "version": 2,
+    "version": 3,
     "config": {"q": 3, "n": 4, "family": "NC", "reduction": "none", "mode": "find-optimal",
                "d": None, "partitions": 2},
-    "chunks": {
-        "0": [3, []],
-        "1": [3, [[[1, 1], -1, 3], [[2, 1], -1, 3], [[1, 2], -1, 3], [[2, 2], -1, 3]]],
-    },
+    "chunks": {"0": [3, [], []], "1": [3, [0, 1, 3, 4], [3, 3, 3, 3]]},
 }
 
 
@@ -982,7 +1013,7 @@ def test_recorded_circulant_checkpoint_resumes_without_scanning(tmp_path, monkey
     assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (
         recorded["chunks"]["1"][0], [(text, d) for text in expect]
     )
-    # a fresh scan writes the very same payloads
+    # a fresh scan writes the very same chunks
     monkeypatch.undo()
     fresh = tmp_path / "fresh.json"
     search_family(gf, config["n"], config["family"], partitions=2, checkpoint_path=str(fresh))
@@ -1030,28 +1061,28 @@ _C2_CONFIG = {"q": 2, "n": 6, "family": "DT", "reduction": "C2", "mode": "find-o
 
 
 def _chunks(chunks) -> str:
-    return json.dumps({"version": 2, "config": _C2_CONFIG, "chunks": chunks})
+    return json.dumps({"version": 3, "config": _C2_CONFIG, "chunks": chunks})
 
 
 def _family_chunks(family: str, q: int, n: int, chunks) -> str:
     config = {"q": q, "n": n, "family": family, "reduction": "none", "mode": "find-optimal",
               "d": None, "partitions": 1}
-    return json.dumps({"version": 2, "config": config, "chunks": chunks})
+    return json.dumps({"version": 3, "config": config, "chunks": chunks})
 
 
-# (family, q, n, accepted payload, its spec, rejected payloads): entries
-# that are not integers, a sign that is not an int, and the other family's sign
-_CIRCULANT_PAYLOADS = [
-    ("DC", 2, 8, [[1, 1, 1, 0], 1, 4], "C:(1,1,1,0)", [
-        [[1.0, True, 1, 0], 1, 4],
-        [[1, 1, 1, 0], True, 4],
-        [[1, 1, 1, 0], 1.0, 4],
-        [[1, 1, 1, 0], -1, 4],
+# (family, q, n, accepted chunk, its spec, rejected chunks): numbers that are
+# not integers, and a number that carries a sign, as the other family's record did
+_CIRCULANT_CHUNKS = [
+    ("DC", 2, 8, [4, [7], [4]], "C:(1,1,1,0)", [
+        [4, [7.0], [4]],
+        [4, [True], [4]],
+        [4, [[7, 1]], [4]],
+        [4, [[7, -1]], [4]],
     ]),
-    ("NC", 3, 4, [[1, 2], -1, 3], "N:(1,2)", [
-        [[1, "2"], -1, 3],
-        [[1, 2], -1.0, 3],
-        [[1, 2], 1, 3],
+    ("NC", 3, 4, [3, [7], [3]], "N:(1,2)", [
+        [3, ["7"], [3]],
+        [3, [7], [3.0]],
+        [3, [[7, 1]], [3]],
     ]),
 ]
 
@@ -1061,46 +1092,51 @@ def test_checkpoint_version_guard(tmp_path):
         json.dumps({"version": 99, "config": {}}),
         # a two-phase (version 1) file of the very same configuration
         json.dumps({"version": 1, "config": _C2_CONFIG, "phase1": {"0": 3}, "phase2": {}}),
+        # a version 2 file of the very same configuration, its records [t, a, b, mw]
+        json.dumps({"version": 2, "config": _C2_CONFIG,
+                    "chunks": {"0": [3, [[0, [1, 1], [1, 1], 3]]]}}),
         "[]",
-        '{"version": 2, "config": ',
+        '{"version": 3, "config": ',
         _chunks([]),
         _chunks({"0": 5}),
         _chunks({"0": [3]}),
-        _chunks({"0": ["3", []]}),
-        _chunks({"0": [3, 5]}),
-        _chunks({"0": [3, [[0, [1, 1], 3]]]}),
-        _chunks({"0": [3, [[0, [1, 1], [5, 0], 3]]]}),
-        _chunks({"0": [3, [[0, [], [], 3]]]}),
-        _chunks({"1": [3, []]}),
-        _chunks({"-1": [3, []]}),
-        # booleans and non-integers as best or as payload weight
-        _chunks({"0": [True, []]}),
-        _chunks({"0": [3.0, []]}),
-        _chunks({"0": [3, [[0, [1, 1], [1, 1], True]]]}),
-        _chunks({"0": [3, [[0, [1, 1], [1, 1], 3.0]]]}),
-        _chunks({"0": [3, [[0, [1, 1], [1, 1], "3"]]]}),
-        # triple entries that are not integers: booleans, floats, strings
-        _chunks({"0": [3, [[True, [1.0, 1], [1, 1], 3]]]}),
-        _chunks({"0": [3, [["1", ["1", "1"], ["1", "1"], 3]]]}),
-        _chunks({"0": [3, [[1, [1, 1], [1, True], 3]]]}),
+        _chunks({"0": [3, []]}),
+        _chunks({"0": ["3", [], []]}),
+        _chunks({"0": [3, 5, []]}),
+        _chunks({"0": [3, [], 5]}),
+        _chunks({"0": [3, [9], []]}),
+        _chunks({"0": [3, [9, 12], [3]]}),
+        _chunks({"0": [3, [[0, [1, 1], [1, 1]]], [3]]}),
+        _chunks({"1": [3, [], []]}),
+        _chunks({"-1": [3, [], []]}),
+        # booleans and non-integers as best or as weight
+        _chunks({"0": [True, [], []]}),
+        _chunks({"0": [3.0, [], []]}),
+        _chunks({"0": [3, [9], [True]]}),
+        _chunks({"0": [3, [9], [3.0]]}),
+        _chunks({"0": [3, [9], ["3"]]}),
+        # numbers that are not integers: booleans, floats, strings
+        _chunks({"0": [3, [True], [3]]}),
+        _chunks({"0": [3, [9.0], [3]]}),
+        _chunks({"0": [3, ["9"], [3]]}),
     ]
     path = tmp_path / "run.json"
     for content in malformed:
         path.write_text(content)
         with pytest.raises(CheckpointError):
             search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))
-    # the same chunk with an integer weight is accepted
-    path.write_text(_chunks({"0": [3, [[0, [1, 1], [1, 1], 3]]]}))
+    # the same chunk with an integer number and weight is accepted
+    path.write_text(_chunks({"0": [3, [9], [3]]}))
     assert search_dt(GF(2), 6, reduction="C2", checkpoint_path=str(path))[0] == 3
-    # first rows and signs of circulant payloads, through search_family
-    for family, q, n, good, text, bad in _CIRCULANT_PAYLOADS:
-        for payload in bad:
-            path.write_text(_family_chunks(family, q, n, {"0": [payload[-1], [payload]]}))
+    # numbers and weights of circulant chunks, through search_family
+    for family, q, n, good, text, bad in _CIRCULANT_CHUNKS:
+        for chunk in bad:
+            path.write_text(_family_chunks(family, q, n, {"0": chunk}))
             with pytest.raises(CheckpointError):
                 search_family(GF(q), n, family, checkpoint_path=str(path))
-        path.write_text(_family_chunks(family, q, n, {"0": [good[-1], [good]]}))
+        path.write_text(_family_chunks(family, q, n, {"0": good}))
         d, records = search_family(GF(q), n, family, checkpoint_path=str(path))
-        assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (good[-1], [(text, good[-1])])
+        assert (d, [(spec.to_text(), mw) for spec, mw in records]) == (good[0], [(text, good[0])])
 
 
 
@@ -1150,52 +1186,61 @@ def test_probe_floor_runs_only_when_a_chunk_is_left(tmp_path, monkeypatch, kept,
     assert path.read_text() == written
 
 
+def _append(chunk, number, weight):
+    chunk[1].append(number)
+    chunk[2].append(weight)
+
+
 # (run, edit of the written chunks, the rule it breaks); the written chunks are
-# DT-C2: "0" [4, [A]] and "1" [4, [B, C]], each payload [t, a, b, mw]
+# DT-C2: "0" [4, [35], [4]] and "1" [4, [20, 24], [4, 4]], of 36 numbers each
 _TAMPERED_CHUNKS = {
-    # a weight-1 triple recorded as the optimum
-    "weight-below-best": ("DT-C2", lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 1]]]}),
-                          "does not fit the chunk best 4"),
-    "collect-at-weight": ("DT-C2-collect-at", lambda c: c["1"][1][0].__setitem__(3, 5),
-                          "does not fit the chunk best 4"),
-    "at-least-weight-below-d": ("DT-C2-at-least", lambda c: c["0"][1][0].__setitem__(3, 2),
-                                "does not fit the chunk best 3"),
-    "collect-at-best-not-d": ("DT-C2-collect-at",
-                              lambda c: c.update({"0": [5, [[0, [1, 1, 1], [1, 1, 1], 5]]]}),
+    # number 1, the weight-1 triple 0;(1,0,0);(0,0,0), recorded as the optimum
+    "weight-below-best": ("DT-C2", lambda c: c.update({"0": [4, [1], [1]]}),
+                          "weight 1 does not fit the chunk best 4"),
+    "collect-at-weight": ("DT-C2-collect-at", lambda c: c["1"][2].__setitem__(0, 5),
+                          "weight 5 does not fit the chunk best 4"),
+    "at-least-weight-below-d": ("DT-C2-at-least", lambda c: c["0"][2].__setitem__(0, 2),
+                                "weight 2 does not fit the chunk best 3"),
+    "collect-at-best-not-d": ("DT-C2-collect-at", lambda c: c.update({"0": [5, [35], [5]]}),
                               "best 5 is not the target weight 4"),
     "at-least-best-not-d": ("DT-C2-at-least", lambda c: c["1"].__setitem__(0, 2),
                             "best 2 is not the target weight 3"),
-    # chunk 0's attainer, whose prefix 7 lies in chunk 0's range [0, 8)
-    "outside-range": ("DT-C2", lambda c: c["1"][1].append(c["0"][1][0]),
-                      "outside \\[8, 16\\)"),
-    "duplicate": ("DT-C2", lambda c: c["1"][1].append(c["1"][1][-1]),
-                  "out of scan order"),
+    # one past chunk 1's last number
+    "outside-range": ("DT-C2", lambda c: _append(c["1"], 36, 4), "outside \\[0, 36\\)"),
+    "duplicate": ("DT-C2", lambda c: _append(c["1"], 24, 4), "out of scan order"),
     "out-of-order": ("DT-C2", lambda c: c["1"][1].reverse(), "out of scan order"),
-    # f(a) = 4 < f(b) = 7, weight 2
-    "fails-C2": ("DT-C2", lambda c: c.update({"0": [4, [[0, [0, 0, 1], [1, 1, 1], 4]]]}),
-                 "fails the C2 filter"),
-    # (t, a) = (0, 2, 0) starts with 2
-    "fails-C3": ("DT-C3", lambda c: c.update({"0": [3, [[0, [2, 0], [0, 0], 3]]]}),
-                 "fails the C3 filter"),
+    "mismatched-lengths": ("DT-C2", lambda c: c["1"][2].pop(), "not integer lists of one length"),
+    "float-weight": ("DT-C2", lambda c: c["1"][2].__setitem__(0, 4.0),
+                     "not integer lists of one length"),
+    "boolean-number": ("DT-C2", lambda c: c["0"][1].__setitem__(0, True),
+                       "not integer lists of one length"),
+    "string-number": ("DT-C2", lambda c: c["0"][1].__setitem__(0, "35"),
+                      "not integer lists of one length"),
     # codes recorded at the best but of lower minimum weight: the triple
     # has weight 1, and the first row (1,0,0,0) spans (I | I), of weight 2
     "weight-not-its-code's": (
-        "DT-C2", lambda c: c.update({"0": [4, [[0, [1, 0, 0], [0, 0, 0], 4]]]}),
-        "payload weight 4 is not 0;\\(1,0,0\\);\\(0,0,0\\)'s minimum weight 1"),
+        "DT-C2", lambda c: c.update({"0": [4, [1], [4]]}),
+        "number 1's weight 4 is not 0;\\(1,0,0\\);\\(0,0,0\\)'s minimum weight 1"),
     "circulant-weight-not-its-code's": (
-        "DC", lambda c: c.update({"0": [4, [[[1, 0, 0, 0], 1, 4]]]}),
-        "is not C:\\(1,0,0,0\\)'s minimum weight 2"),
+        "DC", lambda c: c.update({"0": [4, [1], [4]]}),
+        "number 1's weight 4 is not C:\\(1,0,0,0\\)'s minimum weight 2"),
     "negacirculant-weight-not-its-code's": (
-        "NC-collect-at", lambda c: c.update({"0": [4, [[[1, 0, 0, 0], -1, 4]]]}),
-        "is not N:\\(1,0,0,0\\)'s minimum weight 2"),
-    # chunk 1's first row (1,1,0,1), index 11, moved into chunk 0's range [0, 8)
-    "circulant-outside-range": ("DC", lambda c: c["0"][1].append(c["1"][1].pop(0)),
+        "NC-collect-at", lambda c: c.update({"0": [4, [1], [4]]}),
+        "number 1's weight 4 is not N:\\(1,0,0,0\\)'s minimum weight 2"),
+    # a number before chunk 0's first, the first row of index 7 being the last
+    "circulant-outside-range": ("DC", lambda c: c["0"][1].insert(0, -1) or c["0"][2].insert(0, 4),
                                 "outside \\[0, 8\\)"),
     # the 13th of chunk 1's 17 records, of weight 4, labelled 3: a label the
     # target allows, which only the weight batch, aligned with the records, catches
     "later-record-weight-not-its-code's": (
-        "DT-C2-at-least", lambda c: c["1"][1][12].__setitem__(3, 3),
-        "payload weight 3 is not 1;\\(0,1,1\\);\\(1,1,0\\)'s minimum weight 4"),
+        "DT-C2-at-least", lambda c: c["1"][2].__setitem__(12, 3),
+        "number 24's weight 3 is not 1;\\(0,1,1\\);\\(1,1,0\\)'s minimum weight 4"),
+    # a raised best with its attainers emptied, and every chunk emptied: each chunk alone
+    # is one a scan could write, but a find-optimal scan keeps an attainer of its best
+    "raised-best-without-records": ("DT-C2", lambda c: c.update({"1": [99, [], []]}),
+                                    "no checkpoint chunk at the best 99 holds a record"),
+    "every-chunk-emptied": ("DT-C2", lambda c: c.update({"0": [4, [], []], "1": [4, [], []]}),
+                            "no checkpoint chunk at the best 4 holds a record"),
 }
 
 
