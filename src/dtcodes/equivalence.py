@@ -8,14 +8,19 @@ other.
 The decision procedure here anchors on low-weight codewords:
 
 1. one stacked enumeration of a block of codes that share (q, n, k)
-   gives each its signature and its anchor words: its lightest whole
-   weight layers, until every nonzero column is touched and they hold
-   at least n words, or all the nonzero words when the code has fewer.
+   gives each its record (:class:`_Keyed`): its signature and its
+   anchor words, its lightest whole weight layers, until every nonzero
+   column is touched and they hold at least n words, or all the nonzero
+   words when the code has fewer.
    Both stops read only the weight layers, so a monomial map carries
    the anchors of a code onto those of its image.  The n-word floor
    lets the search of step 3 cut a branch before it reaches a leaf;
    with fewer words than columns many leaves pass every anchor test
-   and fail only the check of step 4;
+   and fail only the check of step 4.  Of the anchors the search
+   reads, on its source side (:class:`_Source`), their count, their
+   values as one ``bytes`` column by column and the co-occurrence rows;
+   on its target side the value bitmasks and the columns of each
+   co-occurrence row;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
    enumerator it holds the hull dimension (Hermitian over F4) and the
    sorted support co-occurrence profile of the minimum-weight words.
@@ -40,7 +45,10 @@ The decision procedure here anchors on low-weight codewords:
    irrespective of the pruning.
 
 Deduplication matches each code against the class representatives
-that share its signature; the first equivalent representative wins.
+that share its signature; the first equivalent representative wins.  A
+representative is only ever the source of a pair search, so it keeps
+its record's :class:`_Source` alone, and its signature once, as the key
+of its bucket.
 
 The search is exhaustive over consistent assignments, so "False" is
 sound as well; running out of the node budget raises
@@ -122,17 +130,24 @@ def frobenius_image(C: LinearCode) -> LinearCode:
     return LinearCode(C.gf, _FROBENIUS[C.G])
 
 
-class _Keyed(NamedTuple):
-    """A code's signature, anchor words and pair-search inputs (module docstring, step 1)."""
+class _Source(NamedTuple):
+    """What the pair search reads of its source code: all that a class representative keeps."""
 
     code: LinearCode
+    zero: list[int]  # the zero columns
+    count: int  # how many anchor words
+    order: list[int]  # the nonzero columns, most anchors first, then by index
+    cooccurrence: list[tuple[int, ...]]  # per column, over the anchors; equal rows one tuple
+    columns: bytes  # the anchors' values column by column: count bytes a column
+
+
+class _Keyed(NamedTuple):
+    """A code's pair-search source, signature and target-side inputs (module docstring)."""
+
+    source: _Source
     sig: tuple
     anchors: np.ndarray  # one anchor word per row
     masks: list[list[int]]  # masks[p][v]: bits of the anchors with value v in column p
-    cooccurrence: list[tuple[int, ...]]  # per column, over the anchors
-    zero: list[int]  # the zero columns
-    order: list[int]  # the nonzero columns, most anchors first, then by index
-    columns: list[list[int]]  # columns[j]: the anchors' values in column j
     by_row: dict[tuple, list[int]]  # the columns of each co-occurrence row, ascending
 
 
@@ -185,16 +200,19 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     hulls = [k - len(_rref(gf, g)[1]) for g in gram]
     out = []
     for i, (C, nz_i, enum_i) in enumerate(zip(codes, nz.tolist(), enum.tolist())):
-        rows = list(map(tuple, cooc[i]))
+        shared: dict[tuple, tuple] = {}  # one tuple for equal rows
+        rows = [shared.setdefault(row, row) for row in map(tuple, cooc[i])]
         by_row: dict[tuple, list[int]] = {}
         for p, row in enumerate(rows):
             by_row.setdefault(row, []).append(p)
         masks = [flat[(i * n + p) * gf.q : (i * n + p + 1) * gf.q] for p in range(n)]
-        sig = (n, k, tuple(enum_i), hulls[i], tuple(sorted(map(tuple, cooc_min[i]))))
+        cooc_sig = tuple(sorted(shared.setdefault(row, row) for row in map(tuple, cooc_min[i])))
+        sig = (n, k, tuple(enum_i), hulls[i], cooc_sig)
         W = A[i, : N[i]].copy()  # not a view: the block's arrays die with the block
         zero = [p for p in range(n) if not nz_i[p]]
         order_i = sorted((p for p in range(n) if nz_i[p]), key=lambda p: -nz_i[p])
-        out.append(_Keyed(C, sig, W, masks, rows, zero, order_i, W.T.tolist(), by_row))
+        source = _Source(C, zero, len(W), order_i, rows, W.T.tobytes())
+        out.append(_Keyed(source, sig, W, masks, by_row))
     return out
 
 
@@ -231,17 +249,17 @@ def signature(C: LinearCode) -> tuple:
     return _key_block([C])[0].sig
 
 
-def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
+def _search_map(x: _Source, y: _Keyed, node_cap: int) -> MonomialMap | None:
     """A monomial map carrying code x onto code y; their signatures must be equal."""
-    C1, C2 = x.code, y.code
+    C1, C2 = x.code, y.source.code
     gf = C1.gf
     n = C1.n
 
     # a map carries the anchors of x onto those of y (module docstring)
-    if len(x.zero) != len(y.zero) or len(x.anchors) != len(y.anchors):
+    if len(x.zero) != len(y.source.zero) or x.count != y.source.count:
         return None
 
-    N = len(x.anchors)
+    N = x.count
     full = (1 << N) - 1
     # x.order puts the columns touched by most anchor words first: they
     # propagate the most information.  The map permutes anchor words and
@@ -257,10 +275,10 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
 
     perm = [-1] * n
     scale = [1] * n
-    for z1, z2 in zip(x.zero, y.zero):
+    for z1, z2 in zip(x.zero, y.source.zero):
         perm[z1] = z2
 
-    used = set(y.zero)
+    used = set(y.source.zero)
 
     def verify() -> bool:
         G = np.empty_like(C1.G)
@@ -275,7 +293,7 @@ def _search_map(x: _Keyed, y: _Keyed, node_cap: int) -> MonomialMap | None:
         if depth == len(x.order):
             return verify()
         j = x.order[depth]
-        col_vals = x.columns[j]
+        col_vals = x.columns[j * N : (j + 1) * N]
         for p in targets[depth]:
             if p in used:
                 continue
@@ -325,16 +343,15 @@ def _check_semimonomial(q: int, semimonomial: bool) -> None:
         raise ValueError("the semimonomial diagnostic applies to F4 only")
 
 
-def _maps_onto(x: _Keyed, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
-    """Whether a monomial map carries x onto y or, with ``semimonomial``
-    (F4 only), onto the Frobenius image of y."""
-    same = x.sig == y.sig
-    if same and _search_map(x, y, node_cap) is not None:
+def _maps_onto(x: _Source, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
+    """Whether a monomial map carries x onto y or, with ``semimonomial`` (F4 only), onto
+    the Frobenius image of y; x has y's signature."""
+    if _search_map(x, y, node_cap) is not None:
         return True
-    if not (semimonomial and same):
+    if not semimonomial:
         return False
     # x -> x^2 keeps every signature entry, so the image has y's signature
-    return _search_map(x, _key_block([frobenius_image(y.code)])[0], node_cap) is not None
+    return _search_map(x, _key_block([frobenius_image(y.source.code)])[0], node_cap) is not None
 
 
 def find_monomial_map(
@@ -342,7 +359,7 @@ def find_monomial_map(
 ) -> MonomialMap | None:
     """A monomial map carrying C1 onto C2, or None when none exists."""
     x, y = _keyed_pair(C1, C2)
-    return _search_map(x, y, node_cap) if x.sig == y.sig else None
+    return _search_map(x.source, y, node_cap) if x.sig == y.sig else None
 
 
 def are_equivalent(
@@ -358,7 +375,8 @@ def are_equivalent(
     automorphism, i.e. it also accepts C1 P = C2^(Frobenius).
     """
     _check_semimonomial(C1.gf.q, semimonomial)
-    return _maps_onto(*_keyed_pair(C1, C2), node_cap, semimonomial)
+    x, y = _keyed_pair(C1, C2)
+    return x.sig == y.sig and _maps_onto(x.source, y, node_cap, semimonomial)
 
 
 def dedupe_into_classes(
@@ -371,14 +389,17 @@ def dedupe_into_classes(
     Returns index groups in first-seen order; the first index of each
     group is its representative, so feeding codes in ascending origin
     order makes representatives the least originating objects.  Codes
-    are keyed in blocks as they are read, each once, and only the
-    representatives keep their records.  An undecided pairwise test
-    aborts the run with an UndecidedError naming the code and the class.
+    are keyed in blocks as they are read, each once, and are matched
+    against the representatives of their signature's bucket.  A code
+    that opens a class keeps only its record's :class:`_Source`, the
+    source side of every later pair search; the signature is held once,
+    as its bucket's key.  An undecided pairwise test aborts the run with
+    an UndecidedError naming the code and the class.
     """
-    reps: dict[tuple, list[tuple[int, _Keyed]]] = {}
+    reps: dict[tuple, list[tuple[int, _Source]]] = {}
     classes: list[list[int]] = []
     for i, x in enumerate(_keyed_codes(codes)):
-        _check_semimonomial(x.code.gf.q, semimonomial)
+        _check_semimonomial(x.source.code.gf.q, semimonomial)
         bucket = reps.setdefault(x.sig, [])
         for class_id, rep in bucket:
             try:
@@ -389,6 +410,6 @@ def dedupe_into_classes(
                 classes[class_id].append(i)
                 break
         else:
-            bucket.append((len(classes), x))
+            bucket.append((len(classes), x.source))
             classes.append([i])
     return classes

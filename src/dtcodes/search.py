@@ -83,7 +83,6 @@ __all__ = [
     "CheckpointError",
     "ClassRecord",
     "ClassificationReport",
-    "vector_rank",
     "passes_reduction",
     "search_dt",
     "search_family",
@@ -101,13 +100,6 @@ _PACKED_BYTE_BUDGET = 1 << 20
 
 class CheckpointError(RuntimeError):
     """A checkpoint file or path is unusable, or does not match the requested search."""
-
-
-def vector_rank(a) -> int:
-    """Odometer rank f(a) = sum_i 2^(i-1) a_i of a binary vector."""
-    if any(x not in (0, 1) for x in a):
-        raise ValueError("vector_rank is defined for binary vectors only")
-    return index_of_digits(a, 2)
 
 
 def _resolve_reduction(q: int, reduction: str) -> str:
@@ -504,18 +496,24 @@ def _search(
             _save_checkpoint(checkpoint_path, state)
 
     best = max(chunk[0] for chunk in done.values())
-    records = []
+    bands, weights = [np.zeros((0, n - 1), dtype=np.int8)], []
     for cid, (lo, hi) in enumerate(ranges):
-        chunk_best, numbers, weights = done[cid]
+        chunk_best, numbers, chunk_weights = done[cid]
         if chunk_best == best:
             _, split, low, high = _numbered_bands(gf, n, family, reduction, lo, hi)
             i, j = split(np.array(numbers, dtype=np.int64))
-            records += zip(map(partial(_spec_of_band, gf, family), low[i] + high[j]), weights)
+            bands.append(low[i] + high[j])
+            weights += chunk_weights
     # a scan always keeps an attainer of its best: the probe floor's candidate, or the
     # candidate that raised it
-    if mode == "find-optimal" and not records:
+    if mode == "find-optimal" and not weights:
         raise CheckpointError(f"no checkpoint chunk at the best {best} holds a record")
-    return best, records
+    return best, np.concatenate(bands), weights
+
+
+def _records(gf: GF, family: str, best: int, S: np.ndarray, weights: list[int]):
+    """``(best, records)`` of a search result: the (spec, weight) pairs of its band rows S."""
+    return best, list(zip(map(partial(_spec_of_band, gf, family), S), weights))
 
 
 def search_dt(
@@ -538,9 +536,9 @@ def search_dt(
     "collect-at" keeps the triples of minimum weight exactly ``d`` and
     "at-least" those of minimum weight ``d`` or more.
     """
-    return _search(
+    return _records(gf, "DT", *_search(
         gf, n, "DT", reduction, mode, d, partitions, workers, checkpoint_path, triple_budget
-    )
+    ))
 
 
 def search_family(
@@ -562,9 +560,9 @@ def search_family(
     """
     if family not in ("DC", "NC"):
         raise ValueError(f"unknown family {family!r}")
-    return _search(
+    return _records(gf, family, *_search(
         gf, n, family, "none", mode, d, partitions, workers, checkpoint_path, triple_budget
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -621,22 +619,29 @@ class ClassificationReport:
         }
 
 
+# Band rows per orbit_keys call: bounds its (rows, 2 (q-1)^2, 2m-1) image tensor and int64 keys
+_ORBIT_BLOCK_ROWS = 1 << 13
+
+
 def _orbit_classes(
     gf: GF, S: np.ndarray, semimonomial: bool
 ) -> list[tuple[list[int], LinearCode]]:
     """The equivalence classes of the codes of band sequences S, as ascending index groups
     in the order of their least index, each with the code of that index: only the first
     sequence of each orbit of :func:`structured.orbit_keys` is keyed and pair-tested (see
-    :func:`classify`), and a class's least index is such a leader."""
+    :func:`classify`), and a class's least index is such a leader.  The orbits are keyed
+    ``_ORBIT_BLOCK_ROWS`` rows at a time, and each leader's code is built as dedupe reads it."""
     by_key: dict[int, list[int]] = {}
-    for i, key in enumerate(orbit_keys(gf, S).tolist()):
-        by_key.setdefault(key, []).append(i)
+    for lo in range(0, len(S), _ORBIT_BLOCK_ROWS):
+        for i, key in enumerate(orbit_keys(gf, S[lo : lo + _ORBIT_BLOCK_ROWS]).tolist(), lo):
+            by_key.setdefault(key, []).append(i)
     orbits = list(by_key.values())  # ascending, in the order of their leaders
     leaders = toeplitz_windows(S[[orbit[0] for orbit in orbits]])
-    codes = [LinearCode.systematic(gf, A) for A in leaders]
-    groups = dedupe_into_classes(codes, semimonomial=semimonomial)
+    codes = (LinearCode.systematic(gf, A) for A in leaders)
     return [
-        (sorted(i for leader in group for i in orbits[leader]), codes[group[0]]) for group in groups
+        (sorted(i for leader in group for i in orbits[leader]),
+         LinearCode.systematic(gf, leaders[group[0]]))
+        for group in dedupe_into_classes(codes, semimonomial=semimonomial)
     ]
 
 
@@ -684,23 +689,20 @@ def classify(
     and changes the counts (already at n = 8).
     """
     _check_semimonomial(gf.q, semimonomial)
-    d_opt, records = search_dt(
-        gf,
-        n,
-        reduction,
-        partitions=partitions,
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-        triple_budget=triple_budget,
+    d_opt, S, _ = _search(
+        gf, n, "DT", reduction, "find-optimal", None, partitions, workers, checkpoint_path,
+        triple_budget,
     )
-    triples = [T for T, _ in records]
-    S = triple_bands(*zip(*[(T.t, T.a, T.b) for T in triples]))
     circ, nega = _circulant_flags(gf, S)
+    # the band columns of b_{m-1}, ..., b_1, a_{m-1}, ..., a_1, t: lexsort keys, primary last
+    m = n // 2
+    keys = [*range(m - 1), *range(n - 2, m - 2, -1)]
     report = ClassificationReport(gf.q, n, d_opt)
     for class_id, (group, code) in enumerate(_orbit_classes(gf, S, semimonomial)):
         if minimum_weight(code) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
         structure = "DC" if circ[group].any() else "NC" if nega[group].any() else "DT-only"
-        rep_triple = min((triples[i] for i in group), key=ToeplitzTriple.lex_key)
-        report.records.append(ClassRecord(class_id, rep_triple, len(group), structure))
+        rows = S[group]  # the representative comes first in (t, a, b) order
+        rep = _spec_of_band(gf, "DT", rows[np.lexsort(rows[:, keys].T)[0]])
+        report.records.append(ClassRecord(class_id, rep, len(group), structure))
     return report

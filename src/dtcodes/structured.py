@@ -38,8 +38,6 @@ __all__ = [
     "double_toeplitz_code",
     "double_circulant_code",
     "double_negacirculant_code",
-    "triple_of_circulant",
-    "classify_triple",
     "contains_vector",
     "count_codes_containing",
     "count_codes_containing_bruteforce",
@@ -78,10 +76,6 @@ class ToeplitzTriple:
     @property
     def n(self) -> int:
         return 2 * self.m
-
-    def lex_key(self) -> tuple[int, ...]:
-        """Plain lexicographic key on the written-out triple."""
-        return (self.t,) + self.a + self.b
 
     def to_text(self) -> str:
         """Triple literal ``t;a;b``, e.g. ``0;(1,1,0);(1,0,0)``."""
@@ -226,11 +220,6 @@ def circulant_matrix(spec: CirculantSpec) -> np.ndarray:
     return A
 
 
-def triple_of_circulant(spec: CirculantSpec) -> ToeplitzTriple:
-    """The (t, a, b) whose Toeplitz matrix equals the circulant matrix, split off its bands."""
-    return ToeplitzTriple(spec.gf, *split_bands(band_sequence(spec)))
-
-
 def _circulant_flags(gf: GF, S) -> tuple[np.ndarray, np.ndarray]:
     """Whether each band sequence of S (..., 2m-1) is circulant, and whether it is
     negacirculant: equal to :func:`circulant_bands` of its own first row S[..., m-1:]
@@ -238,22 +227,6 @@ def _circulant_flags(gf: GF, S) -> tuple[np.ndarray, np.ndarray]:
     S = np.asarray(S, dtype=np.int8)
     R = S[..., S.shape[-1] // 2 :]
     return tuple((circulant_bands(gf, R, mu) == S).all(axis=-1) for mu in (1, -1))
-
-
-def classify_triple(T: ToeplitzTriple) -> str:
-    """Which circulant family the triple's matrix belongs to.
-
-    Returns "circulant", "negacirculant", "both" or "neither", by
-    :func:`_circulant_flags`.  Over F2 the two coincide.
-    """
-    circ, nega = map(bool, _circulant_flags(T.gf, band_sequence(T)))
-    if circ and nega:
-        return "both"
-    if circ:
-        return "circulant"
-    if nega:
-        return "negacirculant"
-    return "neither"
 
 
 def double_toeplitz_code(T: ToeplitzTriple) -> LinearCode:

@@ -397,7 +397,7 @@ def test_classify_json(capsys):
 
 
 def test_classify_semimonomial_off_f4_exits_2(capsys, monkeypatch):
-    monkeypatch.setattr(search, "search_dt", lambda *a, **k: pytest.fail("searched"))
+    monkeypatch.setattr(search, "_search", lambda *a, **k: pytest.fail("searched"))
     code, out, err = run(capsys, "classify", "--q", "2", "--n", "8", "--semimonomial")
     assert code == 2
     assert out == ""

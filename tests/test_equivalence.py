@@ -1,5 +1,6 @@
 """Monomial equivalence testing: maps, signatures, deduplication."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -323,6 +324,32 @@ def test_dedupe_peak_memory_stays_small():
     assert peak < 2 * 2**20
 
 
+def test_representatives_hold_only_what_the_pair_search_reads(monkeypatch):
+    # the bytes a dedupe of the 795 optimal F2 n=14 codes still holds when its last code
+    # is keyed, per class: the 79 representatives' records, their buckets and the groups
+    codes = [double_toeplitz_code(T) for T, _ in search_dt(GF(2), 14)[1]]
+    dedupe_into_classes(codes[:40])  # the cached message tables
+    held = []
+    keyed = equivalence._keyed_codes
+
+    def measured(codes):
+        yield from keyed(codes)
+        gc.collect()  # each pair search's recursive closure is a cycle
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(equivalence, "_keyed_codes", measured)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        groups = dedupe_into_classes(codes)
+    finally:
+        tracemalloc.stop()
+    assert len(groups) == 79
+    # about 10,760 bytes a class when each representative kept its whole record, and
+    # 2,540 with only its pair-search source and co-occurrence rows shared by value
+    assert (held[0] - before) / len(groups) < 3000
+
+
 def test_dedupe_partitions_consistently():
     gf = GF(2)
     codes = [double_toeplitz_code(T) for T in enumerate_triples(gf, 2)]
@@ -485,22 +512,27 @@ def _assert_matches_oracle(record, x: _Keyed) -> None:
     """The batched record of a code equals the oracle's record x, and so
     do the pair-search inputs that the oracle's search derived from x."""
     C = x.code
-    assert record.code is C
+    source = record.source
+    assert source.code is C
     assert record.sig == x.sig
     assert record.anchors.dtype == x.anchors.dtype
     assert np.array_equal(record.anchors, x.anchors)  # rows in order
     assert record.masks == x.masks
-    assert record.cooccurrence == x.cooccurrence
+    assert source.cooccurrence == x.cooccurrence
     n = C.n
     zero = [j for j in range(n) if not C.G[:, j].any()]
     nonzero = np.count_nonzero(x.anchors, axis=0)
     cols = sorted((j for j in range(n) if j not in zero), key=lambda j: (-nonzero[j], j))
-    assert record.zero == zero
-    assert record.order == cols
-    assert record.columns == x.anchors.T.tolist()
+    assert source.zero == zero
+    assert source.order == cols
+    assert source.count == len(x.anchors)
+    N = source.count
+    assert [list(source.columns[j * N : (j + 1) * N]) for j in range(n)] == x.anchors.T.tolist()
     for j in cols:
         targets = [p for p in range(n) if p not in zero and x.cooccurrence[p] == x.cooccurrence[j]]
         assert record.by_row[x.cooccurrence[j]] == targets
+    # columns of one row share its tuple, the key of by_row
+    assert all(source.cooccurrence[p] is row for row, ps in record.by_row.items() for p in ps)
     # the zero columns share the all-zero row, which no nonzero column has
     assert sorted(p for ps in record.by_row.values() for p in ps) == list(range(n))
     if zero:
@@ -636,7 +668,7 @@ def test_dedupe_keys_mixed_shapes_in_homogeneous_blocks(monkeypatch):
         _assert_matches_oracle(record, _keyed(C))
     sizes = []
     for block in blocks:
-        (q, n, k), = {(r.code.gf.q, r.code.n, r.code.k) for r in block}
+        (q, n, k), = {(r.source.code.gf.q, r.source.code.n, r.source.code.k) for r in block}
         # the right halves of a block's codewords fit in _BLOCK_ROWS entries
         assert len(block) * q**k * (n - k) <= _BLOCK_ROWS
         sizes.append((q, n, k, len(block)))

@@ -24,7 +24,6 @@ from dtcodes import (
     are_equivalent,
     circulant_matrix,
     classify,
-    classify_triple,
     dedupe_into_classes,
     double_circulant_code,
     double_negacirculant_code,
@@ -35,8 +34,6 @@ from dtcodes import (
     passes_reduction,
     search_dt,
     search_family,
-    triple_of_circulant,
-    vector_rank,
     verify_reduction_soundness,
 )
 from dtcodes import equivalence, linear, search
@@ -60,9 +57,12 @@ from dtcodes.search import (
 from dtcodes.structured import (
     BRUTE_FORCE_N,
     CirculantSpec,
+    _circulant_flags,
     band_sequence,
     digits_of_index,
+    index_of_digits,
     orbit_keys,
+    split_bands,
     toeplitz_matrix,
     toeplitz_windows,
 )
@@ -89,13 +89,28 @@ def _key(T: ToeplitzTriple) -> tuple:
     return (T.t, T.a, T.b)
 
 
+def _vector_rank(a) -> int:
+    """Odometer rank f(a) = sum_i 2^(i-1) a_i of a binary vector: the index of its F2 digits."""
+    return index_of_digits(GF(2)._check_array(a), 2)
+
+
+def _triple_of_circulant(spec: CirculantSpec) -> ToeplitzTriple:
+    """The (t, a, b) whose Toeplitz matrix equals the circulant matrix, split off its bands."""
+    return ToeplitzTriple(spec.gf, *split_bands(band_sequence(spec)))
+
+
+def _flags(T: ToeplitzTriple) -> tuple[bool, bool]:
+    """Whether the triple's matrix is circulant, and whether it is negacirculant."""
+    return tuple(map(bool, _circulant_flags(T.gf, band_sequence(T))))
+
+
 def test_vector_rank():
-    assert vector_rank(()) == 0
-    assert vector_rank((1, 0, 0)) == 1
-    assert vector_rank((0, 0, 1)) == 4
-    assert vector_rank((1, 1, 1)) == 7
+    assert _vector_rank(()) == 0
+    assert _vector_rank((1, 0, 0)) == 1
+    assert _vector_rank((0, 0, 1)) == 4
+    assert _vector_rank((1, 1, 1)) == 7
     with pytest.raises(ValueError):
-        vector_rank((0, 2))
+        _vector_rank((0, 2))
 
 
 def test_c2_filter_keeps_one_per_swap_pair():
@@ -106,7 +121,7 @@ def test_c2_filter_keeps_one_per_swap_pair():
         keep_s = passes_reduction(swapped, "C2")
         assert keep_t or keep_s
         # both survive exactly on the diagonal a = b of the swap
-        assert (keep_t and keep_s) == (vector_rank(T.a) == vector_rank(T.b))
+        assert (keep_t and keep_s) == (_vector_rank(T.a) == _vector_rank(T.b))
     with pytest.raises(ValueError):
         passes_reduction(ToeplitzTriple(GF(3), 0, (0,), (0,)), "C2")
 
@@ -154,13 +169,13 @@ def test_filter_keeps_a_circulant_triple_of_each_circulant_code(q, max_m):
     for m in range(1, max_m + 1):
         for r in itertools.product(range(q), repeat=m):
             for mu in (1, -1):
-                T = triple_of_circulant(CirculantSpec(gf, r, mu))
-                kind = classify_triple(T)
-                assert kind != "neither"
+                T = _triple_of_circulant(CirculantSpec(gf, r, mu))
+                kind = _flags(T)
+                assert kind != (False, False)
                 kept = [
                     U
                     for U in _filter_orbit(T)
-                    if passes_reduction(U, reduction) and classify_triple(U) == kind
+                    if passes_reduction(U, reduction) and _flags(U) == kind
                 ]
                 assert kept, (q, r, mu)
                 assert are_equivalent(double_toeplitz_code(kept[0]), double_toeplitz_code(T))
@@ -178,7 +193,7 @@ def test_auto_filter_is_the_resolved_filter(q, max_m):
 def _filter_rule(T: ToeplitzTriple, reduction: str) -> bool:
     """The filters as the module docstring states them, triple by triple."""
     if reduction == "C2":
-        return vector_rank(T.a) >= vector_rank(T.b)
+        return _vector_rank(T.a) >= _vector_rank(T.b)
     if reduction == "C3":
         return next((x for x in (T.t, *T.a) if x), 1) == 1
     return True
@@ -381,7 +396,7 @@ def test_circulant_bands_match_first_row_order(q, max_n, family, mu, budget, mon
         m = n // 2
         specs = [CirculantSpec(gf, digits_of_index(i, q, m), mu) for i in range(q**m)]
         got = _bands(gf, n, family, "none", 0, q**m)
-        assert got.tolist() == [band_sequence(triple_of_circulant(c)).tolist() for c in specs]
+        assert got.tolist() == [band_sequence(_triple_of_circulant(c)).tolist() for c in specs]
         # the windows against the directly built (nega)circulant matrices
         assert np.array_equal(toeplitz_windows(got), np.stack([circulant_matrix(c) for c in specs]))
         assert [_spec_of_band(gf, family, S) for S in got] == specs
@@ -524,7 +539,7 @@ def test_probe_floor_is_the_best_of_a_spread_sample(q, n):
         "DT": [T for T in enumerate_triples(gf, m) if passes_reduction(T, reduction)],
         **{
             family: [
-                triple_of_circulant(CirculantSpec(gf, digits_of_index(i, q, m), mu))
+                _triple_of_circulant(CirculantSpec(gf, digits_of_index(i, q, m), mu))
                 for i in range(q**m)
             ]
             for family, mu in (("DC", 1), ("NC", -1))
@@ -619,7 +634,7 @@ def test_circulant_family_search():
     assert d_nc == 3
     assert all(s.mu == -1 for s in specs)
     naive = [
-        (r, minimum_weight(double_toeplitz_code(triple_of_circulant(CirculantSpec(gf, r, -1)))))
+        (r, minimum_weight(double_toeplitz_code(_triple_of_circulant(CirculantSpec(gf, r, -1)))))
         for r in itertools.product(range(3), repeat=2)
     ]
     assert {s.r for s in specs} == {r for r, mw in naive if mw == 3}
@@ -1461,7 +1476,7 @@ def test_reduction_soundness_catches_a_filter_that_drops_a_kept_b(monkeypatch):
 
 def test_reduction_soundness_checks_semimonomial_before_searching(monkeypatch):
     calls = []
-    monkeypatch.setattr(search, "search_dt", lambda *a, **k: calls.append(a) or pytest.fail("searched"))
+    monkeypatch.setattr(search, "_search", lambda *a, **k: calls.append(a) or pytest.fail("searched"))
     with pytest.raises(ValueError, match="F4 only"):
         verify_reduction_soundness(GF(2), 8, semimonomial=True)
     assert calls == []
@@ -1493,8 +1508,11 @@ def test_classify_report_serialization():
 def test_classify_representatives_are_lex_minimal():
     report = classify(GF(2), 6)
     _, optimal = search_dt(GF(2), 6, reduction="none")
-    best = min(T.lex_key() for T, _ in optimal)
-    assert min(r.representative.lex_key() for r in report.records) == best
+    def lex(T: ToeplitzTriple) -> tuple:  # the written-out triple
+        return (T.t, *T.a, *T.b)
+
+    best = min(lex(T) for T, _ in optimal)
+    assert min(lex(r.representative) for r in report.records) == best
 
 
 def test_classify_semimonomial_diagnostic_merges_f4_classes():
@@ -1520,6 +1538,48 @@ def test_orbit_classes_match_a_dedupe_of_every_code(q, n, semimonomial):
     assert [group for group, _ in classes] == every
     # each class comes with the code of its least index
     assert all(np.array_equal(code.G, codes[group[0]].G) for group, code in classes)
+
+
+def test_classify_builds_a_triple_only_for_each_representative(monkeypatch):
+    # the 1,344 optimal F4 n=8 triples stay band rows; a triple is built
+    # for each of the 13 classes' representatives and for nothing else
+    built = []
+
+    class Counted(ToeplitzTriple):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(search, "ToeplitzTriple", Counted)
+    report = classify(GF(4), 8)
+    assert len(report.records) == len(built) == 13
+    assert [r.representative for r in report.records] == built
+    assert sum(r.members for r in report.records) == 1344
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_orbit_classes_key_in_blocks_as_one_orbit_keys_call(q, monkeypatch):
+    # random m = 3 bands past one block of rows: the q^5 sequences fall in few orbits,
+    # each with rows on both sides of the block boundary
+    gf, rng = GF(q), np.random.default_rng(q)
+    S = rng.integers(0, q, (search._ORBIT_BLOCK_ROWS + 300, 5), dtype=np.int8)
+    blocks = []
+    monkeypatch.setattr(search, "orbit_keys", lambda gf, B: blocks.append(orbit_keys(gf, B)) or blocks[-1])
+    classes = search._orbit_classes(gf, S, False)
+    assert [len(block) for block in blocks] == [search._ORBIT_BLOCK_ROWS, 300]
+    keys = orbit_keys(gf, S).tolist()
+    assert np.concatenate(blocks).tolist() == keys
+    # the classes of one call's orbits: a dedupe of each orbit's first row, which takes
+    # in every row of its orbit
+    orbits = {}
+    for i, key in enumerate(keys):
+        orbits.setdefault(key, []).append(i)
+    leaders = [LinearCode.systematic(gf, toeplitz_windows(S[o[0]])) for o in orbits.values()]
+    every = [sorted(i for g in group for i in list(orbits.values())[g])
+             for group in dedupe_into_classes(leaders)]
+    assert [group for group, _ in classes] == every
+    assert all(np.array_equal(code.G, leaders[list(orbits).index(keys[group[0]])].G)
+               for group, code in classes)
 
 
 # sha256 of the sorted-key JSON of classify's report per (q, n, semimonomial),

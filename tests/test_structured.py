@@ -17,7 +17,6 @@ from dtcodes import (
     apply_monomial,
     average_weight_enumerator_bruteforce,
     circulant_matrix,
-    classify_triple,
     contains_vector,
     count_codes_containing,
     count_codes_containing_bruteforce,
@@ -31,7 +30,6 @@ from dtcodes import (
     parse_triple,
     toeplitz_matrix,
     triple_count,
-    triple_of_circulant,
 )
 from dtcodes.linear import _index_digits
 from dtcodes.structured import (
@@ -124,6 +122,20 @@ def test_integer_element_codes_are_stored_as_python_ints():
         assert LinearCode(gf, G).G.dtype == np.int8
 
 
+def _triple_of_circulant(spec: CirculantSpec) -> ToeplitzTriple:
+    """The (t, a, b) whose Toeplitz matrix equals the circulant matrix, split off its bands."""
+    return ToeplitzTriple(spec.gf, *split_bands(band_sequence(spec)))
+
+
+def _kind(T: ToeplitzTriple) -> str:
+    """The circulant family of the triple's matrix by :func:`_circulant_flags`:
+    "circulant", "negacirculant", "both" or "neither"."""
+    circ, nega = map(bool, _circulant_flags(T.gf, band_sequence(T)))
+    return {(True, True): "both", (True, False): "circulant", (False, True): "negacirculant"}.get(
+        (circ, nega), "neither"
+    )
+
+
 def test_circulant_matrix_and_triple_agree():
     for q in (2, 3, 4):
         gf = GF(q)
@@ -134,7 +146,7 @@ def test_circulant_matrix_and_triple_agree():
                 r = tuple(int(x) for x in rng.integers(0, q, m))
                 spec = CirculantSpec(gf, r, mu)
                 direct = circulant_matrix(spec)
-                via_triple = toeplitz_matrix(triple_of_circulant(spec))
+                via_triple = toeplitz_matrix(_triple_of_circulant(spec))
                 assert np.array_equal(direct, via_triple), (q, mu, r)
 
 
@@ -149,17 +161,17 @@ def test_classify_triple_families():
     gf = GF(3)
     spec_c = CirculantSpec(gf, (1, 2, 0), 1)
     spec_n = CirculantSpec(gf, (1, 2, 0), -1)
-    assert classify_triple(triple_of_circulant(spec_c)) == "circulant"
-    assert classify_triple(triple_of_circulant(spec_n)) == "negacirculant"
-    assert classify_triple(ToeplitzTriple(gf, 0, (0, 0), (0, 0))) == "both"
-    assert classify_triple(ToeplitzTriple(gf, 1, (1, 2), (2, 2))) == "neither"
+    assert _kind(_triple_of_circulant(spec_c)) == "circulant"
+    assert _kind(_triple_of_circulant(spec_n)) == "negacirculant"
+    assert _kind(ToeplitzTriple(gf, 0, (0, 0), (0, 0))) == "both"
+    assert _kind(ToeplitzTriple(gf, 1, (1, 2), (2, 2))) == "neither"
     # F2 has mu = -mu, so the two families coincide
-    f2 = triple_of_circulant(CirculantSpec(GF(2), (1, 1, 0), -1))
-    assert classify_triple(f2) == "both"
+    f2 = _triple_of_circulant(CirculantSpec(GF(2), (1, 1, 0), -1))
+    assert _kind(f2) == "both"
 
 
 def _tuple_circulant_flags(T: ToeplitzTriple) -> tuple[bool, bool]:
-    """The tuple rule classify_triple read before the band rule: a against
+    """The tuple rule the package read before the band rule: a against
     reversed(b) and against its negation, entry by entry through GF.neg."""
     rb = T.b[::-1]
     return T.a == rb, T.a == tuple(T.gf.neg(x) for x in rb)
@@ -201,13 +213,13 @@ def test_band_sequences_against_the_matrices(drawn):
     for mu in (1, -1):
         spec = CirculantSpec(gf, r, mu)
         assert np.array_equal(toeplitz_windows(band_sequence(spec)), circulant_matrix(spec))
-    # classify_triple against circulant_matrix of the first row of the triple's matrix
+    # the band rule against circulant_matrix of the first row of the triple's matrix
     A = toeplitz_matrix(T)
     circ, nega = (
         np.array_equal(A, circulant_matrix(CirculantSpec(gf, tuple(A[0]), mu))) for mu in (1, -1)
     )
     names = {(True, True): "both", (True, False): "circulant", (False, True): "negacirculant"}
-    assert classify_triple(T) == names.get((circ, nega), "neither")
+    assert _kind(T) == names.get((circ, nega), "neither")
 
 
 def test_code_builders():
