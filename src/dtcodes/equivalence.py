@@ -85,6 +85,7 @@ DEFAULT_NODE_CAP = 10**8
 
 # x -> x^2 on the F4 element codes 0, 1, w, v = w^2
 _FROBENIUS = np.array([0, 1, 3, 2], dtype=np.int8)
+_FROBENIUS_BYTES = bytes.maketrans(bytes(range(4)), _FROBENIUS.tobytes())
 
 
 class UndecidedError(RuntimeError):
@@ -146,7 +147,6 @@ class _Keyed(NamedTuple):
 
     source: _Source
     sig: tuple
-    anchors: np.ndarray  # one anchor word per row
     masks: list[list[int]]  # masks[p][v]: bits of the anchors with value v in column p
     by_row: dict[tuple, list[int]]  # the columns of each co-occurrence row, ascending
 
@@ -208,11 +208,10 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
         masks = [flat[(i * n + p) * gf.q : (i * n + p + 1) * gf.q] for p in range(n)]
         cooc_sig = tuple(sorted(shared.setdefault(row, row) for row in map(tuple, cooc_min[i])))
         sig = (n, k, tuple(enum_i), hulls[i], cooc_sig)
-        W = A[i, : N[i]].copy()  # not a view: the block's arrays die with the block
         zero = [p for p in range(n) if not nz_i[p]]
         order_i = sorted((p for p in range(n) if nz_i[p]), key=lambda p: -nz_i[p])
-        source = _Source(C, zero, len(W), order_i, rows, W.T.tobytes())
-        out.append(_Keyed(source, sig, W, masks, by_row))
+        source = _Source(C, zero, int(N[i]), order_i, rows, A[i, : N[i]].T.tobytes())
+        out.append(_Keyed(source, sig, masks, by_row))
     return out
 
 
@@ -249,67 +248,54 @@ def signature(C: LinearCode) -> tuple:
     return _key_block([C])[0].sig
 
 
-def _search_map(x: _Source, y: _Keyed, node_cap: int) -> MonomialMap | None:
-    """A monomial map carrying code x onto code y; their signatures must be equal."""
-    C1, C2 = x.code, y.source.code
-    gf = C1.gf
-    n = C1.n
+class _PairSearch:
+    """One pair search (module docstring, step 3): a map of x's columns onto y's, extended a
+    column at a time.  No attribute refers to a method, so it leaves no reference cycle."""
 
-    # a map carries the anchors of x onto those of y (module docstring)
-    if len(x.zero) != len(y.source.zero) or x.count != y.source.count:
-        return None
+    def __init__(self, x: _Source, y: _Keyed, node_cap: int):
+        self.x, self.y, self.node_cap, self.nodes = x, y, node_cap, 0
+        self.full = (1 << x.count) - 1
+        # x.order puts the columns touched by most anchor words first: they
+        # propagate the most information.  The map permutes anchor words and
+        # columns together, so column j can land only on a column p with the
+        # same sorted row of anchor co-occurrence counts, and so with the same
+        # value counts (scalar closure, see the module docstring).
+        self.targets = [y.by_row.get(x.cooccurrence[j], ()) for j in x.order]
+        self.mul = x.code.gf.mul_table.tolist()
+        self.perm, self.scale = [-1] * x.code.n, [1] * x.code.n
+        for z1, z2 in zip(x.zero, y.source.zero):
+            self.perm[z1] = z2
+        self.used = set(y.source.zero)
 
-    N = x.count
-    full = (1 << N) - 1
-    # x.order puts the columns touched by most anchor words first: they
-    # propagate the most information.  The map permutes anchor words and
-    # columns together, so column j can land only on a column p with the
-    # same sorted row of anchor co-occurrence counts, and so with the same
-    # value counts (scalar closure, see the module docstring).
-    targets = [y.by_row.get(x.cooccurrence[j], ()) for j in x.order]
-    mul = gf.mul_table.tolist()
-
-    B2, perm2 = C2.systematic_right_block()
-    scales = range(1, gf.q)
-    nodes = 0
-
-    perm = [-1] * n
-    scale = [1] * n
-    for z1, z2 in zip(x.zero, y.source.zero):
-        perm[z1] = z2
-
-    used = set(y.source.zero)
-
-    def verify() -> bool:
+    def verify(self) -> bool:
+        C1, C2 = self.x.code, self.y.source.code
+        B2, perm2 = C2.systematic_right_block()
         G = np.empty_like(C1.G)
-        G[:, perm] = gf.mul_table[scale, C1.G]  # column j, scaled, lands in column perm[j]
-        # a row lies in C2 iff, in C2's systematic column order, its
-        # right part is its left part times B2
+        G[:, self.perm] = C1.gf.mul_table[self.scale, C1.G]  # column j, scaled, to perm[j]
+        # a row lies in C2 iff, in C2's systematic column order, its right part is its left times B2
         G = G[:, perm2]
-        return np.array_equal(gf_matmul(gf, G[:, : C2.k], B2), G[:, C2.k :])
+        return np.array_equal(gf_matmul(C1.gf, G[:, : C2.k], B2), G[:, C2.k :])
 
-    def descend(depth: int, cand: list[int]) -> bool:
-        nonlocal nodes
+    def descend(self, depth: int, cand: list[int]) -> bool:
+        x, used, N = self.x, self.used, self.x.count
         if depth == len(x.order):
-            return verify()
+            return self.verify()
         j = x.order[depth]
         col_vals = x.columns[j * N : (j + 1) * N]
-        for p in targets[depth]:
+        for p in self.targets[depth]:
             if p in used:
                 continue
-            m2p = y.masks[p]
+            m2p = self.y.masks[p]
             # A map times a nonzero scalar is again a map, so the first
             # column holds a map under scale lam only if it does under 1.
-            for lam in scales if depth else (1,):
-                nodes += 1
-                if nodes > node_cap:
+            for lam in range(1, x.code.gf.q) if depth else (1,):
+                self.nodes += 1
+                if self.nodes > self.node_cap:
                     raise UndecidedError(
-                        f"equivalence search exceeded its node budget of {node_cap}"
+                        f"equivalence search exceeded its node budget of {self.node_cap}"
                     )
-                row = [m2p[v] for v in mul[lam]]  # row[u]: the y anchors with lam*u in p
-                new_cand = []
-                union = 0
-                ok = True
+                row = [m2p[v] for v in self.mul[lam]]  # row[u]: the y anchors with lam*u in p
+                new_cand, union, ok = [], 0, True
                 for i in range(N):
                     c = cand[i] & row[col_vals[i]]
                     if not c:
@@ -317,18 +303,24 @@ def _search_map(x: _Source, y: _Keyed, node_cap: int) -> MonomialMap | None:
                         break
                     new_cand.append(c)
                     union |= c
-                if not ok or union != full:
+                if not ok or union != self.full:
                     continue
-                perm[j] = p
-                scale[j] = lam
+                self.perm[j], self.scale[j] = p, lam
                 used.add(p)
-                if descend(depth + 1, new_cand):
+                if self.descend(depth + 1, new_cand):
                     return True
                 used.discard(p)
         return False
 
-    if descend(0, [full] * N):
-        return MonomialMap(tuple(perm), tuple(scale))
+
+def _search_map(x: _Source, y: _Keyed, node_cap: int) -> MonomialMap | None:
+    """A monomial map carrying code x onto code y; their signatures must be equal."""
+    # a map carries the anchors of x onto those of y (module docstring)
+    if len(x.zero) != len(y.source.zero) or x.count != y.source.count:
+        return None
+    search = _PairSearch(x, y, node_cap)
+    if search.descend(0, [search.full] * x.count):
+        return MonomialMap(tuple(search.perm), tuple(search.scale))
     return None
 
 
@@ -346,12 +338,13 @@ def _check_semimonomial(q: int, semimonomial: bool) -> None:
 def _maps_onto(x: _Source, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
     """Whether a monomial map carries x onto y or, with ``semimonomial`` (F4 only), onto
     the Frobenius image of y; x has y's signature."""
-    if _search_map(x, y, node_cap) is not None:
-        return True
-    if not semimonomial:
-        return False
-    # x -> x^2 keeps every signature entry, so the image has y's signature
-    return _search_map(x, _key_block([frobenius_image(y.source.code)])[0], node_cap) is not None
+    found = _search_map(x, y, node_cap) is not None
+    if found or not semimonomial:
+        return found
+    # x P = conj(y) exactly when conj(x) conj(P) = y, for the monomial conj(P); the anchors
+    # of conj(x) are those of x conjugated, on the same supports
+    conj = x._replace(code=frobenius_image(x.code), columns=x.columns.translate(_FROBENIUS_BYTES))
+    return _search_map(conj, y, node_cap) is not None
 
 
 def find_monomial_map(

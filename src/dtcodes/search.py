@@ -71,6 +71,7 @@ from .structured import (
     ToeplitzTriple,
     _check_even_length,
     _circulant_flags,
+    _triple_order,
     circulant_bands,
     index_of_digits,
     orbit_keys,
@@ -623,26 +624,21 @@ class ClassificationReport:
 _ORBIT_BLOCK_ROWS = 1 << 13
 
 
-def _orbit_classes(
-    gf: GF, S: np.ndarray, semimonomial: bool
-) -> list[tuple[list[int], LinearCode]]:
-    """The equivalence classes of the codes of band sequences S, as ascending index groups
-    in the order of their least index, each with the code of that index: only the first
-    sequence of each orbit of :func:`structured.orbit_keys` is keyed and pair-tested (see
-    :func:`classify`), and a class's least index is such a leader.  The orbits are keyed
-    ``_ORBIT_BLOCK_ROWS`` rows at a time, and each leader's code is built as dedupe reads it."""
-    by_key: dict[int, list[int]] = {}
-    for lo in range(0, len(S), _ORBIT_BLOCK_ROWS):
-        for i, key in enumerate(orbit_keys(gf, S[lo : lo + _ORBIT_BLOCK_ROWS]).tolist(), lo):
-            by_key.setdefault(key, []).append(i)
-    orbits = list(by_key.values())  # ascending, in the order of their leaders
-    leaders = toeplitz_windows(S[[orbit[0] for orbit in orbits]])
-    codes = (LinearCode.systematic(gf, A) for A in leaders)
-    return [
-        (sorted(i for leader in group for i in orbits[leader]),
-         LinearCode.systematic(gf, leaders[group[0]]))
-        for group in dedupe_into_classes(codes, semimonomial=semimonomial)
-    ]
+def _orbit_classes(gf: GF, S: np.ndarray, semimonomial: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The class of each band sequence of S, numbered by least rows, and each class's least
+    row.  Only the first row, or leader, of each orbit of :func:`structured.orbit_keys` is
+    keyed and pair-tested (see :func:`classify`), so a class's least row is a leader.  Keys
+    come ``_ORBIT_BLOCK_ROWS`` rows at a time; a leader's code is built as dedupe reads it."""
+    blocks = (S[lo : lo + _ORBIT_BLOCK_ROWS] for lo in range(0, len(S), _ORBIT_BLOCK_ROWS))
+    keys = np.concatenate([orbit_keys(gf, B) for B in blocks])
+    _, first, orbit = np.unique(keys, return_index=True, return_inverse=True)
+    by_leader = np.argsort(first)  # the orbits, numbered by key, in the order of their leaders
+    codes = (LinearCode.systematic(gf, A) for A in toeplitz_windows(S[first[by_leader]]))
+    groups = dedupe_into_classes(codes, semimonomial=semimonomial)
+    cls = np.empty(len(first), dtype=np.intp)  # the class of each orbit, by key
+    for class_id, group in enumerate(groups):
+        cls[by_leader[group]] = class_id
+    return cls[orbit], first[by_leader[[group[0] for group in groups]]]
 
 
 def classify(
@@ -670,11 +666,11 @@ def classify(
     D⁻¹TD for D = diag(α^i), which sends a_k -> α^k a_k and
     b_k -> α^-k b_k; and the swap a <-> b.  Only the first attainer of
     each orbit under them, in enumeration order, is keyed and
-    pair-tested, and each class then takes in every member of its
-    leaders' orbits.  A class's least index is always a leader, and the
-    pair tests decide equivalence exactly, so the classes, their order,
-    members, labels and lex-minimal representatives are those of a
-    dedupe over every attainer.
+    pair-tested; every attainer takes its leader's class, one array
+    that gives the members, labels and representatives.  A class's
+    least attainer is a leader, and the pair tests decide equivalence
+    exactly, so the classes, their order, members, labels and
+    lex-minimal representatives are those of a dedupe over every one.
 
     The labels need no search of the circulant families: a double
     (nega)circulant code is the double Toeplitz code of its triple, and
@@ -694,15 +690,16 @@ def classify(
         triple_budget,
     )
     circ, nega = _circulant_flags(gf, S)
-    # the band columns of b_{m-1}, ..., b_1, a_{m-1}, ..., a_1, t: lexsort keys, primary last
-    m = n // 2
-    keys = [*range(m - 1), *range(n - 2, m - 2, -1)]
+    cls, leaders = _orbit_classes(gf, S, semimonomial)
+    members = np.bincount(cls).tolist()
+    dc, nc = (np.bincount(cls, weights=flags) > 0 for flags in (circ, nega))
+    order = _triple_order(S, cls)  # by class, then (t, a, b)
+    reps = order[np.searchsorted(cls[order], np.arange(len(leaders)))]
     report = ClassificationReport(gf.q, n, d_opt)
-    for class_id, (group, code) in enumerate(_orbit_classes(gf, S, semimonomial)):
-        if minimum_weight(code) != d_opt:
+    for class_id, (leader, row) in enumerate(zip(leaders, reps)):
+        if minimum_weight(LinearCode.systematic(gf, toeplitz_windows(S[leader]))) != d_opt:
             raise AssertionError("class representative does not attain the optimum")
-        structure = "DC" if circ[group].any() else "NC" if nega[group].any() else "DT-only"
-        rows = S[group]  # the representative comes first in (t, a, b) order
-        rep = _spec_of_band(gf, "DT", rows[np.lexsort(rows[:, keys].T)[0]])
-        report.records.append(ClassRecord(class_id, rep, len(group), structure))
+        structure = "DC" if dc[class_id] else "NC" if nc[class_id] else "DT-only"
+        rep = _spec_of_band(gf, "DT", S[row])
+        report.records.append(ClassRecord(class_id, rep, members[class_id], structure))
     return report

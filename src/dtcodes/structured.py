@@ -156,6 +156,14 @@ def split_bands(S) -> tuple[int, list[int], list[int]]:
     return s[m - 1], s[m:], s[: m - 1][::-1]
 
 
+def _triple_order(S: np.ndarray, major: np.ndarray) -> np.ndarray:
+    """The stable order of band sequences S (rows, 2m-1) by ``major`` (rows,), then by their
+    triples (t, *a, *b) read lexicographically: one lexsort of major and the band columns."""
+    m = (S.shape[-1] + 1) // 2
+    # the columns of b_{m-1}, ..., b_1, a_{m-1}, ..., a_1, t: lexsort keys, primary last
+    return np.lexsort((*S[:, [*range(m - 1), *range(2 * m - 2, m - 2, -1)]].T, major))
+
+
 def band_images(gf: GF, S) -> np.ndarray:
     """The images (..., 2(q-1)^2, 2m-1) of band sequences S (..., 2m-1) under the
     scalings, twists and swap, each of which spans a monomially equivalent code.

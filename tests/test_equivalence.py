@@ -334,7 +334,7 @@ def test_representatives_hold_only_what_the_pair_search_reads(monkeypatch):
 
     def measured(codes):
         yield from keyed(codes)
-        gc.collect()  # each pair search's recursive closure is a cycle
+        gc.collect()  # a full collection also empties the interpreter's free lists
         held.append(tracemalloc.get_traced_memory()[0])
 
     monkeypatch.setattr(equivalence, "_keyed_codes", measured)
@@ -348,6 +348,19 @@ def test_representatives_hold_only_what_the_pair_search_reads(monkeypatch):
     # about 10,760 bytes a class when each representative kept its whole record, and
     # 2,540 with only its pair-search source and co-occurrence rows shared by value
     assert (held[0] - before) / len(groups) < 3000
+
+
+def test_pair_searches_leave_no_reference_cycle():
+    # a dedupe's records, pair searches and maps die by reference counting alone
+    codes = [double_toeplitz_code(T) for T, _ in search_dt(GF(4), 8)[1][:60]]
+    for semimonomial in (False, True):
+        gc.disable()
+        try:
+            gc.collect()
+            assert len(dedupe_into_classes(codes, semimonomial=semimonomial)) < 60
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_dedupe_partitions_consistently():
@@ -508,6 +521,12 @@ def _keyed(C: LinearCode) -> _Keyed:
     return _Keyed(C, sig, W, masks, _cooccurrence_rows(W))
 
 
+def _anchors(record) -> np.ndarray:
+    """A batched record's anchor words, one a row, decoded from its source's anchor columns."""
+    source = record.source
+    return np.frombuffer(source.columns, dtype=np.int8).reshape(source.code.n, source.count).T
+
+
 def _assert_matches_oracle(record, x: _Keyed) -> None:
     """The batched record of a code equals the oracle's record x, and so
     do the pair-search inputs that the oracle's search derived from x."""
@@ -515,8 +534,9 @@ def _assert_matches_oracle(record, x: _Keyed) -> None:
     source = record.source
     assert source.code is C
     assert record.sig == x.sig
-    assert record.anchors.dtype == x.anchors.dtype
-    assert np.array_equal(record.anchors, x.anchors)  # rows in order
+    anchors = _anchors(record)
+    assert anchors.dtype == x.anchors.dtype
+    assert np.array_equal(anchors, x.anchors)  # rows in order
     assert record.masks == x.masks
     assert source.cooccurrence == x.cooccurrence
     n = C.n
@@ -588,9 +608,10 @@ def test_anchors_are_the_fewest_lightest_layers_touching_every_column_with_n_wor
             touches = np.array_equal(W.any(axis=0), C.G.any(axis=0))
             return touches and (len(W) >= C.n or len(W) == len(words))
 
-        top = np.count_nonzero(record.anchors, axis=1).max()
-        assert sorted(record.anchors.tolist()) == words[weights <= top].tolist()
-        assert sufficient(record.anchors)
+        anchors = _anchors(record)
+        top = np.count_nonzero(anchors, axis=1).max()
+        assert sorted(anchors.tolist()) == words[weights <= top].tolist()
+        assert sufficient(anchors)
         assert not sufficient(words[weights < top])  # without its heaviest layer
 
 

@@ -1445,6 +1445,16 @@ def test_classify_enumerates_each_code_once(monkeypatch):
     assert sum(r.members for r in report.records) == optimal
 
 
+def test_classify_semimonomial_keys_each_orbit_leader_once(monkeypatch):
+    # a Frobenius pair test conjugates the representative's source, which needs no keying
+    gf, n = GF(4), 8
+    optimal, leaders = _orbit_leaders(gf, n)
+    calls = _counting_enumeration(monkeypatch)
+    report = classify(gf, n, semimonomial=True)
+    assert (optimal, len(leaders), len(report.records)) == (1344, 241, 11)
+    assert _same_codes(calls, leaders)
+
+
 def test_classify_pair_tests_all_find_a_map(monkeypatch):
     # the signature separates every inequivalent pair of this cell, so
     # each code that opens no class costs one successful pair test
@@ -1524,6 +1534,11 @@ def test_classify_semimonomial_diagnostic_merges_f4_classes():
     assert (merged.n_dt, merged.n_dc) == (5, 6)
 
 
+def _class_groups(cls: np.ndarray) -> list[list[int]]:
+    """The ascending rows of each class of a class array, in class order."""
+    return [np.flatnonzero(cls == c).tolist() for c in range(cls.max() + 1)]
+
+
 @pytest.mark.parametrize(
     "q,n,semimonomial",
     [(q, n, False) for q, n in CLASSIFY_SMALL_GRID + ((3, 10), (4, 8))] + [(4, 8, True)],
@@ -1534,10 +1549,33 @@ def test_orbit_classes_match_a_dedupe_of_every_code(q, n, semimonomial):
     triples = [T for T, _ in search_dt(gf, n)[1]]
     codes = [double_toeplitz_code(T) for T in triples]
     every = dedupe_into_classes(codes, semimonomial=semimonomial)
-    classes = search._orbit_classes(gf, np.stack([band_sequence(T) for T in triples]), semimonomial)
-    assert [group for group, _ in classes] == every
-    # each class comes with the code of its least index
-    assert all(np.array_equal(code.G, codes[group[0]].G) for group, code in classes)
+    cls, leaders = search._orbit_classes(
+        gf, np.stack([band_sequence(T) for T in triples]), semimonomial
+    )
+    assert _class_groups(cls) == every
+    # each class's leader is its least row
+    assert leaders.tolist() == [group[0] for group in every]
+
+
+@pytest.mark.parametrize("q,n", [(3, 8), (4, 8)])
+def test_orbit_classes_number_classes_whose_orbits_interleave(q, n):
+    # the optimal band rows shuffled, so that np.unique's key order is not the order of the
+    # orbits' leaders, and a class holds several orbits whose rows interleave
+    gf = GF(q)
+    S = np.stack([band_sequence(T) for T, _ in search_dt(gf, n)[1]])
+    S = S[np.random.default_rng(n).permutation(len(S))]
+    cls, leaders = search._orbit_classes(gf, S, False)
+    every = dedupe_into_classes(LinearCode.systematic(gf, A) for A in toeplitz_windows(S))
+    assert _class_groups(cls) == every
+    assert leaders.tolist() == [group[0] for group in every]
+    keys = orbit_keys(gf, S).tolist()
+    spans = {}  # the first and last rows of each orbit
+    for i, key in enumerate(keys):
+        spans[key] = (spans.get(key, (i,))[0], i)
+    assert any(
+        spans[keys[i]][0] < spans[keys[j]][0] < spans[keys[i]][1]
+        for group in every for i in group for j in group
+    )
 
 
 def test_classify_builds_a_triple_only_for_each_representative(monkeypatch):
@@ -1565,7 +1603,7 @@ def test_orbit_classes_key_in_blocks_as_one_orbit_keys_call(q, monkeypatch):
     S = rng.integers(0, q, (search._ORBIT_BLOCK_ROWS + 300, 5), dtype=np.int8)
     blocks = []
     monkeypatch.setattr(search, "orbit_keys", lambda gf, B: blocks.append(orbit_keys(gf, B)) or blocks[-1])
-    classes = search._orbit_classes(gf, S, False)
+    cls, leader_rows = search._orbit_classes(gf, S, False)
     assert [len(block) for block in blocks] == [search._ORBIT_BLOCK_ROWS, 300]
     keys = orbit_keys(gf, S).tolist()
     assert np.concatenate(blocks).tolist() == keys
@@ -1577,9 +1615,9 @@ def test_orbit_classes_key_in_blocks_as_one_orbit_keys_call(q, monkeypatch):
     leaders = [LinearCode.systematic(gf, toeplitz_windows(S[o[0]])) for o in orbits.values()]
     every = [sorted(i for g in group for i in list(orbits.values())[g])
              for group in dedupe_into_classes(leaders)]
-    assert [group for group, _ in classes] == every
-    assert all(np.array_equal(code.G, leaders[list(orbits).index(keys[group[0]])].G)
-               for group, code in classes)
+    assert _class_groups(cls) == every
+    # each class's leader is its least row
+    assert leader_rows.tolist() == [group[0] for group in every]
 
 
 # sha256 of the sorted-key JSON of classify's report per (q, n, semimonomial),

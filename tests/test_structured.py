@@ -35,6 +35,7 @@ from dtcodes.linear import _index_digits
 from dtcodes.structured import (
     BRUTE_FORCE_N,
     _circulant_flags,
+    _triple_order,
     band_images,
     band_sequence,
     digits_of_index,
@@ -201,6 +202,23 @@ def _triples(draw):
     M = circulant_matrix(CirculantSpec(gf, r, 1 if kind == "circulant" else -1))
     # the Toeplitz definition: t = M[0, 0], a_j = M[0, j], b_i = M[i, 0]
     return gf, ToeplitzTriple(gf, int(M[0, 0]), tuple(M[0, 1:]), tuple(M[1:, 0])), r
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_triple_order_sorts_band_rows_by_the_written_out_triples(q):
+    # random triples, with repeats at small m, whose band rows sort stably by
+    # (major, t, *a, *b): by the triples alone under a constant major key
+    gf, rng = GF(q), np.random.default_rng(q)
+    for m in (1, 2, 3, 5):
+        rows = rng.integers(0, q, (400, 2 * m - 1)).tolist()
+        triples = [ToeplitzTriple(gf, r[0], r[1:m], r[m:]) for r in rows]
+        S = np.stack([band_sequence(T) for T in triples])
+        lex = [(T.t, *T.a, *T.b) for T in triples]
+        by_triple = sorted(range(len(S)), key=lex.__getitem__)
+        assert _triple_order(S, np.zeros(len(S))).tolist() == by_triple
+        major = rng.integers(0, 7, len(S))
+        by_major = sorted(range(len(S)), key=lambda i: (major[i], *lex[i]))
+        assert _triple_order(S, major).tolist() == by_major
 
 
 @settings(deadline=None, max_examples=200)
