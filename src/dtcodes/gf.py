@@ -115,10 +115,11 @@ class GF:
         one scalar check.  Integers of any kind, Python and numpy bools as 0 and 1,
         are read with ``operator.index``; floats, strings and other values raise
         ValueError."""
-        try:
-            x = operator.index(int(x) if isinstance(x, np.bool_) else x)
-        except TypeError:
-            raise ValueError(f"element code {x!r} is not an integer") from None
+        if type(x) is not int:  # the search's records pass Python ints, checked by range only
+            try:
+                x = operator.index(int(x) if isinstance(x, np.bool_) else x)
+            except TypeError:
+                raise ValueError(f"element code {x!r} is not an integer") from None
         if not 0 <= x < self.q:
             raise ValueError(f"element code {x} out of range for F{self.q}")
         return x

@@ -280,23 +280,20 @@ def _probe_floor(gf: GF, n: int, family: str, reduction: str) -> int:
     """Best exact minimum weight over a deterministic sample of candidates: the
     :func:`_numbered_bands` of 128 numbers spread evenly over the whole filtered space.
 
-    Raises the starting best of a find-optimal pass, so that early
-    blocks need fewer raises and deep layers at low thresholds; any
-    sampled candidate is a genuine member of the filtered space, so
-    the floor is always attained.  A sample is evaluated exactly only
-    when it beats the running floor, which ``min_weight_at_least``
-    rules out at the first message layer with a low-weight codeword.
-    The sample runs from its last number down: on the benchmark cells
-    the floor rises sooner that way, so fewer samples need deep layers.
+    It starts a find-optimal pass's best above 1, so early blocks need fewer raises and
+    deep layers, and a sampled member of the filtered space attains it.  One kernel call,
+    cut at 0 and capped at m + 2 (d <= m + 1), gives every sample's exact weight.  The scan
+    reads its blocks by the same kernel, so the best sample is checked by the independent
+    exact scan of ``min_weight_at_least``: AssertionError if it misses the floor.
     """
-    total, split, low, high = _numbered_bands(gf, n, family, reduction, 0, gf.q ** (n // 2))
-    sample = np.unique(np.linspace(0, total - 1, min(total, 128)).astype(np.int64))
-    i, j = split(sample[::-1])
-    floor = 1
-    for Ai in toeplitz_windows(low[i] + high[j]):
-        code = LinearCode.systematic(gf, Ai)
-        if min_weight_at_least(code, floor + 1):
-            floor = minimum_weight(code)
+    q, m = gf.q, n // 2
+    total, split, low, high = _numbered_bands(gf, n, family, reduction, 0, q**m)
+    i, j = split(np.unique(np.linspace(0, total - 1, min(total, 128)).astype(np.int64)))
+    S = low[i] + high[j]
+    weights = _batch_min_weight_capped(_row_words(q, m, _band_words(gf, S)), m + 2, q, 0)
+    floor, best = int(weights.max()), S[weights.argmax()]
+    if not min_weight_at_least(LinearCode.systematic(gf, toeplitz_windows(best)), floor):
+        raise AssertionError("the probe's best sample does not attain the floor")
     return floor
 
 

@@ -197,8 +197,10 @@ def orbit_keys(gf: GF, S) -> np.ndarray:
     S = np.asarray(S, dtype=np.int8)
     if gf.q ** S.shape[-1] > 1 << 62:
         raise ValueError(f"an F{gf.q} band sequence of length {S.shape[-1]} overflows an orbit key")
-    weights = gf.q ** np.arange(S.shape[-1] - 1, -1, -1, dtype=np.int64)
-    return (band_images(gf, S) @ weights).min(axis=-1)
+    keys = np.int64(0)  # Horner steps over the band axis: no int8 image is widened to int64
+    for column in np.moveaxis(band_images(gf, S), -1, 0):
+        keys = keys * gf.q + column
+    return keys.min(axis=-1)
 
 
 def toeplitz_windows(S: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import re
 import time
 from concurrent.futures import Future
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -563,6 +564,59 @@ def test_probe_floor_keeps_the_benchmark_floors(cell):
     q, n, family = cell
     reduction = search._resolve_reduction(q, "auto") if family == "DT" else "none"
     assert search._probe_floor(GF(q), n, family, reduction) == _PROBE_FLOORS[cell]
+
+
+_PROBE_CELLS = [("DT", 2, 12, "C2"), ("DT", 3, 8, "C3"), ("DC", 4, 8, "none"), ("NC", 3, 8, "none")]
+
+
+@pytest.mark.parametrize("family,q,n,reduction", _PROBE_CELLS)
+def test_probe_floor_makes_one_kernel_call_and_one_exact_check(
+    family, q, n, reduction, monkeypatch
+):
+    # the whole sample's weights from one call, capped at m + 2 and cut at 0, then one code
+    # built and checked by min_weight_at_least: the best sample's, at the floor
+    gf, m = GF(q), n // 2
+    floor = search._probe_floor(gf, n, family, reduction)
+    calls, builds, checks = [], [], []
+    batch, build = _batch_min_weight_capped, LinearCode.systematic
+    check = linear.min_weight_at_least
+    monkeypatch.setattr(
+        search,
+        "_batch_min_weight_capped",
+        lambda P, T, q, least: calls.append((P.shape[1], T, least)) or batch(P, T, q, least),
+    )
+    codes = SimpleNamespace(systematic=lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(search, "LinearCode", codes)
+    monkeypatch.setattr(
+        search, "min_weight_at_least", lambda *args: checks.append(args) or check(*args)
+    )
+    assert search._probe_floor(gf, n, family, reduction) == floor
+    total = len(_candidates(gf, n, family, reduction, 0, q**m))
+    assert calls == [(min(total, 128), m + 2, 0)]
+    assert len(builds) == 1 and len(checks) == 1
+    code, d = checks[0]
+    assert np.array_equal(code.G[:, m:], builds[0][1])
+    assert d == floor == minimum_weight(code)
+
+
+@pytest.mark.parametrize("family,q,n,reduction", _PROBE_CELLS)
+def test_probe_floor_refuses_a_kernel_that_overstates_its_best_sample(
+    family, q, n, reduction, monkeypatch
+):
+    # the exact check is the probe's only guard against the kernel that also reads the scan
+    batch = _batch_min_weight_capped
+
+    def overstated(P, T, q, least):
+        out = batch(P, T, q, least)
+        out[out.argmax()] += 1
+        return out
+
+    monkeypatch.setattr(search, "_batch_min_weight_capped", overstated)
+    with pytest.raises(AssertionError, match="best sample does not attain the floor"):
+        search._probe_floor(GF(q), n, family, reduction)
+    run = search_dt if family == "DT" else partial(search_family, family=family)
+    with pytest.raises(AssertionError, match="best sample does not attain the floor"):
+        run(GF(q), n)
 
 
 def test_search_output_does_not_depend_on_block_rows(monkeypatch):
@@ -1193,11 +1247,20 @@ def test_probe_floor_runs_only_when_a_chunk_is_left(tmp_path, monkeypatch, kept,
     state = json.loads(written)
     state["chunks"] = {cid: chunk for cid, chunk in state["chunks"].items() if int(cid) < kept}
     path.write_text(json.dumps(state))
-    calls = []
-    probe = search._probe_floor
+    calls, cuts, checks = [], [], []
+    probe, batch, check = search._probe_floor, _batch_min_weight_capped, search.min_weight_at_least
     monkeypatch.setattr(search, "_probe_floor", lambda *args: calls.append(args) or probe(*args))
+    monkeypatch.setattr(
+        search,
+        "_batch_min_weight_capped",
+        lambda P, T, q, least: cuts.append(least) or batch(P, T, q, least),
+    )
+    monkeypatch.setattr(search, "min_weight_at_least", lambda C, d: checks.append(d) or check(C, d))
     assert search_dt(gf, 10, partitions=4, checkpoint_path=str(path)) == fresh
     assert len(calls) == probes
+    # uncut kernel calls: one per resumed chunk's check and the probe's one; the probe's
+    # exact check is the search's only min_weight_at_least call
+    assert cuts.count(0) == kept + probes and len(checks) == probes
     assert path.read_text() == written
 
 

@@ -385,3 +385,22 @@ def test_band_images_are_the_codes_of_explicit_monomial_maps(q, m, data):
     least = min(index_of_digits(image[::-1], q) for image in images.tolist())
     assert orbit_keys(gf, images).tolist() == [least] * len(images)
     assert int(orbit_keys(gf, band_sequence(T))) == least
+
+
+@pytest.mark.parametrize("q,longest", [(2, 61), (3, 39), (4, 31)])
+def test_orbit_keys_match_the_image_product_up_to_the_length_guard(q, longest):
+    # the Horner keys against the least image read by one int64 product, on random stacks
+    # of every odd band length up to the longest under the 2^62 guard, with a row of the
+    # largest digit; the next band length raises
+    gf, rng = GF(q), np.random.default_rng(q)
+    for length in range(1, longest + 1, 2):
+        S = rng.integers(0, q, size=(3, 5, length), dtype=np.int8)
+        S[0, 0] = q - 1
+        weights = q ** np.arange(length - 1, -1, -1, dtype=np.int64)
+        expected = (band_images(gf, S).astype(np.int64) @ weights).min(axis=-1)
+        assert np.array_equal(orbit_keys(gf, S), expected)
+        assert orbit_keys(gf, S[1, 2]) == expected[1, 2]
+        assert orbit_keys(gf, S[:0]).shape == (0, 5)
+    assert q**longest <= 1 << 62 < q ** (longest + 2)
+    with pytest.raises(ValueError, match="overflows an orbit key"):
+        orbit_keys(gf, np.zeros((1, longest + 2), dtype=np.int8))
