@@ -46,8 +46,8 @@ print("scalar multiple equivalent:", are_equivalent(C, scaled))
 # the signature is a monomial invariant: equal for equivalent codes,
 # and usually different for inequivalent ones, so most pairs never
 # reach the backtracking search.  Besides the weight enumerator it
-# holds the hull dimension and how often the minimum-weight words
-# share each pair of columns.
+# holds how often the anchor words, the lightest codewords the search
+# matches, share each pair of columns.
 other = double_toeplitz_code(ToeplitzTriple(gf, 0, (1, 0), (0, 0)))
 print("signatures differ for a weight-1 code:", signature(other) != signature(C))
 print("equivalent anyway?", are_equivalent(C, other))

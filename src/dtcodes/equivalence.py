@@ -22,13 +22,14 @@ The decision procedure here anchors on low-weight codewords:
    on its target side the value bitmasks and the columns of each
    co-occurrence row;
 2. exact invariant pre-filter (:func:`signature`): besides the weight
-   enumerator it holds the hull dimension (Hermitian over F4) and the
-   sorted support co-occurrence profile of the minimum-weight words.
-   Codes with different signatures are never searched, and most
-   inequivalent pairs are separated here.  Every weight layer of a
-   linear code is closed under nonzero scalars, so a column with nz
-   nonzero entries over a layer holds each nonzero value nz/(q-1)
-   times: per-column value counts add nothing to the supports;
+   enumerator it holds the sorted co-occurrence rows of the anchors,
+   the rows step 3 matches columns by, so keying makes one
+   co-occurrence product and no other invariant.  Codes with different
+   signatures are never searched, and most inequivalent pairs are
+   separated here.  Every weight layer of a linear code is closed under
+   nonzero scalars, so a column with nz nonzero entries over a layer
+   holds each nonzero value nz/(q-1) times: per-column value counts add
+   nothing to the supports;
 3. backtracking over column assignments (target column, scale factor),
    constrained by the anchor words W1, W2 of the two codes.  A monomial
    map carries layers onto layers and nonzero columns onto nonzero
@@ -68,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gf import _int_matmul, gf_matmul
-from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks, _row_weights, _rref
+from .linear import _BLOCK_ROWS, LinearCode, _codeword_blocks, _row_weights
 
 __all__ = [
     "UndecidedError",
@@ -81,6 +82,7 @@ __all__ = [
     "frobenius_image",
 ]
 
+# the backtrack nodes one pair search visits before it raises UndecidedError
 DEFAULT_NODE_CAP = 10**8
 
 # x -> x^2 on the F4 element codes 0, 1, w, v = w^2
@@ -152,14 +154,8 @@ class _Keyed(NamedTuple):
 
 
 def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
-    """The records of codes that share (q, n, k), from one stacked enumeration.
-
-    The hull dimension is dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian
-    (Ḡ = G^2) over F4.  A scale s on a column multiplies its term of the
-    inner product by s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1
-    over F4, so it is a monomial invariant; the Euclidean form over F4
-    is not (s^2 != 1 for s = w).
-    """
+    """The records of codes that share (q, n, k), from one stacked enumeration and one
+    co-occurrence product: the signature is read off what the pair search reads."""
     gf, n, k = codes[0].gf, codes[0].n, codes[0].k
     at = np.arange(len(codes))
     B = np.stack([C.systematic_right_block()[0] for C in codes])
@@ -187,17 +183,11 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
     A = np.take_along_axis(A, inv[:, None, :], axis=2)
     A[np.arange(A.shape[1]) >= N[:, None]] = -1  # padding rows, which match no value
     SA = A > 0
-    is_min = np.arange(A.shape[1]) < enum[at, (enum[:, 1:] > 0).argmax(axis=1) + 1][:, None]
-    both = _int_matmul(SA.transpose(0, 2, 1), np.concatenate([SA & is_min[:, :, None], SA], axis=2))
-    cooc_min = np.sort(both[:, :, :n], axis=2).tolist()
-    cooc = np.sort(both[:, :, n:], axis=2).tolist()
+    cooc = np.sort(_int_matmul(SA.transpose(0, 2, 1), SA), axis=2).tolist()
     nz = SA.sum(axis=1)
     eq = A.transpose(0, 2, 1)[:, :, None, :] == np.arange(gf.q)[:, None]
     raw, nbytes = np.packbits(eq, axis=-1, bitorder="little").tobytes(), -(-A.shape[1] // 8)
     flat = [int.from_bytes(raw[o : o + nbytes], "little") for o in range(0, len(raw), nbytes)]
-    G = np.stack([C.G for C in codes])
-    gram = gf_matmul(gf, G, (_FROBENIUS[G] if gf.q == 4 else G).transpose(0, 2, 1))
-    hulls = [k - len(_rref(gf, g)[1]) for g in gram]
     out = []
     for i, (C, nz_i, enum_i) in enumerate(zip(codes, nz.tolist(), enum.tolist())):
         shared: dict[tuple, tuple] = {}  # one tuple for equal rows
@@ -206,8 +196,7 @@ def _key_block(codes: list[LinearCode]) -> list[_Keyed]:
         for p, row in enumerate(rows):
             by_row.setdefault(row, []).append(p)
         masks = [flat[(i * n + p) * gf.q : (i * n + p + 1) * gf.q] for p in range(n)]
-        cooc_sig = tuple(sorted(shared.setdefault(row, row) for row in map(tuple, cooc_min[i])))
-        sig = (n, k, tuple(enum_i), hulls[i], cooc_sig)
+        sig = (n, k, tuple(enum_i), tuple(sorted(rows)))
         zero = [p for p in range(n) if not nz_i[p]]
         order_i = sorted((p for p in range(n) if nz_i[p]), key=lambda p: -nz_i[p])
         source = _Source(C, zero, int(N[i]), order_i, rows, A[i, : N[i]].T.tobytes())
@@ -228,19 +217,17 @@ def _keyed_codes(codes):
 def signature(C: LinearCode) -> tuple:
     """Monomial-invariant fingerprint used as an equivalence pre-filter.
 
-    The tuple ``(n, k, enumerator, hull, cooccurrence)`` holds:
+    The tuple ``(n, k, enumerator, cooccurrence)`` holds:
 
     - ``n``: the length;
     - ``k``: the dimension;
     - ``enumerator``: the full weight enumerator, counts of weights 0..n;
-    - ``hull``: the dimension of C ∩ C^⊥, Hermitian over F4;
-    - ``cooccurrence``: with S the 0/1 support matrix of the
-      minimum-weight codewords, the sorted multiset of the sorted rows
-      of SᵀS.  Entry (i, j) counts the words nonzero in both columns i
-      and j; scalings keep supports and a permutation permutes rows
-      and columns alike.  The diagonal entry of column j is its nonzero
-      count nz, and the minimum-weight words are closed under nonzero
-      scalars, so column j holds each nonzero value nz/(q-1) times.
+    - ``cooccurrence``: with S the 0/1 support matrix of the anchor
+      words (module docstring, step 1), the sorted multiset of the
+      sorted rows of SᵀS: the rows the pair search matches columns by.
+      Entry (i, j) counts the anchors nonzero in both columns i and j;
+      a monomial map carries anchors onto anchors, scalings keep
+      supports, and a permutation permutes rows and columns alike.
 
     Every entry is also unchanged by the F4 Frobenius map, so a code
     and its conjugate share the signature.
@@ -252,8 +239,8 @@ class _PairSearch:
     """One pair search (module docstring, step 3): a map of x's columns onto y's, extended a
     column at a time.  No attribute refers to a method, so it leaves no reference cycle."""
 
-    def __init__(self, x: _Source, y: _Keyed, node_cap: int):
-        self.x, self.y, self.node_cap, self.nodes = x, y, node_cap, 0
+    def __init__(self, x: _Source, y: _Keyed):
+        self.x, self.y, self.nodes = x, y, 0
         self.full = (1 << x.count) - 1
         # x.order puts the columns touched by most anchor words first: they
         # propagate the most information.  The map permutes anchor words and
@@ -290,9 +277,9 @@ class _PairSearch:
             # column holds a map under scale lam only if it does under 1.
             for lam in range(1, x.code.gf.q) if depth else (1,):
                 self.nodes += 1
-                if self.nodes > self.node_cap:
+                if self.nodes > DEFAULT_NODE_CAP:
                     raise UndecidedError(
-                        f"equivalence search exceeded its node budget of {self.node_cap}"
+                        f"equivalence search exceeded its node budget of {DEFAULT_NODE_CAP}"
                     )
                 row = [m2p[v] for v in self.mul[lam]]  # row[u]: the y anchors with lam*u in p
                 new_cand, union, ok = [], 0, True
@@ -313,12 +300,12 @@ class _PairSearch:
         return False
 
 
-def _search_map(x: _Source, y: _Keyed, node_cap: int) -> MonomialMap | None:
+def _search_map(x: _Source, y: _Keyed) -> MonomialMap | None:
     """A monomial map carrying code x onto code y; their signatures must be equal."""
     # a map carries the anchors of x onto those of y (module docstring)
     if len(x.zero) != len(y.source.zero) or x.count != y.source.count:
         return None
-    search = _PairSearch(x, y, node_cap)
+    search = _PairSearch(x, y)
     if search.descend(0, [search.full] * x.count):
         return MonomialMap(tuple(search.perm), tuple(search.scale))
     return None
@@ -335,32 +322,25 @@ def _check_semimonomial(q: int, semimonomial: bool) -> None:
         raise ValueError("the semimonomial diagnostic applies to F4 only")
 
 
-def _maps_onto(x: _Source, y: _Keyed, node_cap: int, semimonomial: bool) -> bool:
+def _maps_onto(x: _Source, y: _Keyed, semimonomial: bool) -> bool:
     """Whether a monomial map carries x onto y or, with ``semimonomial`` (F4 only), onto
     the Frobenius image of y; x has y's signature."""
-    found = _search_map(x, y, node_cap) is not None
+    found = _search_map(x, y) is not None
     if found or not semimonomial:
         return found
     # x P = conj(y) exactly when conj(x) conj(P) = y, for the monomial conj(P); the anchors
     # of conj(x) are those of x conjugated, on the same supports
     conj = x._replace(code=frobenius_image(x.code), columns=x.columns.translate(_FROBENIUS_BYTES))
-    return _search_map(conj, y, node_cap) is not None
+    return _search_map(conj, y) is not None
 
 
-def find_monomial_map(
-    C1: LinearCode, C2: LinearCode, node_cap: int = DEFAULT_NODE_CAP
-) -> MonomialMap | None:
+def find_monomial_map(C1: LinearCode, C2: LinearCode) -> MonomialMap | None:
     """A monomial map carrying C1 onto C2, or None when none exists."""
     x, y = _keyed_pair(C1, C2)
-    return _search_map(x.source, y, node_cap) if x.sig == y.sig else None
+    return _search_map(x.source, y) if x.sig == y.sig else None
 
 
-def are_equivalent(
-    C1: LinearCode,
-    C2: LinearCode,
-    node_cap: int = DEFAULT_NODE_CAP,
-    semimonomial: bool = False,
-) -> bool:
+def are_equivalent(C1: LinearCode, C2: LinearCode, semimonomial: bool = False) -> bool:
     """Whether a monomial matrix maps C1 onto C2.
 
     With ``semimonomial=True`` (diagnostic switch for F4 only; other
@@ -369,14 +349,10 @@ def are_equivalent(
     """
     _check_semimonomial(C1.gf.q, semimonomial)
     x, y = _keyed_pair(C1, C2)
-    return x.sig == y.sig and _maps_onto(x.source, y, node_cap, semimonomial)
+    return x.sig == y.sig and _maps_onto(x.source, y, semimonomial)
 
 
-def dedupe_into_classes(
-    codes,
-    node_cap: int = DEFAULT_NODE_CAP,
-    semimonomial: bool = False,
-) -> list[list[int]]:
+def dedupe_into_classes(codes, semimonomial: bool = False) -> list[list[int]]:
     """Partition codes into equivalence classes.
 
     Returns index groups in first-seen order; the first index of each
@@ -396,7 +372,7 @@ def dedupe_into_classes(
         bucket = reps.setdefault(x.sig, [])
         for class_id, rep in bucket:
             try:
-                found = _maps_onto(rep, x, node_cap, semimonomial)
+                found = _maps_onto(rep, x, semimonomial)
             except UndecidedError as exc:
                 raise UndecidedError(f"code {i} against class {class_id}: {exc}") from exc
             if found:

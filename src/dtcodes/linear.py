@@ -427,6 +427,10 @@ def dual_code(C: LinearCode) -> LinearCode:
     of the identity block, and the construction is permuted back to the
     original column order.
     """
+    if C.k == C.n:
+        raise ValueError(
+            f"the dual of an [{C.n}, {C.n}] code is the zero code, which has no generator"
+        )
     B, perm = C.systematic_right_block()
     Bd, permd = C.gf.neg_table[B.T], np.concatenate([perm[C.k :], perm[: C.k]])
     H = np.zeros((C.n - C.k, C.n), dtype=np.int8)
@@ -436,7 +440,10 @@ def dual_code(C: LinearCode) -> LinearCode:
 
 
 def is_formally_self_dual(C: LinearCode) -> bool:
-    """Whether C and its dual share one weight enumerator."""
+    """Whether C and its dual share one weight enumerator; never when 2k != n, since
+    the enumerators then count q^k and q^(n-k) codewords."""
+    if 2 * C.k != C.n:
+        return False
     _check_budget(C.gf.q, C.k)
     _check_budget(C.gf.q, C.n - C.k, "dual dimension")
     return weight_enumerator(C) == weight_enumerator(dual_code(C))

@@ -11,7 +11,7 @@ import pytest
 
 import dtcodes
 from dtcodes import GF, double_toeplitz_code, parse_triple, weight_enumerator
-from dtcodes import reference_data, search, verify
+from dtcodes import equivalence, reference_data, search, verify
 from dtcodes.cli import main
 
 
@@ -209,8 +209,7 @@ def test_search_budget_exit(capsys):
 def test_classify_undecided_exit(capsys, monkeypatch):
     # the 56 optimal F3 n=6 triples fall into 3 classes, so some pair
     # test runs, and with no nodes to spend it cannot decide
-    dedupe = search.dedupe_into_classes
-    monkeypatch.setattr(search, "dedupe_into_classes", lambda codes, **kw: dedupe(codes, node_cap=0, **kw))
+    monkeypatch.setattr(equivalence, "DEFAULT_NODE_CAP", 0)
     code, out, err = run(capsys, "classify", "--q", "3", "--n", "6")
     assert code == 3
     assert out == ""

@@ -29,7 +29,7 @@ from dtcodes import (
     weight_enumerator,
 )
 from dtcodes.gf import gf_matmul
-from dtcodes.linear import _BLOCK_ROWS, _check_budget, _index_digits, _rref
+from dtcodes.linear import _BLOCK_ROWS, _check_budget, _index_digits
 
 
 def _codeword_set(C: LinearCode) -> frozenset:
@@ -130,48 +130,6 @@ def _random_full_rank_code(rng: random.Random, gf: GF, n: int, k: int) -> Linear
             continue
 
 
-def _hull_size_bruteforce(C: LinearCode) -> int:
-    """Codewords orthogonal to every generator row, with scalar field
-    operations (Hermitian over F4: the row entries are squared)."""
-    gf = C.gf
-    conj = (lambda x: gf.mul(x, x)) if gf.q == 4 else (lambda x: x)
-    rows = [[conj(int(x)) for x in row] for row in C.G]
-    count = 0
-    for m in itertools.product(range(gf.q), repeat=C.k):
-        word = [int(x) for x in C.encode(m)]
-        orthogonal = True
-        for row in rows:
-            acc = 0
-            for x, y in zip(word, row):
-                acc = gf.add(acc, gf.mul(x, y))
-            orthogonal = orthogonal and acc == 0
-        count += orthogonal
-    return count
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_hull_dimension_matches_bruteforce(q):
-    rng = random.Random(47 + q)
-    gf = GF(q)
-    # double Toeplitz codes have large hulls more often than random ones
-    codes = [double_toeplitz_code(T) for T in rng.sample(list(enumerate_triples(gf, 3)), 10)]
-    for _ in range(12):
-        n = rng.choice((4, 6, 8))
-        k = rng.randrange(1, min(n, 8 // q + 3))  # at most 256 codewords
-        codes.append(_random_code(rng, gf, n, k))
-        codes.append(_random_full_rank_code(rng, gf, n, k))
-    seen = set()
-    for C in codes:
-        hull = signature(C)[3]
-        assert q**hull == _hull_size_bruteforce(C)
-        image = apply_monomial(C, _random_map(rng, q, C.n))
-        assert signature(image)[3] == hull
-        assert q**hull == _hull_size_bruteforce(image)
-        seen.add(hull)
-    # hulls of several sizes, the trivial one among them
-    assert 0 in seen and len(seen) >= 3
-
-
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_weight_layers_are_closed_under_scalars(q):
     # the fact that lets the search drop value counts and fix the first
@@ -232,16 +190,18 @@ def test_find_monomial_map_golden(q, source, image, applied, expected):
     assert _codeword_set(apply_monomial(C, M)) == _codeword_set(D)
 
 
-def test_search_node_count_without_a_map():
+def test_search_node_count_without_a_map(monkeypatch):
     # Frobenius conjugates with equal signatures and no monomial map; the
     # search fixes the first column's scale, so it decides in 109 nodes
     gf = GF(4)
     C1 = double_toeplitz_code(ToeplitzTriple(gf, 0, (1, 1, 1), (1, 1, 2)))
     C2 = double_toeplitz_code(ToeplitzTriple(gf, 0, (1, 1, 1), (1, 1, 3)))
     assert signature(C1) == signature(C2)
-    assert find_monomial_map(C1, C2, node_cap=109) is None
+    monkeypatch.setattr(equivalence, "DEFAULT_NODE_CAP", 109)
+    assert find_monomial_map(C1, C2) is None
+    monkeypatch.setattr(equivalence, "DEFAULT_NODE_CAP", 108)
     with pytest.raises(UndecidedError):
-        find_monomial_map(C1, C2, node_cap=108)
+        find_monomial_map(C1, C2)
 
 
 def test_signature_invariance():
@@ -290,22 +250,24 @@ def test_semimonomial_switch():
         dedupe_into_classes([C1], semimonomial=True)
 
 
-def test_node_cap_raises_undecided():
+def test_node_cap_raises_undecided(monkeypatch):
     gf = GF(2)
     T = ToeplitzTriple(gf, 1, (1, 0, 1), (0, 1, 1))
     C = double_toeplitz_code(T)
+    monkeypatch.setattr(equivalence, "DEFAULT_NODE_CAP", 0)
     with pytest.raises(UndecidedError):
-        are_equivalent(C, C, node_cap=0)
+        are_equivalent(C, C)
 
 
-def test_dedupe_names_the_undecided_pair():
+def test_dedupe_names_the_undecided_pair(monkeypatch):
     gf = GF(2)
     C = double_toeplitz_code(ToeplitzTriple(gf, 1, (0,), (1,)))
     D = apply_monomial(C, MonomialMap((1, 0, 3, 2), (1, 1, 1, 1)))
     E = LinearCode(gf, [[1, 0, 0, 0], [0, 1, 0, 0]])
     # E opens class 1 without a pair test; D is tested against class 0
+    monkeypatch.setattr(equivalence, "DEFAULT_NODE_CAP", 0)
     with pytest.raises(UndecidedError, match="^code 2 against class 0: .*node budget of 0") as info:
-        dedupe_into_classes([C, E, D], node_cap=0)
+        dedupe_into_classes([C, E, D])
     assert isinstance(info.value.__cause__, UndecidedError)
 
 
@@ -447,9 +409,6 @@ def test_dedupe_matches_pairwise_partition(q, m, semimonomial):
 # replaced, copied verbatim with the codeword enumeration it read, as
 # the oracle for the batched records.
 
-_FROBENIUS = np.array([0, 1, 3, 2], dtype=np.int8)
-
-
 def _codeword_blocks(C: LinearCode):
     """All q^k codewords of the systematic form (I_k | B), with their weights,
     as blocks of (words, weights) in odometer message order, digit 0
@@ -485,18 +444,6 @@ class _Keyed(NamedTuple):
     cooccurrence: list[tuple[int, ...]]  # per column, over the anchors
 
 
-def _hull_dimension(C: LinearCode) -> int:
-    """dim(C ∩ C^⊥) = k - rank(G Ḡᵀ), Hermitian (Ḡ = G^2) over F4.
-
-    A scale s on a column multiplies its term of the inner product by
-    s·s̄, which is s^2 = 1 over F2 and F3 and s^3 = 1 over F4, so the
-    dimension is a monomial invariant.  The Euclidean form over F4 is
-    not: s^2 != 1 for s = w.
-    """
-    conj = _FROBENIUS[C.G] if C.gf.q == 4 else C.G
-    return C.k - len(_rref(C.gf, gf_matmul(C.gf, C.G, conj.T))[1])
-
-
 def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
     """Row j, sorted: how many of ``words`` are nonzero in column j and in each column."""
     S = np.asarray(words != 0, dtype=np.int64)
@@ -506,8 +453,6 @@ def _cooccurrence_rows(words: np.ndarray) -> list[tuple[int, ...]]:
 def _keyed(C: LinearCode) -> _Keyed:
     layers = _codewords_by_weight(C)
     coeffs = [1] + [len(layers.get(w, ())) for w in range(1, C.n + 1)]
-    cooccurrence = tuple(sorted(_cooccurrence_rows(layers[min(layers)])))
-    sig = (C.n, C.k, tuple(coeffs), _hull_dimension(C), cooccurrence)
     # the anchors: the layers up to the first that completes the nonzero columns and
     # brings the anchors to n words, or all layers when the code has fewer words
     nonzero_cols = np.asarray(C.G != 0).any(axis=0)
@@ -518,7 +463,9 @@ def _keyed(C: LinearCode) -> _Keyed:
     W = np.vstack(list(layers.values())[: stop + 1])
     bits = np.packbits(W.T[:, None] == np.arange(C.gf.q)[:, None], axis=-1, bitorder="little")
     masks = [[int.from_bytes(b.tobytes(), "little") for b in row] for row in bits]
-    return _Keyed(C, sig, W, masks, _cooccurrence_rows(W))
+    cooccurrence = _cooccurrence_rows(W)
+    sig = (C.n, C.k, tuple(coeffs), tuple(sorted(cooccurrence)))
+    return _Keyed(C, sig, W, masks, cooccurrence)
 
 
 def _anchors(record) -> np.ndarray:
@@ -623,14 +570,12 @@ def test_batched_keyer_matches_the_per_code_oracle(q):
     for n, k in shapes:
         codes = _differential_codes(rng, gf, n, k, 6)
         oracle = [_keyed(C) for C in codes]
-        for x in oracle:
-            assert q ** x.sig[3] == _hull_size_bruteforce(x.code)
         for blocks in _splits(codes):
             records = [r for block in blocks for r in equivalence._key_block(block)]
             assert len(records) == len(codes)
             for record, x in zip(records, oracle):
                 _assert_matches_oracle(record, x)
-    # the optimal codes of a small cell, whose hulls are often large
+    # the optimal codes of a small cell
     for T, _ in search_dt(gf, 6)[1]:
         C = double_toeplitz_code(T)
         _assert_matches_oracle(equivalence._key_block([C])[0], _keyed(C))

@@ -547,6 +547,20 @@ def test_formal_self_duality():
     assert not is_formally_self_dual(C)
 
 
+def test_formal_self_duality_needs_half_rate():
+    # q^k and q^(n-k) codewords: the answer needs neither enumerator, so
+    # neither budget; a dual past the budget, and the zero dual of an [n, n] code
+    assert not is_formally_self_dual(LinearCode(GF(2), [[1] * 30]))
+    assert not is_formally_self_dual(LinearCode(GF(3), np.eye(3, dtype=np.int8)))
+    assert not is_formally_self_dual(LinearCode(GF(4), [[1, 2, 3]]))
+
+
+def test_dual_of_a_full_code_is_refused():
+    for q in (2, 3, 4):
+        with pytest.raises(ValueError, match=r"dual of an \[3, 3\] code is the zero code"):
+            dual_code(LinearCode(GF(q), np.eye(3, dtype=np.int8)))
+
+
 def test_enumeration_budget_raises():
     gf = GF(2)
     k = 30

@@ -1518,21 +1518,37 @@ def test_classify_semimonomial_keys_each_orbit_leader_once(monkeypatch):
     assert _same_codes(calls, leaders)
 
 
-def test_classify_pair_tests_all_find_a_map(monkeypatch):
-    # the signature separates every inequivalent pair of this cell, so
-    # each code that opens no class costs one successful pair test
+def _counting_pair_searches(monkeypatch) -> list:
+    """The result of each pair search from now on, in order."""
     results = []
     original = equivalence._search_map
 
-    def counting(x, y, node_cap):
-        results.append(original(x, y, node_cap))
+    def counting(x, y):
+        results.append(original(x, y))
         return results[-1]
 
     monkeypatch.setattr(equivalence, "_search_map", counting)
+    return results
+
+
+def test_classify_pair_tests_all_find_a_map(monkeypatch):
+    # the signature separates every inequivalent pair of this cell, so
+    # each code that opens no class costs one successful pair test
+    results = _counting_pair_searches(monkeypatch)
     report = classify(GF(2), 14)
     assert len(report.records) == 79
     assert len(results) == 795 - 79
     assert all(M is not None for M in results)
+
+
+@pytest.mark.parametrize("semimonomial,classes,searches", [(False, 13, 267), (True, 11, 269)])
+def test_classify_pair_searches_at_f4_n8(monkeypatch, semimonomial, classes, searches):
+    # the 241 orbit leaders fall into 11 signature buckets; 39 searches find no map,
+    # with the Frobenius retry of a semimonomial test counted as a search of its own
+    results = _counting_pair_searches(monkeypatch)
+    report = classify(GF(4), 8, semimonomial=semimonomial)
+    assert len(report.records) == classes
+    assert (len(results), sum(M is None for M in results)) == (searches, 39)
 
 
 def test_reduction_soundness_catches_a_filter_that_drops_a_kept_b(monkeypatch):
